@@ -86,7 +86,6 @@ fn runs() -> Vec<ScriptRun> {
 fn main() {
     match std::env::args().nth(1).as_deref() {
         Some("overhead") => overhead_gate(),
-        Some("vm") => vm_speedup_gate(),
         Some("calibrate") => calibrate_gate(),
         _ => profile(),
     }
@@ -359,257 +358,6 @@ fn profile() {
         100.0 * att.coverage(),
         wall_s
     );
-}
-
-/// `profile_report vm`: the bytecode-VM speedup gate.
-///
-/// Each of the five paper scripts is compiled once and executed for real
-/// by both engines — the tree interpreter and the register VM with
-/// peephole fusion — interleaved min-of-N to shed scheduler noise, with
-/// no recorder installed so both run their untraced fast paths. The gate
-/// asserts a geometric-mean speedup of at least 1.15×. A second
-/// (recorded) pass populates the `exec.op.*` / `vm.op.*` histograms, and
-/// the per-opcode before/after table plus per-script timings land in
-/// `results/vm_speedup.json`.
-fn vm_speedup_gate() {
-    use reml_compiler::pipeline::compile_source;
-    use reml_compiler::CompileConfig;
-    use reml_runtime::executor::NoRecompile;
-    use reml_runtime::vm::VmLowerOptions;
-    use reml_runtime::{Executor, HdfsStore, VmExecutor};
-    use reml_scripts::data::generate_dataset;
-
-    const ITERS: usize = 7;
-    const GATE: f64 = 1.15;
-
-    struct ScriptResult {
-        name: &'static str,
-        tree_s: f64,
-        vm_s: f64,
-        fused_groups: usize,
-        fused_ops_eliminated: usize,
-    }
-
-    reml_trace::uninstall();
-    let mut results: Vec<ScriptResult> = Vec::new();
-    let mut prepared = Vec::new();
-    for run in runs() {
-        let script = (run.ctor)();
-        let data = generate_dataset(
-            run.exec_rows as usize,
-            run.exec_cols as usize,
-            1.0,
-            run.label,
-            7,
-        );
-        let mut cfg =
-            CompileConfig::new(reml_cluster::ClusterConfig::paper_cluster(), 4 * 1024, 1024);
-        for (name, value) in &script.params {
-            cfg.params.insert((*name).to_string(), value.clone());
-        }
-        for (name, value) in run.params {
-            cfg.params
-                .insert((*name).to_string(), reml_runtime::ScalarValue::Num(*value));
-        }
-        cfg.inputs.insert("X".to_string(), data.x.characteristics());
-        cfg.inputs.insert("y".to_string(), data.y.characteristics());
-        let compiled = compile_source(&script.source, &cfg)
-            .unwrap_or_else(|e| panic!("{} compile: {e}", script.name));
-        let program = compiled.runtime.lower_vm(VmLowerOptions::default());
-        let mut hdfs = HdfsStore::new();
-        hdfs.stage("X", data.x.clone());
-        hdfs.stage("y", data.y.clone());
-
-        let mut tree_s = f64::INFINITY;
-        let mut vm_s = f64::INFINITY;
-        for _ in 0..ITERS {
-            let mut exec = Executor::new(4 << 30, hdfs.clone());
-            let t0 = Instant::now();
-            exec.run(&compiled.runtime, &mut NoRecompile)
-                .unwrap_or_else(|e| panic!("{} tree execute: {e}", script.name));
-            tree_s = tree_s.min(t0.elapsed().as_secs_f64());
-
-            let mut vm = VmExecutor::new(4 << 30, hdfs.clone());
-            let t0 = Instant::now();
-            vm.run(&program, &mut NoRecompile)
-                .unwrap_or_else(|e| panic!("{} vm execute: {e}", script.name));
-            vm_s = vm_s.min(t0.elapsed().as_secs_f64());
-        }
-        results.push(ScriptResult {
-            name: script.name,
-            tree_s,
-            vm_s,
-            fused_groups: program.stats.fused_groups,
-            fused_ops_eliminated: program.stats.fused_ops_eliminated,
-        });
-        prepared.push((script, compiled, program, hdfs));
-    }
-
-    // Recorded pass: per-opcode timing histograms for both engines.
-    reml_trace::install(Recorder::new(1 << 20));
-    reml_trace::metrics().reset();
-    for (script, compiled, program, hdfs) in &prepared {
-        let mut exec = Executor::new(4 << 30, hdfs.clone());
-        exec.run(&compiled.runtime, &mut NoRecompile)
-            .unwrap_or_else(|e| panic!("{} tree execute: {e}", script.name));
-        let mut vm = VmExecutor::new(4 << 30, hdfs.clone());
-        vm.run(program, &mut NoRecompile)
-            .unwrap_or_else(|e| panic!("{} vm execute: {e}", script.name));
-    }
-    reml_trace::uninstall();
-    let snapshot = reml_trace::metrics().snapshot();
-    struct OpRow {
-        count: u64,
-        total_ms: f64,
-        mean_us: f64,
-    }
-    let mut tree_ops: Vec<(String, OpRow)> = Vec::new();
-    let mut vm_ops: Vec<(String, OpRow)> = Vec::new();
-    for (name, snap) in &snapshot {
-        let (op, rows) = if let Some(op) = name.strip_prefix("exec.op.") {
-            (op, &mut tree_ops)
-        } else if let Some(op) = name.strip_prefix("vm.op.") {
-            (op, &mut vm_ops)
-        } else {
-            continue;
-        };
-        if let reml_trace::MetricSnapshot::Histogram {
-            count, sum, mean, ..
-        } = snap
-        {
-            rows.push((
-                op.to_string(),
-                OpRow {
-                    count: *count,
-                    total_ms: *sum as f64 / 1e3,
-                    mean_us: *mean,
-                },
-            ));
-        }
-    }
-    tree_ops.sort_by(|a, b| a.0.cmp(&b.0));
-    vm_ops.sort_by(|a, b| a.0.cmp(&b.0));
-
-    // Human-readable tables.
-    let mut table = ExperimentResult::new(
-        "vm_speedup",
-        "tree interpreter vs bytecode VM, real execution (min of 7)",
-    );
-    let mut geomean_log = 0.0;
-    for r in &results {
-        let speedup = r.tree_s / r.vm_s.max(1e-12);
-        geomean_log += speedup.ln();
-        table.push_row(
-            r.name,
-            vec![
-                ("tree[ms]".to_string(), r.tree_s * 1e3),
-                ("vm[ms]".to_string(), r.vm_s * 1e3),
-                ("speedup".to_string(), speedup),
-                ("fused_groups".to_string(), r.fused_groups as f64),
-                ("ops_eliminated".to_string(), r.fused_ops_eliminated as f64),
-            ],
-        );
-    }
-    let geomean = (geomean_log / results.len() as f64).exp();
-    table.notes = format!("geomean speedup {geomean:.3}x (gate >= {GATE}x)");
-    table.print();
-
-    let mut before_after = ExperimentResult::new(
-        "vm_opcodes",
-        "per-opcode timing before (exec.op.*) / after (vm.op.*)",
-    );
-    for (op, row) in &tree_ops {
-        let vm_row = vm_ops.iter().find(|(v, _)| v == op).map(|(_, r)| r);
-        before_after.push_row(
-            op.clone(),
-            vec![
-                ("tree_count".to_string(), row.count as f64),
-                ("tree_mean[us]".to_string(), row.mean_us),
-                (
-                    "vm_mean[us]".to_string(),
-                    vm_row.map(|r| r.mean_us).unwrap_or(f64::NAN),
-                ),
-            ],
-        );
-    }
-    for (op, row) in &vm_ops {
-        if tree_ops.iter().any(|(t, _)| t == op) {
-            continue;
-        }
-        // VM-only rows: the fused composite opcodes.
-        before_after.push_row(
-            op.clone(),
-            vec![
-                ("vm_count".to_string(), row.count as f64),
-                ("vm_mean[us]".to_string(), row.mean_us),
-                ("vm_total[ms]".to_string(), row.total_ms),
-            ],
-        );
-    }
-    before_after.print();
-
-    // Machine-readable artifact.
-    let op_json = |ops: &[(String, OpRow)]| {
-        Value::Array(
-            ops.iter()
-                .map(|(op, r)| {
-                    Value::Object(vec![
-                        ("opcode".to_string(), Value::Str(op.clone())),
-                        ("count".to_string(), Value::Num(r.count as f64)),
-                        ("total_ms".to_string(), Value::Num(r.total_ms)),
-                        ("mean_us".to_string(), Value::Num(r.mean_us)),
-                    ])
-                })
-                .collect(),
-        )
-    };
-    let report = Value::Object(vec![
-        ("geomean_speedup".to_string(), Value::Num(geomean)),
-        ("gate".to_string(), Value::Num(GATE)),
-        ("iters".to_string(), Value::Num(ITERS as f64)),
-        (
-            "scripts".to_string(),
-            Value::Array(
-                results
-                    .iter()
-                    .map(|r| {
-                        Value::Object(vec![
-                            ("script".to_string(), Value::Str(r.name.to_string())),
-                            ("tree_s".to_string(), Value::Num(r.tree_s)),
-                            ("vm_s".to_string(), Value::Num(r.vm_s)),
-                            (
-                                "speedup".to_string(),
-                                Value::Num(r.tree_s / r.vm_s.max(1e-12)),
-                            ),
-                            (
-                                "fused_groups".to_string(),
-                                Value::Num(r.fused_groups as f64),
-                            ),
-                            (
-                                "fused_ops_eliminated".to_string(),
-                                Value::Num(r.fused_ops_eliminated as f64),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("per_opcode_tree".to_string(), op_json(&tree_ops)),
-        ("per_opcode_vm".to_string(), op_json(&vm_ops)),
-    ]);
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).expect("results dir");
-    let mut f = std::fs::File::create(dir.join("vm_speedup.json")).expect("report file");
-    let mut json = serde_json::to_string_pretty(&report).expect("serializes");
-    json.push('\n');
-    f.write_all(json.as_bytes()).expect("writes report");
-    println!("wrote results/vm_speedup.json");
-
-    assert!(
-        geomean >= GATE,
-        "VM speedup gate failed: geomean {geomean:.3}x < {GATE}x"
-    );
-    println!("VM speedup gate OK: geomean {geomean:.3}x >= {GATE}x");
 }
 
 /// One fig7-style iteration: optimize LinregDS M dense1000 and simulate

@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 
 use reml_cost::calibrate::CalibrationProfile;
-use reml_cost::flops::UNKNOWN_FLOPS;
+use reml_runtime::flops::UNKNOWN_FLOPS;
 use reml_runtime::MemObservation;
 
 /// 1 ns: floor for measured/predicted seconds in ratio errors.

@@ -28,13 +28,11 @@
 #![forbid(unsafe_code)]
 
 pub mod calibrate;
-pub mod flops;
 pub mod model;
 pub mod state;
 
 pub use calibrate::{
     CalibratedCostModel, CalibrationProfile, OpcodeCalibration, TimeModel, PROFILE_VERSION,
 };
-pub use flops::instruction_flops;
 pub use model::{CostBreakdown, CostModel, DEFAULT_UNKNOWN_ITERATIONS};
 pub use state::{VarState, VarStates};

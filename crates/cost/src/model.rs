@@ -4,12 +4,12 @@ use std::sync::Arc;
 
 use reml_cluster::ClusterConfig;
 use reml_matrix::MatrixCharacteristics;
+use reml_runtime::flops::instruction_flops;
 use reml_runtime::instructions::{CpInstruction, Instruction, MrJobInstruction, OpCode};
 use reml_runtime::program::{Predicate, RtBlock, RuntimeProgram};
 use reml_runtime::value::Operand;
 
 use crate::calibrate::CalibrationProfile;
-use crate::flops::instruction_flops;
 use crate::state::{VarState, VarStates};
 
 /// Iteration count assumed for loops whose bound is unknown — "a constant

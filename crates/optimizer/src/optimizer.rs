@@ -156,6 +156,30 @@ pub struct OptimizationResult {
     pub ledger: DecisionLedger,
 }
 
+/// State of one grid walk, opened by [`ResourceOptimizer::begin_walk`]
+/// and consumed by [`ResourceOptimizer::finish_walk`]; the serial loop
+/// and the parallel task scheduler differ only in how they fill the
+/// per-point candidates in between.
+pub(crate) struct GridWalk<'a> {
+    start: Instant,
+    /// When the optimization-time budget runs out.
+    pub(crate) deadline: Option<Instant>,
+    /// The what-if session every grid point compiles through.
+    pub(crate) session: WhatIfSession<'a>,
+    /// Per-block cost memo shared by all stages.
+    pub(crate) memo: CostMemo,
+    /// CP grid after soundness pruning — the points actually walked.
+    pub(crate) src: Vec<u64>,
+    /// MR grid.
+    pub(crate) srm: Vec<u64>,
+    /// The generated (pre-pruning) CP grid: the ledger's key space.
+    full_grid: Vec<u64>,
+    prune_s: f64,
+    /// Counters filled along the walk.
+    pub(crate) stats: OptimizerStats,
+    _span: reml_trace::SpanGuard,
+}
+
 /// The resource optimizer over a cost model.
 #[derive(Debug, Clone)]
 pub struct ResourceOptimizer {
@@ -219,21 +243,21 @@ impl ResourceOptimizer {
         }
     }
 
-    fn optimize_serial(
+    /// Everything the serial and the parallel grid walk share before the
+    /// first grid point: the what-if session with its probe compile
+    /// (Step 2 of Figure 3 — program info and memory estimates for grid
+    /// generation, and the seed of the plan cache), the two grids, the
+    /// soundness pruning of the CP one, and the walk span.
+    pub(crate) fn begin_walk<'a>(
         &self,
-        analyzed: &AnalyzedProgram,
+        analyzed: &'a AnalyzedProgram,
         base: &CompileConfig,
         scope: Option<(usize, &Env)>,
-        current_cp_heap: Option<u64>,
-    ) -> Result<OptimizationResult, CompileError> {
+    ) -> Result<GridWalk<'a>, CompileError> {
         let start = Instant::now();
         let cc = &self.cost_model.cluster;
         let (min_heap, max_heap) = (cc.min_heap_mb(), cc.max_heap_mb());
         let mut stats = OptimizerStats::default();
-
-        // Step 2 of Figure 3: the session's probe compile provides
-        // program info and memory estimates for grid generation, and
-        // seeds the plan cache.
         let mut session = WhatIfSession::new(analyzed, base, scope, self.config.plan_cache)?;
         let mem_estimates: Vec<f64> = session
             .probe()
@@ -242,7 +266,6 @@ impl ResourceOptimizer {
             .iter()
             .flat_map(|s| s.mem_estimates_mb.iter().copied())
             .collect();
-
         let mut src = self
             .config
             .cp_grid
@@ -253,84 +276,63 @@ impl ResourceOptimizer {
             .generate(min_heap, max_heap, &mem_estimates);
         stats.cp_points = src.len();
         stats.mr_points = srm.len();
-        // The generated (pre-pruning) grid: the ledger's key space.
         let full_grid = src.clone();
         let t_prune = Instant::now();
         self.prune_unsound_cp_points(analyzed, &mut session, base, &mut src, &mut stats);
         let prune_s = t_prune.elapsed().as_secs_f64();
-
-        let _walk = reml_trace::span!(
+        let span = reml_trace::span!(
             "optimize.grid_walk",
             cp_points = src.len(),
-            mr_points = srm.len()
+            mr_points = srm.len(),
+            workers = self.config.workers
         );
-        let memo = CostMemo::new(self.config.plan_cache);
-        let deadline = self.config.time_budget.map(|b| start + b);
+        Ok(GridWalk {
+            start,
+            deadline: self.config.time_budget.map(|b| start + b),
+            session,
+            memo: CostMemo::new(self.config.plan_cache),
+            src,
+            srm,
+            full_grid,
+            prune_s,
+            stats,
+            _span: span,
+        })
+    }
+
+    /// Everything after the last grid point: fold the per-point
+    /// candidates in ascending CP grid order (so completion order never
+    /// matters), collect session/memo statistics, publish metrics, and
+    /// build the ledger.
+    pub(crate) fn finish_walk(
+        &self,
+        walk: GridWalk<'_>,
+        candidates: &[Option<(ResourceConfig, f64)>],
+        current_cp_heap: Option<u64>,
+    ) -> Result<OptimizationResult, CompileError> {
+        let cc = &self.cost_model.cluster;
         let mut best: Option<(ResourceConfig, f64)> = None;
         let mut best_local: Option<(ResourceConfig, f64)> = None;
-        // Aggregated (config, cost) per walked grid point, for the ledger.
-        let mut candidates: Vec<Option<(ResourceConfig, f64)>> = vec![None; src.len()];
-
-        'outer: for (rc_idx, &rc) in src.iter().enumerate() {
-            let mut exhausted = deadline.map(|d| Instant::now() > d).unwrap_or(false);
-            if exhausted && best.is_some() {
-                stats.budget_exhausted = true;
-                break 'outer;
+        for (candidate, cost) in candidates.iter().flatten() {
+            if improves(&best, candidate, *cost, cc) {
+                best = Some((candidate.clone(), *cost));
             }
-            // Baseline compilation at (rc, min) — unrolls P into blocks,
-            // prunes (§3.4), and seeds the per-block memo.
-            let bl = stage_baseline(self, &session, &memo, rc)?;
-            if rc_idx == 0 {
-                stats.blocks_total = bl.blocks_total;
-                stats.blocks_remaining = bl.blocks.len();
-            }
-            let mut enums: BTreeMap<usize, (u64, f64)> = BTreeMap::new();
-            for &(bid, cost) in &bl.blocks {
-                enums.entry(bid).or_insert((min_heap, cost));
-            }
-
-            // Enumerate the second dimension per block — skipped when the
-            // budget is already exhausted, so a valid (if unrefined)
-            // configuration still comes out of the aggregation below.
-            if !exhausted {
-                for &(bid, baseline_cost) in &bl.blocks {
-                    let (found, cut) = stage_enum_block(
-                        self,
-                        &session,
-                        &memo,
-                        &srm,
-                        deadline,
-                        rc,
-                        bid,
-                        baseline_cost,
-                    );
-                    let entry = enums.get_mut(&bid).expect("memo seeded at baseline");
-                    if found.1 < entry.1 {
-                        *entry = found;
-                    }
-                    if cut {
-                        exhausted = true;
-                        break;
-                    }
-                }
-            }
-
-            // Whole-program compile at the memoized assignment and global
-            // costing (takes loops/branches into account).
-            let (candidate, cost) = stage_agg(self, &session, &memo, rc, &enums)?;
-            candidates[rc_idx] = Some((candidate.clone(), cost));
-            if improves(&best, &candidate, cost, cc) {
-                best = Some((candidate.clone(), cost));
-            }
-            if Some(rc) == current_cp_heap && improves(&best_local, &candidate, cost, cc) {
-                best_local = Some((candidate, cost));
-            }
-            if exhausted {
-                stats.budget_exhausted = true;
-                break 'outer;
+            if Some(candidate.cp_heap_mb) == current_cp_heap
+                && improves(&best_local, candidate, *cost, cc)
+            {
+                best_local = Some((candidate.clone(), *cost));
             }
         }
-
+        let GridWalk {
+            start,
+            session,
+            memo,
+            src,
+            full_grid,
+            prune_s,
+            mut stats,
+            ..
+        } = walk;
         let session_stats = session.stats();
         stats.block_compilations = session_stats.block_compilations;
         stats.plan_cache_hits = session_stats.plan_cache_hits;
@@ -351,7 +353,7 @@ impl ResourceOptimizer {
         let ledger = build_ledger(
             &full_grid,
             &src,
-            &candidates,
+            candidates,
             &best,
             best_cost_s,
             stats.sound_min_cp_budget_mb,
@@ -364,6 +366,73 @@ impl ResourceOptimizer {
             stats,
             ledger,
         })
+    }
+
+    fn optimize_serial(
+        &self,
+        analyzed: &AnalyzedProgram,
+        base: &CompileConfig,
+        scope: Option<(usize, &Env)>,
+        current_cp_heap: Option<u64>,
+    ) -> Result<OptimizationResult, CompileError> {
+        let mut walk = self.begin_walk(analyzed, base, scope)?;
+        let min_heap = self.cost_model.cluster.min_heap_mb();
+        // Aggregated (config, cost) per walked grid point.
+        let mut candidates: Vec<Option<(ResourceConfig, f64)>> = vec![None; walk.src.len()];
+
+        for (rc_idx, &rc) in walk.src.iter().enumerate() {
+            let mut exhausted = walk.deadline.is_some_and(|d| Instant::now() > d);
+            if exhausted && rc_idx > 0 {
+                walk.stats.budget_exhausted = true;
+                break;
+            }
+            // Baseline compilation at (rc, min) — unrolls P into blocks,
+            // prunes (§3.4), and seeds the per-block memo.
+            let bl = stage_baseline(self, &walk.session, &walk.memo, rc)?;
+            if rc_idx == 0 {
+                walk.stats.blocks_total = bl.blocks_total;
+                walk.stats.blocks_remaining = bl.blocks.len();
+            }
+            let mut enums: BTreeMap<usize, (u64, f64)> = BTreeMap::new();
+            for &(bid, cost) in &bl.blocks {
+                enums.entry(bid).or_insert((min_heap, cost));
+            }
+
+            // Enumerate the second dimension per block — skipped when the
+            // budget is already exhausted, so a valid (if unrefined)
+            // configuration still comes out of the aggregation below.
+            if !exhausted {
+                for &(bid, baseline_cost) in &bl.blocks {
+                    let (found, cut) = stage_enum_block(
+                        self,
+                        &walk.session,
+                        &walk.memo,
+                        &walk.srm,
+                        walk.deadline,
+                        rc,
+                        bid,
+                        baseline_cost,
+                    );
+                    let entry = enums.get_mut(&bid).expect("memo seeded at baseline");
+                    if found.1 < entry.1 {
+                        *entry = found;
+                    }
+                    if cut {
+                        exhausted = true;
+                        break;
+                    }
+                }
+            }
+
+            // Whole-program compile at the memoized assignment and global
+            // costing (takes loops/branches into account).
+            candidates[rc_idx] = Some(stage_agg(self, &walk.session, &walk.memo, rc, &enums)?);
+            if exhausted {
+                walk.stats.budget_exhausted = true;
+                break;
+            }
+        }
+        self.finish_walk(walk, &candidates, current_cp_heap)
     }
 
     /// Soundness pruning of the CP grid: run the interval analysis over

@@ -35,9 +35,8 @@ use reml_compiler::pipeline::AnalyzedProgram;
 use reml_compiler::session::WhatIfSession;
 use reml_compiler::{CompileConfig, CompileError};
 
-use crate::cache::{improves, stage_agg, stage_baseline, stage_enum_block, CostMemo};
-use crate::optimizer::{OptimizationResult, OptimizerStats, ResourceOptimizer};
-use crate::provenance::build_ledger;
+use crate::cache::{stage_agg, stage_baseline, stage_enum_block, CostMemo};
+use crate::optimizer::{OptimizationResult, ResourceOptimizer};
 use crate::resources::ResourceConfig;
 
 enum Task {
@@ -88,59 +87,23 @@ pub fn optimize_parallel(
     scope: Option<(usize, &Env)>,
     current_cp_heap: Option<u64>,
 ) -> Result<OptimizationResult, CompileError> {
-    let start = Instant::now();
-    let cc = &opt.cost_model.cluster;
-    let (min_heap, max_heap) = (cc.min_heap_mb(), cc.max_heap_mb());
-    let mut stats = OptimizerStats::default();
-
-    // The shared what-if session (master, once): probe compile for grid
-    // generation, breakpoint thresholds, and the plan caches all workers
-    // serve from.
-    let mut session = WhatIfSession::new(analyzed, base, scope, opt.config.plan_cache)?;
-    let memo = CostMemo::new(opt.config.plan_cache);
-    let mem_estimates: Vec<f64> = session
-        .probe()
-        .compiled
-        .summaries
-        .iter()
-        .flat_map(|s| s.mem_estimates_mb.iter().copied())
-        .collect();
-    let mut src = opt
-        .config
-        .cp_grid
-        .generate(min_heap, max_heap, &mem_estimates);
-    let srm = opt
-        .config
-        .mr_grid
-        .generate(min_heap, max_heap, &mem_estimates);
-    stats.cp_points = src.len();
-    stats.mr_points = srm.len();
-    // The generated (pre-pruning) grid: the ledger's key space.
-    let full_grid = src.clone();
-    // Same soundness pruning as the serial path — the two must walk an
-    // identical grid for bit-identical results.
-    let t_prune = Instant::now();
-    opt.prune_unsound_cp_points(analyzed, &mut session, base, &mut src, &mut stats);
-    let prune_s = t_prune.elapsed().as_secs_f64();
-    let _walk = reml_trace::span!(
-        "optimize.grid_walk",
-        cp_points = src.len(),
-        mr_points = srm.len(),
-        workers = opt.config.workers
-    );
-    let session = session;
+    // The shared what-if session (master, once), the same pruned grid
+    // the serial path walks, and the plan caches all workers serve from.
+    let mut walk = opt.begin_walk(analyzed, base, scope)?;
+    let min_heap = opt.cost_model.cluster.min_heap_mb();
+    let (src, deadline) = (&walk.src, walk.deadline);
+    let stats = &mut walk.stats;
 
     let (task_tx, task_rx) = unbounded::<Task>();
     let (done_tx, done_rx) = unbounded::<Done>();
     let workers = opt.config.workers.max(2) - 1;
-    let deadline = opt.config.time_budget.map(|b| start + b);
 
     let candidates = std::thread::scope(
         |threads| -> Result<Vec<Option<(ResourceConfig, f64)>>, CompileError> {
             for _ in 0..workers {
                 let task_rx = task_rx.clone();
                 let done_tx = done_tx.clone();
-                let (session, memo, srm) = (&session, &memo, &srm);
+                let (session, memo, srm) = (&walk.session, &walk.memo, &walk.srm);
                 threads.spawn(move || {
                     worker_loop(opt, session, memo, srm, deadline, task_rx, done_tx);
                 });
@@ -257,54 +220,7 @@ pub fn optimize_parallel(
         },
     )?;
 
-    // Deterministic merge: fold candidates in ascending CP grid order,
-    // exactly like the serial loop would.
-    let mut best: Option<(ResourceConfig, f64)> = None;
-    let mut best_local: Option<(ResourceConfig, f64)> = None;
-    for (candidate, cost) in candidates.iter().flatten() {
-        if improves(&best, candidate, *cost, cc) {
-            best = Some((candidate.clone(), *cost));
-        }
-        if Some(candidate.cp_heap_mb) == current_cp_heap
-            && improves(&best_local, candidate, *cost, cc)
-        {
-            best_local = Some((candidate.clone(), *cost));
-        }
-    }
-
-    let session_stats = session.stats();
-    stats.block_compilations = session_stats.block_compilations;
-    stats.plan_cache_hits = session_stats.plan_cache_hits;
-    stats.plan_cache_misses = session_stats.plan_cache_misses;
-    stats.compilations_avoided = session_stats.compilations_avoided;
-    stats.cost_invocations = memo.runs();
-    stats.opt_time = start.elapsed();
-    stats.fill_phases(
-        memo.stage_time_us(),
-        memo.cost_time_us(),
-        session_stats.cache_lookup_us,
-        prune_s,
-    );
-    stats.publish_metrics();
-    let (best, best_cost_s) = best.ok_or_else(|| {
-        CompileError::Internal("parallel optimizer enumerated no configurations".into())
-    })?;
-    let ledger = build_ledger(
-        &full_grid,
-        &src,
-        &candidates,
-        &best,
-        best_cost_s,
-        stats.sound_min_cp_budget_mb,
-        cc,
-    );
-    Ok(OptimizationResult {
-        best,
-        best_cost_s,
-        best_local,
-        stats,
-        ledger,
-    })
+    opt.finish_walk(walk, &candidates, current_cp_heap)
 }
 
 fn worker_loop(

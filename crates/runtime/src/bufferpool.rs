@@ -19,15 +19,15 @@
 //! [`BufferPool::resolve_slot`]) to a stable [`SlotId`] — an index into a
 //! `Vec` — and every subsequent access is an array index instead of a
 //! string-keyed map lookup. The bytecode VM resolves all program
-//! variables to slots at load time and then runs name-free; the legacy
-//! name API (`get`/`put`/...) is a thin wrapper that does the hash lookup
-//! per call, preserving the tree interpreter's behaviour unchanged.
+//! variables to slots at load time and then runs name-free; the name API
+//! (`get`/`put`/...) is a thin wrapper that does the hash lookup per
+//! call — what the reference tree walker's name-keyed store is built on.
 //! Slots are never reused: removing a variable clears the slot's entry
 //! but keeps the `SlotId` valid for later re-`put`s.
 
 use std::collections::HashMap;
 
-use reml_matrix::Matrix;
+use reml_matrix::{Matrix, MatrixCharacteristics};
 
 /// Eviction and restore accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -211,8 +211,8 @@ impl BufferPool {
         self.slots[slot.index()].entry.as_ref().map(|e| &e.data)
     }
 
-    /// Fetch by slot, restoring if evicted; clones the matrix (legacy
-    /// value semantics). Prefer `touch_slot` + `peek_slot` where a
+    /// Fetch by slot, restoring if evicted; clones the matrix (value
+    /// semantics). Prefer `touch_slot` + `peek_slot` where a
     /// reference suffices.
     pub fn get_slot(&mut self, slot: SlotId) -> Option<Matrix> {
         if !self.touch_slot(slot) {
@@ -257,7 +257,7 @@ impl BufferPool {
     }
 
     // ------------------------------------------------------------------
-    // Legacy name API — one hash lookup per call, then the slot path.
+    // Name API — one hash lookup per call, then the slot path.
     // ------------------------------------------------------------------
 
     /// Insert or replace a variable. New entries are dirty by default
@@ -352,6 +352,15 @@ impl BufferPool {
             .collect();
         names.sort();
         names
+    }
+
+    /// Characteristics of all live matrix variables by name (the input
+    /// to dynamic recompilation).
+    pub fn live_characteristics(&self) -> HashMap<String, MatrixCharacteristics> {
+        self.slots
+            .iter()
+            .filter_map(|s| Some((s.name.clone(), s.entry.as_ref()?.data.characteristics())))
+            .collect()
     }
 
     /// Accumulated statistics.

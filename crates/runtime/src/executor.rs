@@ -1,29 +1,33 @@
-//! Semantic executor for runtime programs.
+//! Reference executor for runtime programs: the tree walker.
 //!
+//! Walks the [`RtBlock`] tree directly, resolving every operand by name.
 //! Executes CP instructions on real matrices through the buffer pool, and
 //! MR-job instructions by running their packed map/reduce operators
 //! in-process (value-equivalent to distributed execution). Timing of
 //! distributed execution is modeled by `reml-sim`; this executor answers
 //! "what values does the program compute" and produces the IO/eviction
 //! statistics the simulator converts to time.
+//!
+//! What an opcode does is not stated here: every instruction goes through
+//! the shared table (`ops::eval_op`) over a name-keyed `OperandStore`.
+//! The walker keeps what the bytecode VM's lowering could get wrong —
+//! control flow, the recompile hook, name-keyed scalar/matrix shadowing —
+//! plus AM migration, and so stays the reference the differential tests
+//! compare the VM against.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
-use reml_matrix::MatrixCharacteristics;
-#[cfg(feature = "legacy-interpreter")]
-use reml_matrix::{BinaryOp, Matrix};
+use reml_matrix::{Matrix, MatrixCharacteristics};
 
 use crate::bufferpool::BufferPool;
 use crate::hdfs::HdfsStore;
-use crate::instructions::Instruction;
-#[cfg(feature = "legacy-interpreter")]
-use crate::instructions::{CpInstruction, MrJobInstruction, OpCode};
-#[cfg(feature = "legacy-interpreter")]
+use crate::instructions::{CpInstruction, Instruction, MrJobInstruction, OpCode};
+use crate::ops::{eval_op, scalar_as_matrix, OperandStore};
 use crate::program::{Predicate, RtBlock, RuntimeProgram};
-#[cfg(feature = "legacy-interpreter")]
-use crate::value::Operand;
-use crate::value::ScalarValue;
+use crate::value::{Operand, ScalarValue};
+use crate::vm::lower::{cp_flops, predicted_sum, vm_op};
 
 /// Execution statistics.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -57,10 +61,12 @@ pub enum ExecError {
     /// A produced matrix pushed the executor past its OOM limit — the
     /// runtime surface of the simulator's task-OOM fault: the caller
     /// (AM) recompiles the block to a distributed plan at actual sizes.
+    /// Also returned, limit or not, for a generated matrix whose byte
+    /// size overflows `u64` (`needed_bytes` is then `u64::MAX`).
     OutOfMemory {
         /// Bytes the operation needed resident.
         needed_bytes: u64,
-        /// Configured OOM limit.
+        /// Configured OOM limit (`u64::MAX` when none is).
         limit_bytes: u64,
     },
 }
@@ -120,7 +126,7 @@ impl RecompileHook for NoRecompile {
 
 /// Hard safety bound on while-loop iterations (scripts in this repo all
 /// converge or carry explicit maxiter bounds far below this). Shared with
-/// the bytecode VM so both interpreters abort identically.
+/// the bytecode VM so both walkers abort identically.
 pub(crate) const MAX_WHILE_ITERATIONS: usize = 100_000;
 
 /// Report of one AM runtime migration (§4.1).
@@ -148,10 +154,8 @@ pub struct Executor {
     /// bytes past this limit aborts execution with
     /// [`ExecError::OutOfMemory`] instead of spilling. `None` (default)
     /// keeps the pure spill-to-disk behaviour.
-    #[cfg_attr(not(feature = "legacy-interpreter"), allow(dead_code))]
     oom_limit_bytes: Option<u64>,
     /// Opt-in memory-observation recording (the planlint soundness audit).
-    #[cfg_attr(not(feature = "legacy-interpreter"), allow(dead_code))]
     observe_memory: bool,
     observations: Vec<MemObservation>,
 }
@@ -191,6 +195,47 @@ pub struct MemObservation {
     pub constituents: Vec<crate::vm::ObservedConstituent>,
 }
 
+impl MemObservation {
+    /// Append to an executor's observations, mirrored as an
+    /// `exec.mem_observation` trace event when a recorder is installed.
+    pub(crate) fn record(self, observations: &mut Vec<MemObservation>) {
+        if reml_trace::enabled() {
+            let mut fields: Vec<(&'static str, reml_trace::FieldValue)> = vec![
+                ("opcode", reml_trace::FieldValue::Str(self.opcode.clone())),
+                (
+                    "actual_bytes",
+                    reml_trace::FieldValue::U64(self.actual_bytes),
+                ),
+                (
+                    "resident_bytes",
+                    reml_trace::FieldValue::U64(self.resident_bytes),
+                ),
+            ];
+            if let Some(p) = self.predicted_bytes {
+                fields.push(("predicted_bytes", reml_trace::FieldValue::U64(p)));
+            }
+            if let Some(b) = self.bound_bytes {
+                fields.push(("bound_bytes", reml_trace::FieldValue::U64(b)));
+            }
+            reml_trace::event("exec.mem_observation", &fields);
+        }
+        observations.push(self);
+    }
+}
+
+/// Run `f`, measuring its wall time in nanoseconds when a wall-clock
+/// trace recorder or `observe` asks for it (0 otherwise). Under a
+/// deterministic (sim-clock) recorder the measurement is skipped so
+/// traces stay bit-reproducible. The flag says whether the time belongs
+/// in a per-opcode trace histogram.
+pub(crate) fn timed<T>(observe: bool, f: impl FnOnce() -> T) -> (T, u64, bool) {
+    let trace_timed = reml_trace::enabled() && !reml_trace::deterministic();
+    let t0 = (trace_timed || observe).then(std::time::Instant::now);
+    let result = f();
+    let wall_ns = t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
+    (result, wall_ns, trace_timed)
+}
+
 impl Executor {
     /// New executor with the given CP budget (bytes) and staged inputs.
     pub fn new(cp_budget_bytes: u64, hdfs: HdfsStore) -> Self {
@@ -227,7 +272,6 @@ impl Executor {
     }
 
     /// Execute a whole program with an optional recompilation hook.
-    #[cfg(feature = "legacy-interpreter")]
     pub fn run(
         &mut self,
         program: &RuntimeProgram,
@@ -277,20 +321,6 @@ impl Executor {
         report
     }
 
-    /// Characteristics of all live matrix variables (input to dynamic
-    /// recompilation).
-    pub fn live_matrix_characteristics(&self) -> HashMap<String, MatrixCharacteristics> {
-        self.pool
-            .variables()
-            .into_iter()
-            .filter_map(|name| {
-                let mc = self.pool.peek(&name)?.characteristics();
-                Some((name, mc))
-            })
-            .collect()
-    }
-
-    #[cfg(feature = "legacy-interpreter")]
     fn run_block(
         &mut self,
         block: &RtBlock,
@@ -304,7 +334,7 @@ impl Executor {
             } => {
                 let plan;
                 let instructions = if *requires_recompile {
-                    match hook.recompile(*source, &self.live_matrix_characteristics()) {
+                    match hook.recompile(*source, &self.pool.live_characteristics()) {
                         Some(new_plan) => {
                             self.stats.recompilations += 1;
                             plan = new_plan;
@@ -374,48 +404,39 @@ impl Executor {
         }
     }
 
-    #[cfg(feature = "legacy-interpreter")]
-    fn eval_predicate(&mut self, pred: &Predicate) -> Result<bool, ExecError> {
+    fn predicate_value(&mut self, pred: &Predicate) -> Result<&ScalarValue, ExecError> {
         for instr in &pred.instructions {
             self.execute(instr)?;
         }
-        let v = self
-            .scalars
+        self.scalars
             .get(&pred.result_var)
-            .ok_or_else(|| ExecError::UnknownVariable(pred.result_var.clone()))?;
-        v.as_bool().ok_or_else(|| {
+            .ok_or_else(|| ExecError::UnknownVariable(pred.result_var.clone()))
+    }
+
+    fn eval_predicate(&mut self, pred: &Predicate) -> Result<bool, ExecError> {
+        self.predicate_value(pred)?.as_bool().ok_or_else(|| {
             ExecError::TypeError(format!("predicate '{}' not boolean", pred.result_var))
         })
     }
 
-    #[cfg(feature = "legacy-interpreter")]
     fn eval_predicate_num(&mut self, pred: &Predicate) -> Result<f64, ExecError> {
-        for instr in &pred.instructions {
-            self.execute(instr)?;
-        }
-        let v = self
-            .scalars
-            .get(&pred.result_var)
-            .ok_or_else(|| ExecError::UnknownVariable(pred.result_var.clone()))?;
-        v.as_f64()
+        self.predicate_value(pred)?
+            .as_f64()
             .ok_or_else(|| ExecError::TypeError(format!("'{}' not numeric", pred.result_var)))
     }
 
     /// Execute one instruction. When tracing is enabled each CP
     /// instruction's wall time feeds the per-opcode histograms
     /// (`exec.op.<mnemonic>`) behind `profile_report`'s attribution
-    /// table; under a deterministic (sim-clock) recorder the wall-time
-    /// measurement is skipped so traces stay bit-reproducible.
-    #[cfg(feature = "legacy-interpreter")]
+    /// table.
     pub fn execute(&mut self, instr: &Instruction) -> Result<(), ExecError> {
         match instr {
             Instruction::Cp(cp) => {
                 self.stats.cp_instructions += 1;
-                let trace_timed = reml_trace::enabled() && !reml_trace::deterministic();
-                let timed = trace_timed || self.observe_memory;
-                let t0 = timed.then(std::time::Instant::now);
-                self.execute_op(&cp.opcode, &cp.operands, cp.output.as_deref())?;
-                let wall_ns = t0.map(|t0| t0.elapsed().as_nanos() as u64).unwrap_or(0);
+                let (result, wall_ns, trace_timed) = timed(self.observe_memory, || {
+                    self.eval(&cp.opcode, &cp.operands, cp.output.as_deref())
+                });
+                result?;
                 if trace_timed {
                     reml_trace::metrics()
                         .histogram(&format!("exec.op.{}", cp.opcode.mnemonic()))
@@ -429,39 +450,43 @@ impl Executor {
             Instruction::MrJob(job) => {
                 self.stats.mr_jobs += 1;
                 reml_trace::count("exec.mr_jobs", 1);
-                let timed = reml_trace::enabled() && !reml_trace::deterministic();
-                let t0 = timed.then(std::time::Instant::now);
-                let result = self.execute_mr_job(job);
-                if let Some(t0) = t0 {
+                let (result, wall_ns, trace_timed) = timed(false, || self.execute_mr_job(job));
+                if trace_timed {
                     reml_trace::metrics()
                         .histogram("exec.op.mr_job")
-                        .observe(t0.elapsed().as_micros() as u64);
+                        .observe(wall_ns / 1_000);
                 }
                 result
             }
         }
     }
 
+    /// One operation through the shared table; the opcode's HDFS path (if
+    /// any) rides along in the store, since [`VmOp`](crate::vm::VmOp)
+    /// only carries an index.
+    fn eval(
+        &mut self,
+        opcode: &OpCode,
+        operands: &[Operand],
+        output: Option<&str>,
+    ) -> Result<(), ExecError> {
+        let mut path = "";
+        let op = vm_op(opcode, |p| {
+            path = p;
+            0
+        });
+        eval_op(&mut NameStore { exec: self, path }, &op, operands, output)
+    }
+
     /// Record predicted vs. actual footprint of a just-executed CP
     /// instruction. Prediction sums the compile-time operand/output
     /// characteristics (the same quantities `memest` budgets against);
     /// actual sums the live pool sizes of the distinct variables touched.
-    #[cfg(feature = "legacy-interpreter")]
     fn record_observation(&mut self, cp: &CpInstruction, wall_ns: u64) {
-        let mut predicted: Option<u64> = Some(0);
-        for mc in cp.operand_mcs.iter().chain(std::iter::once(&cp.output_mc)) {
-            predicted = match (predicted, mc.estimated_size_bytes()) {
-                (Some(acc), Some(b)) => Some(acc + b),
-                _ => None,
-            };
-        }
         let mut touched: Vec<&str> = cp
             .operands
             .iter()
-            .filter_map(|o| match o {
-                Operand::Var(name) => Some(name.as_str()),
-                Operand::Lit(_) => None,
-            })
+            .filter_map(Operand::as_var)
             .chain(cp.output.as_deref())
             .collect();
         touched.sort_unstable();
@@ -470,46 +495,25 @@ impl Executor {
             .iter()
             .filter_map(|name| self.pool.peek(name).map(Matrix::size_bytes))
             .sum();
-        if reml_trace::enabled() {
-            let mut fields: Vec<(&'static str, reml_trace::FieldValue)> = vec![
-                ("opcode", reml_trace::FieldValue::Str(cp.opcode.mnemonic())),
-                ("actual_bytes", reml_trace::FieldValue::U64(actual_bytes)),
-                (
-                    "resident_bytes",
-                    reml_trace::FieldValue::U64(self.pool.resident_bytes()),
-                ),
-            ];
-            if let Some(p) = predicted {
-                fields.push(("predicted_bytes", reml_trace::FieldValue::U64(p)));
-            }
-            if let Some(b) = cp.bound_bytes {
-                fields.push(("bound_bytes", reml_trace::FieldValue::U64(b)));
-            }
-            reml_trace::event("exec.mem_observation", &fields);
-        }
-        self.observations.push(MemObservation {
+        MemObservation {
             opcode: cp.opcode.mnemonic(),
-            predicted_bytes: predicted,
+            predicted_bytes: predicted_sum(cp),
             actual_bytes,
             resident_bytes: self.pool.resident_bytes(),
             bound_bytes: cp.bound_bytes,
             wall_ns,
-            predicted_flops: crate::flops::predicted_flops(
-                &cp.opcode,
-                &cp.operand_mcs,
-                &cp.output_mc,
-            ),
+            predicted_flops: cp_flops(cp),
             constituents: Vec::new(),
-        });
+        }
+        .record(&mut self.observations);
     }
 
     /// Execute an MR job value-equivalently: run map operators then reduce
     /// operators in order. Job outputs are also exported to HDFS (MR
     /// intermediates are exchanged through HDFS, §2.1).
-    #[cfg(feature = "legacy-interpreter")]
     fn execute_mr_job(&mut self, job: &MrJobInstruction) -> Result<(), ExecError> {
         for op in job.mappers.iter().chain(job.reducers.iter()) {
-            self.execute_op(&op.opcode, &op.operands, op.output.as_deref())?;
+            self.eval(&op.opcode, &op.operands, op.output.as_deref())?;
         }
         for (name, _) in &job.outputs {
             let m = self
@@ -521,410 +525,102 @@ impl Executor {
         }
         Ok(())
     }
+}
 
-    #[cfg(feature = "legacy-interpreter")]
-    fn matrix_operand(&mut self, op: &Operand) -> Result<Matrix, ExecError> {
-        match op {
-            Operand::Var(name) => {
-                if let Some(m) = self.pool.get(name) {
-                    Ok(m)
-                } else if let Some(s) = self.scalars.get(name) {
-                    // Scalar used in matrix position: 1x1.
-                    let v = s
-                        .as_f64()
-                        .ok_or_else(|| ExecError::TypeError(format!("'{name}' not numeric")))?;
-                    Ok(Matrix::constant(1, 1, v))
-                } else {
-                    Err(ExecError::UnknownVariable(name.clone()))
-                }
-            }
-            Operand::Lit(v) => {
-                let f = v
-                    .as_f64()
-                    .ok_or_else(|| ExecError::TypeError("literal not numeric".into()))?;
-                Ok(Matrix::constant(1, 1, f))
-            }
+/// The name-keyed [`OperandStore`]: an [`Executor`] seen by one
+/// instruction, with that instruction's HDFS path.
+struct NameStore<'a> {
+    exec: &'a mut Executor,
+    path: &'a str,
+}
+
+impl OperandStore for NameStore<'_> {
+    type Arg = Operand;
+    type Out = str;
+
+    fn held_scalar(&self, arg: &Operand) -> Option<ScalarValue> {
+        match arg {
+            Operand::Var(name) => self.exec.scalars.get(name).cloned(),
+            Operand::Lit(v) => Some(v.clone()),
         }
     }
 
-    #[cfg(feature = "legacy-interpreter")]
-    fn scalar_operand(&mut self, op: &Operand) -> Result<ScalarValue, ExecError> {
-        match op {
-            Operand::Var(name) => {
-                if let Some(s) = self.scalars.get(name) {
-                    Ok(s.clone())
-                } else if let Some(m) = self.pool.get(name) {
-                    let v = m.as_scalar().map_err(ExecError::Matrix)?;
-                    Ok(ScalarValue::Num(v))
-                } else {
-                    Err(ExecError::UnknownVariable(name.clone()))
-                }
-            }
-            Operand::Lit(v) => Ok(v.clone()),
+    fn touch(&mut self, arg: &Operand) -> Result<(), ExecError> {
+        let Operand::Var(name) = arg else {
+            return Ok(());
+        };
+        let pool = &mut self.exec.pool;
+        if pool.slot_of(name).is_some_and(|slot| pool.touch_slot(slot))
+            || self.exec.scalars.contains_key(name)
+        {
+            Ok(())
+        } else {
+            Err(ExecError::UnknownVariable(name.clone()))
         }
     }
 
-    #[cfg(feature = "legacy-interpreter")]
-    fn scalar_num(&mut self, op: &Operand) -> Result<f64, ExecError> {
-        self.scalar_operand(op)?
-            .as_f64()
-            .ok_or_else(|| ExecError::TypeError("expected numeric scalar".into()))
-    }
-
-    #[cfg(feature = "legacy-interpreter")]
-    fn put_matrix(&mut self, name: Option<&str>, m: Matrix) -> Result<(), ExecError> {
-        if let Some(name) = name {
-            if let Some(limit) = self.oom_limit_bytes {
-                let needed = self.pool.resident_bytes().saturating_add(m.size_bytes());
-                if needed > limit {
-                    reml_trace::event!("exec.oom", needed_bytes = needed, limit_bytes = limit);
-                    return Err(ExecError::OutOfMemory {
-                        needed_bytes: needed,
-                        limit_bytes: limit,
-                    });
-                }
-            }
-            self.scalars.remove(name);
-            self.pool.put(name, m);
-        }
-        Ok(())
-    }
-
-    #[cfg(feature = "legacy-interpreter")]
-    fn put_scalar(&mut self, name: Option<&str>, v: ScalarValue) {
-        if let Some(name) = name {
-            self.pool.remove(name);
-            self.scalars.insert(name.to_string(), v);
+    fn peek(&self, arg: &Operand) -> Result<Cow<'_, Matrix>, ExecError> {
+        match arg {
+            Operand::Var(name) => match self.exec.pool.peek(name) {
+                Some(m) => Ok(Cow::Borrowed(m)),
+                None => match self.exec.scalars.get(name) {
+                    Some(v) => scalar_as_matrix(v, || format!("'{name}'")),
+                    None => Err(ExecError::UnknownVariable(name.clone())),
+                },
+            },
+            Operand::Lit(v) => scalar_as_matrix(v, || "literal".into()),
         }
     }
 
-    #[cfg(feature = "legacy-interpreter")]
-    fn execute_op(
-        &mut self,
-        opcode: &OpCode,
-        operands: &[Operand],
-        output: Option<&str>,
-    ) -> Result<(), ExecError> {
-        match opcode {
-            OpCode::PersistentRead { path } => {
-                let m = self
-                    .hdfs
-                    .read(path)
-                    .ok_or_else(|| ExecError::MissingInput(path.clone()))?;
-                if let Some(name) = output {
-                    self.scalars.remove(name);
-                    self.pool.put_with_dirty(name, m, false);
-                }
-                Ok(())
-            }
-            OpCode::PersistentWrite { path } => {
-                let m = self.matrix_operand(&operands[0])?;
-                self.hdfs.write(path.clone(), m);
-                if let Some(name) = operands[0].as_var() {
-                    self.pool.mark_clean(name);
-                }
-                Ok(())
-            }
-            OpCode::DataGenConst => {
-                let v = self.scalar_num(&operands[0])?;
-                let rows = self.scalar_num(&operands[1])? as usize;
-                let cols = self.scalar_num(&operands[2])? as usize;
-                self.put_matrix(output, Matrix::constant(rows, cols, v))?;
-                Ok(())
-            }
-            OpCode::DataGenSeq => {
-                let from = self.scalar_num(&operands[0])?;
-                let to = self.scalar_num(&operands[1])?;
-                let by = if operands.len() > 2 {
-                    self.scalar_num(&operands[2])?
-                } else if from <= to {
-                    1.0
-                } else {
-                    -1.0
-                };
-                self.put_matrix(
-                    output,
-                    Matrix::Dense(reml_matrix::generate::seq_by(from, to, by)),
-                )?;
-                Ok(())
-            }
-            OpCode::DataGenRand => {
-                let rows = self.scalar_num(&operands[0])? as usize;
-                let cols = self.scalar_num(&operands[1])? as usize;
-                let sparsity = self.scalar_num(&operands[2])?;
-                let seed = self.scalar_num(&operands[3])? as u64;
-                let m = if sparsity >= 1.0 {
-                    Matrix::Dense(reml_matrix::generate::rand_dense(
-                        rows, cols, 0.0, 1.0, seed,
-                    ))
-                } else {
-                    Matrix::from_sparse_auto(reml_matrix::generate::rand_sparse(
-                        rows, cols, sparsity, 0.0, 1.0, seed,
-                    ))
-                };
-                self.put_matrix(output, m)?;
-                Ok(())
-            }
-            OpCode::MatMult => {
-                let a = self.matrix_operand(&operands[0])?;
-                let b = self.matrix_operand(&operands[1])?;
-                self.put_matrix(output, a.matmult(&b)?)?;
-                Ok(())
-            }
-            OpCode::Tsmm => {
-                let a = self.matrix_operand(&operands[0])?;
-                self.put_matrix(output, a.tsmm())?;
-                Ok(())
-            }
-            OpCode::MatMultTransLeft => {
-                let a = self.matrix_operand(&operands[0])?;
-                let b = self.matrix_operand(&operands[1])?;
-                self.put_matrix(output, a.transpose().matmult(&b)?)?;
-                Ok(())
-            }
-            OpCode::MmChain => {
-                // t(X) %*% (X %*% v): operands [X, v].
-                let x = self.matrix_operand(&operands[0])?;
-                let v = self.matrix_operand(&operands[1])?;
-                let xv = x.matmult(&v)?;
-                self.put_matrix(output, x.transpose().matmult(&xv)?)?;
-                Ok(())
-            }
-            OpCode::Solve => {
-                let a = self.matrix_operand(&operands[0])?;
-                let b = self.matrix_operand(&operands[1])?;
-                self.put_matrix(output, a.solve(&b)?)?;
-                Ok(())
-            }
-            OpCode::Transpose => {
-                let a = self.matrix_operand(&operands[0])?;
-                self.put_matrix(output, a.transpose())?;
-                Ok(())
-            }
-            OpCode::Diag => {
-                let a = self.matrix_operand(&operands[0])?;
-                self.put_matrix(output, a.diag())?;
-                Ok(())
-            }
-            OpCode::BinaryMM(op) => {
-                let a = self.matrix_operand(&operands[0])?;
-                let b = self.matrix_operand(&operands[1])?;
-                // 1x1 matrices degrade to scalar ops per DML semantics.
-                let out = if a.rows() == 1 && a.cols() == 1 && (b.rows() > 1 || b.cols() > 1) {
-                    b.scalar_binary(*op, a.get(0, 0))
-                } else if b.rows() == 1 && b.cols() == 1 && (a.rows() > 1 || a.cols() > 1) {
-                    a.binary_scalar(*op, b.get(0, 0))
-                } else {
-                    a.binary(*op, &b)?
-                };
-                self.put_matrix(output, out)?;
-                Ok(())
-            }
-            OpCode::BinaryMS(op) => {
-                let a = self.matrix_operand(&operands[0])?;
-                let s = self.scalar_num(&operands[1])?;
-                self.put_matrix(output, a.binary_scalar(*op, s))?;
-                Ok(())
-            }
-            OpCode::BinarySM(op) => {
-                let s = self.scalar_num(&operands[0])?;
-                let a = self.matrix_operand(&operands[1])?;
-                self.put_matrix(output, a.scalar_binary(*op, s))?;
-                Ok(())
-            }
-            OpCode::BinarySS(op) => {
-                let a = self.scalar_operand(&operands[0])?;
-                let b = self.scalar_operand(&operands[1])?;
-                let result = match op {
-                    BinaryOp::And | BinaryOp::Or => {
-                        let (x, y) = (
-                            a.as_bool().ok_or_else(|| {
-                                ExecError::TypeError("non-boolean in logical op".into())
-                            })?,
-                            b.as_bool().ok_or_else(|| {
-                                ExecError::TypeError("non-boolean in logical op".into())
-                            })?,
-                        );
-                        ScalarValue::Bool(if *op == BinaryOp::And { x && y } else { x || y })
-                    }
-                    BinaryOp::Eq
-                    | BinaryOp::NotEq
-                    | BinaryOp::Less
-                    | BinaryOp::LessEq
-                    | BinaryOp::Greater
-                    | BinaryOp::GreaterEq => {
-                        let (x, y) = (
-                            a.as_f64()
-                                .ok_or_else(|| ExecError::TypeError("non-numeric".into()))?,
-                            b.as_f64()
-                                .ok_or_else(|| ExecError::TypeError("non-numeric".into()))?,
-                        );
-                        ScalarValue::Bool(op.apply(x, y) != 0.0)
-                    }
-                    _ => {
-                        let (x, y) = (
-                            a.as_f64()
-                                .ok_or_else(|| ExecError::TypeError("non-numeric".into()))?,
-                            b.as_f64()
-                                .ok_or_else(|| ExecError::TypeError("non-numeric".into()))?,
-                        );
-                        ScalarValue::Num(op.apply(x, y))
-                    }
-                };
-                self.put_scalar(output, result);
-                Ok(())
-            }
-            OpCode::UnaryM(op) => {
-                let a = self.matrix_operand(&operands[0])?;
-                self.put_matrix(output, a.unary(*op))?;
-                Ok(())
-            }
-            OpCode::UnaryS(op) => {
-                let v = self.scalar_num(&operands[0])?;
-                self.put_scalar(output, ScalarValue::Num(op.apply(v)));
-                Ok(())
-            }
-            OpCode::Agg(op) => {
-                let a = self.matrix_operand(&operands[0])?;
-                let out = a.aggregate(*op);
-                if op.is_full_reduction() {
-                    let v = out.as_scalar().map_err(ExecError::Matrix)?;
-                    self.put_scalar(output, ScalarValue::Num(v));
-                } else {
-                    self.put_matrix(output, out)?;
-                }
-                Ok(())
-            }
-            OpCode::TableSeq => {
-                let y = self.matrix_operand(&operands[0])?;
-                let t = reml_matrix::generate::table_seq(&y.to_dense())?;
-                self.put_matrix(output, t)?;
-                Ok(())
-            }
-            OpCode::RightIndex => {
-                let a = self.matrix_operand(&operands[0])?;
-                let (rl, rh, cl, ch) = self.index_bounds(&operands[1..5], &a)?;
-                self.put_matrix(output, a.slice(rl, rh, cl, ch)?)?;
-                Ok(())
-            }
-            OpCode::LeftIndex => {
-                let target = self.matrix_operand(&operands[0])?;
-                let value = self.matrix_operand(&operands[1])?;
-                let (rl, rh, cl, ch) = self.index_bounds(&operands[2..6], &target)?;
-                let mut d = target.to_dense();
-                let vd = value.to_dense();
-                for (ri, r) in (rl..=rh).enumerate() {
-                    for (ci, c) in (cl..=ch).enumerate() {
-                        let v = if vd.rows() == 1 && vd.cols() == 1 {
-                            vd.get(0, 0)
-                        } else {
-                            vd.get(ri, ci)
-                        };
-                        d.set(r, c, v);
-                    }
-                }
-                self.put_matrix(output, Matrix::from_dense_auto(d))?;
-                Ok(())
-            }
-            OpCode::Append => {
-                let a = self.matrix_operand(&operands[0])?;
-                let b = self.matrix_operand(&operands[1])?;
-                self.put_matrix(output, a.cbind(&b)?)?;
-                Ok(())
-            }
-            OpCode::AppendR => {
-                let a = self.matrix_operand(&operands[0])?;
-                let b = self.matrix_operand(&operands[1])?;
-                self.put_matrix(output, a.rbind(&b)?)?;
-                Ok(())
-            }
-            OpCode::NRow => {
-                let a = self.matrix_operand(&operands[0])?;
-                self.put_scalar(output, ScalarValue::Num(a.rows() as f64));
-                Ok(())
-            }
-            OpCode::NCol => {
-                let a = self.matrix_operand(&operands[0])?;
-                self.put_scalar(output, ScalarValue::Num(a.cols() as f64));
-                Ok(())
-            }
-            OpCode::CastScalar => {
-                let a = self.matrix_operand(&operands[0])?;
-                let v = a.as_scalar().map_err(ExecError::Matrix)?;
-                self.put_scalar(output, ScalarValue::Num(v));
-                Ok(())
-            }
-            OpCode::CastMatrix => {
-                let v = self.scalar_num(&operands[0])?;
-                self.put_matrix(output, Matrix::constant(1, 1, v))?;
-                Ok(())
-            }
-            OpCode::Assign => {
-                match &operands[0] {
-                    Operand::Var(name) => {
-                        if let Some(s) = self.scalars.get(name).cloned() {
-                            self.put_scalar(output, s);
-                        } else if let Some(m) = self.pool.get(name) {
-                            self.put_matrix(output, m)?;
-                        } else {
-                            return Err(ExecError::UnknownVariable(name.clone()));
-                        }
-                    }
-                    Operand::Lit(v) => self.put_scalar(output, v.clone()),
-                }
-                Ok(())
-            }
-            OpCode::Concat => {
-                let a = self.scalar_operand(&operands[0])?;
-                let b = self.scalar_operand(&operands[1])?;
-                self.put_scalar(
-                    output,
-                    ScalarValue::Str(format!("{}{}", a.render(), b.render())),
-                );
-                Ok(())
-            }
-            OpCode::Print => {
-                let v = self.scalar_operand(&operands[0])?;
-                self.stats.printed.push(v.render());
-                Ok(())
-            }
-            OpCode::RmVar => {
-                for op in operands {
-                    if let Operand::Var(name) = op {
-                        self.pool.remove(name);
-                        self.scalars.remove(name);
-                    }
-                }
-                Ok(())
-            }
+    fn bind_matrix(&mut self, out: &str, m: Matrix, dirty: bool) {
+        self.exec.scalars.remove(out);
+        self.exec.pool.put_with_dirty(out, m, dirty);
+    }
+
+    fn bind_scalar(&mut self, out: &str, v: ScalarValue) {
+        self.exec.pool.remove(out);
+        self.exec.scalars.insert(out.to_string(), v);
+    }
+
+    fn unbind(&mut self, arg: &Operand) {
+        if let Operand::Var(name) = arg {
+            self.exec.pool.remove(name);
+            self.exec.scalars.remove(name);
         }
     }
 
-    /// Resolve 1-based inclusive index bounds, with 0 meaning "open" (the
-    /// compiler encodes `X[, 1:k]` row bounds as 0/0 = full range).
-    #[cfg(feature = "legacy-interpreter")]
-    fn index_bounds(
-        &mut self,
-        ops: &[Operand],
-        m: &Matrix,
-    ) -> Result<(usize, usize, usize, usize), ExecError> {
-        let rl = self.scalar_num(&ops[0])? as usize;
-        let rh = self.scalar_num(&ops[1])? as usize;
-        let cl = self.scalar_num(&ops[2])? as usize;
-        let ch = self.scalar_num(&ops[3])? as usize;
-        let rl = if rl == 0 { 1 } else { rl };
-        let rh = if rh == 0 { m.rows() } else { rh };
-        let cl = if cl == 0 { 1 } else { cl };
-        let ch = if ch == 0 { m.cols() } else { ch };
-        Ok((rl - 1, rh - 1, cl - 1, ch - 1))
+    fn mark_clean(&mut self, arg: &Operand) {
+        if let Operand::Var(name) = arg {
+            self.exec.pool.mark_clean(name);
+        }
+    }
+
+    fn hdfs_read(&mut self, _path: u32) -> Result<Matrix, ExecError> {
+        self.exec
+            .hdfs
+            .read(self.path)
+            .ok_or_else(|| ExecError::MissingInput(self.path.to_string()))
+    }
+
+    fn hdfs_write(&mut self, _path: u32, m: Matrix) {
+        self.exec.hdfs.write(self.path, m);
+    }
+
+    fn print(&mut self, line: String) {
+        self.exec.stats.printed.push(line);
+    }
+
+    fn oom_limit(&self) -> Option<(u64, u64)> {
+        let limit = self.exec.oom_limit_bytes?;
+        Some((self.exec.pool.resident_bytes(), limit))
     }
 }
 
-#[cfg(all(test, feature = "legacy-interpreter"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::instructions::CpInstruction;
-    use reml_matrix::AggOp;
+    use reml_matrix::{AggOp, BinaryOp};
 
     fn cp(opcode: OpCode, operands: Vec<Operand>, output: Option<&str>) -> Instruction {
         Instruction::Cp(CpInstruction {

@@ -1,4 +1,4 @@
-//! # reml-runtime — runtime programs, buffer pool, and the CP executor
+//! # reml-runtime — runtime programs, buffer pool, and the CP executors
 //!
 //! The compiler (reml-compiler) lowers DML into a *runtime program*: a tree
 //! of program blocks mirroring the statement-block hierarchy, where each
@@ -13,14 +13,21 @@
 //!   the paper's named source of suboptimality.
 //! * [`hdfs`] — an in-process stand-in for HDFS: named persistent datasets
 //!   plus exported intermediates, with byte accounting.
-//! * [`executor`] — semantically executes runtime programs on real
-//!   matrices (CP instructions directly; MR jobs by running their map and
-//!   reduce operators in-process). Wall-clock behaviour of distributed
-//!   execution is modeled separately by `reml-sim`; this executor provides
-//!   *correct values* so examples compute real regression models.
+//! * `ops` — the CP op-semantics table: one `eval_op` stating what every
+//!   opcode does, generic over where a walker keeps its variables. Both
+//!   executors below dispatch through it.
+//! * [`vm`] — the bytecode VM: programs lowered once to flat, slot-indexed
+//!   code with fused elementwise chains; the executor everything runs on.
+//! * [`executor`] — the reference tree walker: executes runtime programs
+//!   block by block, resolving operands by name (CP instructions through
+//!   the shared table; MR jobs by running their map and reduce operators
+//!   in-process). It carries AM migration and is what the differential
+//!   tests compare the VM against. Wall-clock behaviour of distributed
+//!   execution is modeled separately by `reml-sim`; execution here
+//!   provides *correct values* so examples compute real regression models.
 //!
 //! Dynamic recompilation hooks: generic blocks carry `requires_recompile`;
-//! the executor calls a [`executor::RecompileHook`] before running such a
+//! both executors call a [`executor::RecompileHook`] before running such a
 //! block, enabling the §4 runtime adaptation loop.
 
 #![forbid(unsafe_code)]
@@ -30,6 +37,7 @@ pub mod executor;
 pub mod flops;
 pub mod hdfs;
 pub mod instructions;
+mod ops;
 pub mod program;
 pub mod value;
 pub mod vm;

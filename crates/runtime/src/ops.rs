@@ -1,0 +1,455 @@
+//! The CP op-semantics table: what each opcode *does*, stated once.
+//!
+//! [`eval_op`] is a single `match` with one arm per CP opcode, generic
+//! over an [`OperandStore`] — the only thing the two walkers disagree on.
+//! The bytecode VM implements the store over preresolved slots
+//! ([`Arg`](crate::vm::Arg), symbol id); the reference tree walker
+//! implements it over names ([`Operand`](crate::value::Operand), `str`).
+//! Both read matrix operands by reference (`touch` for the buffer pool's
+//! LRU/restore accounting, then `peek`), so operand order, restore
+//! accounting, error order and values are the same by construction.
+//! Monomorphisation gives each walker its own copy of the table, so the
+//! VM's hot loop pays nothing for the sharing.
+//!
+//! The table dispatches on [`VmOp`]: the tree walker bridges its
+//! [`OpCode`](crate::instructions::OpCode) per instruction with
+//! [`vm_op`](crate::vm::lower::vm_op), the VM never converts anything.
+
+use std::borrow::Cow;
+
+use reml_matrix::{BinaryOp, Matrix, MatrixCharacteristics, MatrixError};
+
+use crate::executor::ExecError;
+use crate::value::ScalarValue;
+use crate::vm::VmOp;
+
+/// Where an executor keeps its variables: how operands are fetched and
+/// results bound. Everything else about an opcode lives in [`eval_op`].
+pub(crate) trait OperandStore {
+    /// An instruction operand (variable reference or literal).
+    type Arg;
+    /// An output variable.
+    type Out: ?Sized;
+
+    /// The scalar an operand denotes without touching the pool: a
+    /// literal, or a variable currently bound to a scalar.
+    fn held_scalar(&self, arg: &Self::Arg) -> Option<ScalarValue>;
+    /// Phase 1 of a matrix-operand fetch: bump the LRU clock / restore an
+    /// evicted matrix, and verify the operand is bound at all.
+    fn touch(&mut self, arg: &Self::Arg) -> Result<(), ExecError>;
+    /// Phase 2: read the operand by reference (no clone), materializing a
+    /// 1×1 for a scalar in matrix position.
+    fn peek(&self, arg: &Self::Arg) -> Result<Cow<'_, Matrix>, ExecError>;
+    /// Bind a matrix, dropping any scalar of the same name.
+    fn bind_matrix(&mut self, out: &Self::Out, m: Matrix, dirty: bool);
+    /// Bind a scalar, dropping any matrix of the same name.
+    fn bind_scalar(&mut self, out: &Self::Out, v: ScalarValue);
+    /// Drop whatever a variable operand is bound to.
+    fn unbind(&mut self, arg: &Self::Arg);
+    /// Mark a variable operand's matrix as matching its HDFS copy.
+    fn mark_clean(&mut self, arg: &Self::Arg);
+    /// Read the dataset at an instruction's path.
+    fn hdfs_read(&mut self, path: u32) -> Result<Matrix, ExecError>;
+    /// Write a dataset to an instruction's path.
+    fn hdfs_write(&mut self, path: u32, m: Matrix);
+    /// Capture one printed line.
+    fn print(&mut self, line: String);
+    /// `(pool-resident bytes, limit)` when an OOM limit is configured.
+    fn oom_limit(&self) -> Option<(u64, u64)>;
+
+    /// Read a scalar operand; a 1×1 matrix degrades to its value.
+    fn scalar(&mut self, arg: &Self::Arg) -> Result<ScalarValue, ExecError> {
+        if let Some(v) = self.held_scalar(arg) {
+            return Ok(v);
+        }
+        self.touch(arg)?;
+        Ok(ScalarValue::Num(self.peek(arg)?.as_scalar()?))
+    }
+
+    /// Read a numeric scalar operand.
+    fn scalar_num(&mut self, arg: &Self::Arg) -> Result<f64, ExecError> {
+        self.scalar(arg)?
+            .as_f64()
+            .ok_or_else(|| ExecError::TypeError("expected numeric scalar".into()))
+    }
+
+    /// Fail with [`ExecError::OutOfMemory`] when `bytes` more would push
+    /// resident bytes past the OOM limit. `None` is a size `u64` cannot
+    /// hold, which no limit — configured or not — admits.
+    fn reserve(&self, bytes: Option<u64>) -> Result<(), ExecError> {
+        let (resident, limit) = self.oom_limit().unwrap_or((0, u64::MAX));
+        let needed = bytes.map_or(u64::MAX, |b| resident.saturating_add(b));
+        if bytes.is_some() && needed <= limit {
+            return Ok(());
+        }
+        reml_trace::event!("exec.oom", needed_bytes = needed, limit_bytes = limit);
+        Err(ExecError::OutOfMemory {
+            needed_bytes: needed,
+            limit_bytes: limit,
+        })
+    }
+
+    /// Bind a computed (dirty) matrix, subject to the OOM limit.
+    fn put_matrix(&mut self, out: Option<&Self::Out>, m: Matrix) -> Result<(), ExecError> {
+        if let Some(out) = out {
+            // `size_bytes` counts a dense matrix's non-zeros: only pay
+            // for it when there is a limit to hold it against.
+            if self.oom_limit().is_some() {
+                self.reserve(Some(m.size_bytes()))?;
+            }
+            self.bind_matrix(out, m, true);
+        }
+        Ok(())
+    }
+
+    /// Bind a computed scalar.
+    fn put_scalar(&mut self, out: Option<&Self::Out>, v: ScalarValue) {
+        if let Some(out) = out {
+            self.bind_scalar(out, v);
+        }
+    }
+}
+
+/// A scalar in matrix position: the 1×1 it denotes. `what` names the
+/// operand in the error for a string.
+pub(crate) fn scalar_as_matrix(
+    v: &ScalarValue,
+    what: impl FnOnce() -> String,
+) -> Result<Cow<'static, Matrix>, ExecError> {
+    let f = v
+        .as_f64()
+        .ok_or_else(|| ExecError::TypeError(format!("{} not numeric", what())))?;
+    Ok(Cow::Owned(Matrix::constant(1, 1, f)))
+}
+
+/// Elementwise matrix ∘ matrix; a 1×1 side degrades to a scalar op per
+/// DML semantics.
+pub(crate) fn binary_mm(op: BinaryOp, a: &Matrix, b: &Matrix) -> Result<Matrix, MatrixError> {
+    if a.rows() == 1 && a.cols() == 1 && (b.rows() > 1 || b.cols() > 1) {
+        Ok(b.scalar_binary(op, a.get(0, 0)))
+    } else if b.rows() == 1 && b.cols() == 1 && (a.rows() > 1 || a.cols() > 1) {
+        Ok(a.binary_scalar(op, b.get(0, 0)))
+    } else {
+        a.binary(op, b)
+    }
+}
+
+/// Scalar ∘ scalar: logical ops over booleans, comparisons to booleans,
+/// arithmetic to numbers.
+fn binary_ss(op: BinaryOp, a: &ScalarValue, b: &ScalarValue) -> Result<ScalarValue, ExecError> {
+    let num = |v: &ScalarValue| {
+        v.as_f64()
+            .ok_or_else(|| ExecError::TypeError("non-numeric".into()))
+    };
+    let boolean = |v: &ScalarValue| {
+        v.as_bool()
+            .ok_or_else(|| ExecError::TypeError("non-boolean in logical op".into()))
+    };
+    Ok(match op {
+        BinaryOp::And | BinaryOp::Or => {
+            let (x, y) = (boolean(a)?, boolean(b)?);
+            ScalarValue::Bool(if op == BinaryOp::And { x && y } else { x || y })
+        }
+        BinaryOp::Eq
+        | BinaryOp::NotEq
+        | BinaryOp::Less
+        | BinaryOp::LessEq
+        | BinaryOp::Greater
+        | BinaryOp::GreaterEq => ScalarValue::Bool(op.apply(num(a)?, num(b)?) != 0.0),
+        _ => ScalarValue::Num(op.apply(num(a)?, num(b)?)),
+    })
+}
+
+/// Touch one matrix operand, then apply `f` to it by reference.
+fn with_matrix<S: OperandStore, T>(
+    store: &mut S,
+    arg: &S::Arg,
+    f: impl FnOnce(&Matrix) -> T,
+) -> Result<T, ExecError> {
+    store.touch(arg)?;
+    Ok(f(&*store.peek(arg)?))
+}
+
+/// Touch two matrix operands in positional order, then apply the kernel
+/// `f` to them by reference.
+fn with_matrices<S: OperandStore>(
+    store: &mut S,
+    args: &[S::Arg],
+    f: impl FnOnce(&Matrix, &Matrix) -> Result<Matrix, MatrixError>,
+) -> Result<Matrix, ExecError> {
+    store.touch(&args[0])?;
+    store.touch(&args[1])?;
+    let (a, b) = (store.peek(&args[0])?, store.peek(&args[1])?);
+    Ok(f(&a, &b)?)
+}
+
+/// Resolve the four 1-based inclusive index operands against a
+/// `rows × cols` matrix into 0-based inclusive bounds; 0 means "open"
+/// (the compiler encodes `X[, 1:k]` row bounds as 0/0 = full range). A
+/// range reaching outside the matrix is an error.
+fn index_bounds<S: OperandStore>(
+    store: &mut S,
+    ops: &[S::Arg],
+    rows: usize,
+    cols: usize,
+) -> Result<(usize, usize, usize, usize), ExecError> {
+    let mut bound = |i: usize, open: usize| -> Result<usize, ExecError> {
+        let v = store.scalar_num(&ops[i])? as usize;
+        Ok(if v == 0 { open } else { v }.saturating_sub(1))
+    };
+    let (rl, rh, cl, ch) = (bound(0, 1)?, bound(1, rows)?, bound(2, 1)?, bound(3, cols)?);
+    if rh >= rows || ch >= cols || rl > rh || cl > ch {
+        return Err(ExecError::Matrix(MatrixError::IndexOutOfBounds {
+            index: (rh, ch),
+            shape: (rows, cols),
+        }));
+    }
+    Ok((rl, rh, cl, ch))
+}
+
+/// Refuse a `rows × cols` matrix to be generated at `density` before it
+/// is allocated: when its cell bytes overflow, or its estimated footprint
+/// exceeds a configured OOM limit.
+fn reserve_generated<S: OperandStore>(
+    store: &S,
+    rows: usize,
+    cols: usize,
+    density: f64,
+) -> Result<(), ExecError> {
+    let bytes = rows
+        .checked_mul(cols)
+        .filter(|cells| cells.checked_mul(8).is_some())
+        .and_then(|cells| {
+            let nnz = (density.clamp(0.0, 1.0) * cells as f64).ceil() as u64;
+            MatrixCharacteristics::known(rows as u64, cols as u64, nnz).estimated_size_bytes()
+        });
+    store.reserve(bytes)
+}
+
+/// Execute one CP operation against `store`.
+pub(crate) fn eval_op<S: OperandStore>(
+    store: &mut S,
+    op: &VmOp,
+    args: &[S::Arg],
+    out: Option<&S::Out>,
+) -> Result<(), ExecError> {
+    match op {
+        VmOp::PRead { path } => {
+            let m = store.hdfs_read(*path)?;
+            if let Some(out) = out {
+                store.bind_matrix(out, m, false);
+            }
+            Ok(())
+        }
+        VmOp::PWrite { path } => {
+            let m = with_matrix(store, &args[0], Matrix::clone)?;
+            store.hdfs_write(*path, m);
+            store.mark_clean(&args[0]);
+            Ok(())
+        }
+        VmOp::DataGenConst => {
+            let v = store.scalar_num(&args[0])?;
+            let rows = store.scalar_num(&args[1])? as usize;
+            let cols = store.scalar_num(&args[2])? as usize;
+            reserve_generated(store, rows, cols, if v == 0.0 { 0.0 } else { 1.0 })?;
+            store.put_matrix(out, Matrix::constant(rows, cols, v))
+        }
+        VmOp::DataGenSeq => {
+            let from = store.scalar_num(&args[0])?;
+            let to = store.scalar_num(&args[1])?;
+            let by = if args.len() > 2 {
+                store.scalar_num(&args[2])?
+            } else if from <= to {
+                1.0
+            } else {
+                -1.0
+            };
+            store.put_matrix(
+                out,
+                Matrix::Dense(reml_matrix::generate::seq_by(from, to, by)),
+            )
+        }
+        VmOp::DataGenRand => {
+            let rows = store.scalar_num(&args[0])? as usize;
+            let cols = store.scalar_num(&args[1])? as usize;
+            let sparsity = store.scalar_num(&args[2])?;
+            let seed = store.scalar_num(&args[3])? as u64;
+            reserve_generated(store, rows, cols, sparsity)?;
+            let m = if sparsity >= 1.0 {
+                Matrix::Dense(reml_matrix::generate::rand_dense(
+                    rows, cols, 0.0, 1.0, seed,
+                ))
+            } else {
+                Matrix::from_sparse_auto(reml_matrix::generate::rand_sparse(
+                    rows, cols, sparsity, 0.0, 1.0, seed,
+                ))
+            };
+            store.put_matrix(out, m)
+        }
+        VmOp::MatMult => {
+            let m = with_matrices(store, args, |a, b| a.matmult(b))?;
+            store.put_matrix(out, m)
+        }
+        VmOp::Tsmm => {
+            let m = with_matrix(store, &args[0], |a| a.tsmm())?;
+            store.put_matrix(out, m)
+        }
+        VmOp::MatMultTransLeft => {
+            let m = with_matrices(store, args, |a, b| a.transpose().matmult(b))?;
+            store.put_matrix(out, m)
+        }
+        VmOp::MmChain => {
+            // t(X) %*% (X %*% v): operands [X, v].
+            let m = with_matrices(store, args, |x, v| x.transpose().matmult(&x.matmult(v)?))?;
+            store.put_matrix(out, m)
+        }
+        VmOp::Solve => {
+            let m = with_matrices(store, args, |a, b| a.solve(b))?;
+            store.put_matrix(out, m)
+        }
+        VmOp::Transpose => {
+            let m = with_matrix(store, &args[0], Matrix::transpose)?;
+            store.put_matrix(out, m)
+        }
+        VmOp::Diag => {
+            let m = with_matrix(store, &args[0], Matrix::diag)?;
+            store.put_matrix(out, m)
+        }
+        VmOp::BinaryMM(op) => {
+            let m = with_matrices(store, args, |a, b| binary_mm(*op, a, b))?;
+            store.put_matrix(out, m)
+        }
+        VmOp::BinaryMS(op) => {
+            store.touch(&args[0])?;
+            let s = store.scalar_num(&args[1])?;
+            let m = store.peek(&args[0])?.binary_scalar(*op, s);
+            store.put_matrix(out, m)
+        }
+        VmOp::BinarySM(op) => {
+            let s = store.scalar_num(&args[0])?;
+            let m = with_matrix(store, &args[1], |a| a.scalar_binary(*op, s))?;
+            store.put_matrix(out, m)
+        }
+        VmOp::BinarySS(op) => {
+            let a = store.scalar(&args[0])?;
+            let b = store.scalar(&args[1])?;
+            store.put_scalar(out, binary_ss(*op, &a, &b)?);
+            Ok(())
+        }
+        VmOp::UnaryM(op) => {
+            let m = with_matrix(store, &args[0], |a| a.unary(*op))?;
+            store.put_matrix(out, m)
+        }
+        VmOp::UnaryS(op) => {
+            let v = store.scalar_num(&args[0])?;
+            store.put_scalar(out, ScalarValue::Num(op.apply(v)));
+            Ok(())
+        }
+        VmOp::Agg(op) => {
+            let agg = with_matrix(store, &args[0], |a| a.aggregate(*op))?;
+            if op.is_full_reduction() {
+                store.put_scalar(out, ScalarValue::Num(agg.as_scalar()?));
+                Ok(())
+            } else {
+                store.put_matrix(out, agg)
+            }
+        }
+        VmOp::TableSeq => {
+            let m = with_matrix(store, &args[0], |y| {
+                reml_matrix::generate::table_seq(&y.to_dense())
+            })??;
+            store.put_matrix(out, m)
+        }
+        VmOp::RightIndex => {
+            let (rows, cols) = with_matrix(store, &args[0], |a| (a.rows(), a.cols()))?;
+            let (rl, rh, cl, ch) = index_bounds(store, &args[1..5], rows, cols)?;
+            let m = store.peek(&args[0])?.slice(rl, rh, cl, ch)?;
+            store.put_matrix(out, m)
+        }
+        VmOp::LeftIndex => {
+            store.touch(&args[0])?;
+            store.touch(&args[1])?;
+            let mut d = store.peek(&args[0])?.to_dense();
+            let vd = store.peek(&args[1])?.to_dense();
+            let (rl, rh, cl, ch) = index_bounds(store, &args[2..6], d.rows(), d.cols())?;
+            let range = (rh - rl + 1, ch - cl + 1);
+            let value = (vd.rows(), vd.cols());
+            if value != (1, 1) && value != range {
+                return Err(ExecError::Matrix(MatrixError::ShapeMismatch {
+                    op: "leftindex",
+                    left: range,
+                    right: value,
+                }));
+            }
+            for (ri, r) in (rl..=rh).enumerate() {
+                for (ci, c) in (cl..=ch).enumerate() {
+                    let v = if value == (1, 1) {
+                        vd.get(0, 0)
+                    } else {
+                        vd.get(ri, ci)
+                    };
+                    d.set(r, c, v);
+                }
+            }
+            store.put_matrix(out, Matrix::from_dense_auto(d))
+        }
+        VmOp::Append => {
+            let m = with_matrices(store, args, |a, b| a.cbind(b))?;
+            store.put_matrix(out, m)
+        }
+        VmOp::AppendR => {
+            let m = with_matrices(store, args, |a, b| a.rbind(b))?;
+            store.put_matrix(out, m)
+        }
+        VmOp::NRow => {
+            let rows = with_matrix(store, &args[0], Matrix::rows)?;
+            store.put_scalar(out, ScalarValue::Num(rows as f64));
+            Ok(())
+        }
+        VmOp::NCol => {
+            let cols = with_matrix(store, &args[0], Matrix::cols)?;
+            store.put_scalar(out, ScalarValue::Num(cols as f64));
+            Ok(())
+        }
+        VmOp::CastScalar => {
+            let v = with_matrix(store, &args[0], Matrix::as_scalar)??;
+            store.put_scalar(out, ScalarValue::Num(v));
+            Ok(())
+        }
+        VmOp::CastMatrix => {
+            let v = store.scalar_num(&args[0])?;
+            store.put_matrix(out, Matrix::constant(1, 1, v))
+        }
+        VmOp::Assign => match store.held_scalar(&args[0]) {
+            Some(v) => {
+                store.put_scalar(out, v);
+                Ok(())
+            }
+            None => {
+                let m = with_matrix(store, &args[0], Matrix::clone)?;
+                store.put_matrix(out, m)
+            }
+        },
+        VmOp::Concat => {
+            let a = store.scalar(&args[0])?;
+            let b = store.scalar(&args[1])?;
+            store.put_scalar(
+                out,
+                ScalarValue::Str(format!("{}{}", a.render(), b.render())),
+            );
+            Ok(())
+        }
+        VmOp::Print => {
+            let v = store.scalar(&args[0])?;
+            store.print(v.render());
+            Ok(())
+        }
+        VmOp::RmVar => {
+            args.iter().for_each(|arg| store.unbind(arg));
+            Ok(())
+        }
+        VmOp::Fused { .. } | VmOp::MrJob { .. } => {
+            unreachable!("VM-only forms are dispatched before the CP table")
+        }
+    }
+}

@@ -1,51 +1,43 @@
 //! The register VM: executes [`VmProgram`]s over a slot-indexed frame.
 //!
-//! Value-equivalent to the tree interpreter in [`crate::executor`] (the
-//! differential oracle), but with the per-instruction costs removed:
+//! What an opcode does is stated once, in the shared table
+//! (`ops::eval_op`); this module supplies the slot-keyed `OperandStore`
+//! it runs against, and everything the table does not cover — control
+//! flow over [`VmBlock`]s, recompiled fragments, fused chains. Against
+//! the reference tree walker in [`crate::executor`] the per-instruction
+//! costs are gone:
 //!
 //! * operand fetch is `touch_slot` + `peek_slot` — an array index and an
-//!   LRU bump instead of a name hash plus a full matrix clone;
+//!   LRU bump instead of a name hash per operand;
 //! * scalars live in a dense frame indexed by symbol id;
 //! * mnemonics, metric names, and observation metadata are precomputed at
 //!   lowering, so the hot loop allocates no strings;
 //! * fused elementwise chains run over one flat buffer with a single
 //!   output allocation (see [`FusedSpec`]).
 //!
-//! Divergences from the tree interpreter are deliberate and limited to
-//! pool *residency*: fused intermediates never enter the buffer pool, so
-//! pool statistics and LRU order can differ under fusion. Printed output,
+//! Divergences from the tree walker are deliberate and limited to pool
+//! *residency*: fused intermediates never enter the buffer pool, so pool
+//! statistics and LRU order can differ under fusion. Printed output,
 //! scalar values, matrix values (bit-for-bit, including the dense/sparse
 //! representation choice), HDFS contents, and `ExecStats` all match.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
-use reml_matrix::{BinaryOp, DenseMatrix, Matrix, MatrixCharacteristics};
+use reml_matrix::{DenseMatrix, Matrix};
 
 use crate::bufferpool::{BufferPool, SlotId};
-use crate::executor::{ExecError, ExecStats, MemObservation, RecompileHook, MAX_WHILE_ITERATIONS};
+use crate::executor::{
+    timed, ExecError, ExecStats, MemObservation, RecompileHook, MAX_WHILE_ITERATIONS,
+};
 use crate::hdfs::HdfsStore;
+use crate::ops::{binary_mm, eval_op, scalar_as_matrix, OperandStore};
 use crate::value::ScalarValue;
 use crate::vm::lower::lower_fragment;
 use crate::vm::program::{
     Arg, FusedArg, FusedOpKind, FusedSpec, InstrMeta, Tables, VmBlock, VmInstr, VmMrJob, VmOp,
     VmPredicate, VmProgram,
 };
-
-/// A matrix operand: borrowed from the pool or materialized (scalar used
-/// in matrix position).
-enum MatVal<'a> {
-    Ref(&'a Matrix),
-    Owned(Matrix),
-}
-
-impl MatVal<'_> {
-    fn mat(&self) -> &Matrix {
-        match self {
-            MatVal::Ref(m) => m,
-            MatVal::Owned(m) => m,
-        }
-    }
-}
 
 /// Resolved matrix input of one fused step.
 #[derive(Clone, Copy)]
@@ -75,7 +67,7 @@ pub struct VmExecutor {
     pub pool: BufferPool,
     /// The HDFS stand-in.
     pub hdfs: HdfsStore,
-    /// Accumulated statistics (same accounting as the tree interpreter).
+    /// Accumulated statistics (same accounting as the tree walker).
     pub stats: ExecStats,
     /// Scalar frame indexed by symbol id.
     frame: Vec<Option<ScalarValue>>,
@@ -193,18 +185,6 @@ impl VmExecutor {
         }
     }
 
-    /// Characteristics of all live matrix variables (recompilation input).
-    pub fn live_matrix_characteristics(&self) -> HashMap<String, MatrixCharacteristics> {
-        self.pool
-            .variables()
-            .into_iter()
-            .filter_map(|name| {
-                let mc = self.pool.peek(&name)?.characteristics();
-                Some((name, mc))
-            })
-            .collect()
-    }
-
     fn run_block(
         &mut self,
         t: &Tables<'_>,
@@ -218,8 +198,7 @@ impl VmExecutor {
                 requires_recompile,
             } => {
                 if *requires_recompile {
-                    if let Some(plan) = hook.recompile(*source, &self.live_matrix_characteristics())
-                    {
+                    if let Some(plan) = hook.recompile(*source, &self.pool.live_characteristics()) {
                         self.stats.recompilations += 1;
                         let frag = lower_fragment(t.symbols, &plan, self.fuse_fragments);
                         self.rebind(&frag.symbols, t.symbols.len());
@@ -274,7 +253,7 @@ impl VmExecutor {
                 let to_v = self.eval_predicate_num(t, to)?;
                 let mut i = from_v;
                 while i <= to_v {
-                    self.put_scalar(Some(*var), ScalarValue::Num(i));
+                    SlotStore { vm: self, t }.bind_scalar(var, ScalarValue::Num(i));
                     self.stats.loop_iterations += 1;
                     for b in body {
                         self.run_block(t, b, hook)?;
@@ -323,22 +302,19 @@ impl VmExecutor {
         if let VmOp::MrJob { job } = instr.op {
             self.stats.mr_jobs += 1;
             reml_trace::count("exec.mr_jobs", 1);
-            let timed = reml_trace::enabled() && !reml_trace::deterministic();
-            let t0 = timed.then(std::time::Instant::now);
-            let result = self.execute_mr_job(t, &t.mr_jobs[job as usize]);
-            if let Some(t0) = t0 {
+            let job = &t.mr_jobs[job as usize];
+            let (result, wall_ns, trace_timed) = timed(false, || self.execute_mr_job(t, job));
+            if trace_timed {
                 reml_trace::metrics()
                     .histogram("vm.op.mr_job")
-                    .observe(t0.elapsed().as_micros() as u64);
+                    .observe(wall_ns / 1_000);
             }
             return result;
         }
         self.stats.cp_instructions += meta.cp_count;
-        let trace_timed = reml_trace::enabled() && !reml_trace::deterministic();
-        let timed = trace_timed || self.observe_memory;
-        let t0 = timed.then(std::time::Instant::now);
-        self.execute_core(t, instr)?;
-        let wall_ns = t0.map(|t0| t0.elapsed().as_nanos() as u64).unwrap_or(0);
+        let (result, wall_ns, trace_timed) =
+            timed(self.observe_memory, || self.execute_core(t, instr));
+        result?;
         if trace_timed {
             reml_trace::metrics()
                 .histogram(&meta.metric)
@@ -359,30 +335,9 @@ impl VmExecutor {
         let actual_bytes: u64 = meta
             .touched
             .iter()
-            .filter_map(|&s| {
-                self.pool
-                    .peek_slot(self.pool_slots[s as usize])
-                    .map(Matrix::size_bytes)
-            })
+            .filter_map(|&s| self.pool.peek_slot(self.slot(s)).map(Matrix::size_bytes))
             .sum();
-        if reml_trace::enabled() {
-            let mut fields: Vec<(&'static str, reml_trace::FieldValue)> = vec![
-                ("opcode", reml_trace::FieldValue::Str(meta.mnemonic.clone())),
-                ("actual_bytes", reml_trace::FieldValue::U64(actual_bytes)),
-                (
-                    "resident_bytes",
-                    reml_trace::FieldValue::U64(self.pool.resident_bytes()),
-                ),
-            ];
-            if let Some(p) = meta.predicted_bytes {
-                fields.push(("predicted_bytes", reml_trace::FieldValue::U64(p)));
-            }
-            if let Some(b) = meta.bound_bytes {
-                fields.push(("bound_bytes", reml_trace::FieldValue::U64(b)));
-            }
-            reml_trace::event("exec.mem_observation", &fields);
-        }
-        self.observations.push(MemObservation {
+        MemObservation {
             opcode: meta.mnemonic.clone(),
             predicted_bytes: meta.predicted_bytes,
             actual_bytes,
@@ -391,7 +346,8 @@ impl VmExecutor {
             wall_ns,
             predicted_flops: meta.predicted_flops,
             constituents: meta.constituents.to_vec(),
-        });
+        }
+        .record(&mut self.observations);
     }
 
     fn execute_mr_job(&mut self, t: &Tables<'_>, job: &VmMrJob) -> Result<(), ExecError> {
@@ -413,470 +369,117 @@ impl VmExecutor {
         Ok(())
     }
 
-    // ------------------------------------------------------------------
-    // Operand access
-    // ------------------------------------------------------------------
-
     fn slot(&self, sym: u32) -> SlotId {
         self.pool_slots[sym as usize]
     }
 
-    /// Phase 1 of a matrix-operand fetch: bump LRU / restore the slot (the
-    /// accounting side effects of the tree executor's `pool.get`), and
-    /// verify the variable exists as a matrix or scalar.
-    fn touch_arg(&mut self, t: &Tables<'_>, arg: Arg) -> Result<(), ExecError> {
-        if let Arg::Slot(s) = arg {
-            if self.pool.touch_slot(self.slot(s)) || self.frame[s as usize].is_some() {
+    /// One operation: fused chains here, every CP opcode through the
+    /// shared table.
+    fn execute_core(&mut self, t: &Tables<'_>, instr: &VmInstr) -> Result<(), ExecError> {
+        let mut store = SlotStore { vm: self, t };
+        match instr.op {
+            VmOp::Fused { spec } => store.execute_fused(&t.fused[spec as usize], instr.out),
+            ref op => eval_op(&mut store, op, &instr.args, instr.out.as_ref()),
+        }
+    }
+}
+
+/// The slot-keyed [`OperandStore`]: a [`VmExecutor`] together with the
+/// tables (the program's or a recompiled fragment's) its instructions
+/// index into.
+struct SlotStore<'a> {
+    vm: &'a mut VmExecutor,
+    t: &'a Tables<'a>,
+}
+
+impl OperandStore for SlotStore<'_> {
+    type Arg = Arg;
+    type Out = u32;
+
+    fn held_scalar(&self, arg: &Arg) -> Option<ScalarValue> {
+        match *arg {
+            Arg::Slot(s) => self.vm.frame[s as usize].clone(),
+            Arg::Const(c) => Some(self.t.consts[c as usize].clone()),
+        }
+    }
+
+    fn touch(&mut self, arg: &Arg) -> Result<(), ExecError> {
+        if let Arg::Slot(s) = *arg {
+            if self.vm.pool.touch_slot(self.vm.slot(s)) || self.vm.frame[s as usize].is_some() {
                 return Ok(());
             }
-            return Err(ExecError::UnknownVariable(t.symbols.name(s).to_string()));
+            return Err(ExecError::UnknownVariable(
+                self.t.symbols.name(s).to_string(),
+            ));
         }
         Ok(())
     }
 
-    /// Phase 2: read the operand by reference (no clone), materializing a
-    /// 1×1 for scalars in matrix position.
-    fn peek_arg<'s>(&'s self, t: &Tables<'_>, arg: Arg) -> Result<MatVal<'s>, ExecError> {
-        match arg {
+    fn peek(&self, arg: &Arg) -> Result<Cow<'_, Matrix>, ExecError> {
+        match *arg {
             Arg::Slot(s) => {
-                if let Some(m) = self.pool.peek_slot(self.slot(s)) {
-                    return Ok(MatVal::Ref(m));
+                if let Some(m) = self.vm.pool.peek_slot(self.vm.slot(s)) {
+                    return Ok(Cow::Borrowed(m));
                 }
-                match &self.frame[s as usize] {
-                    Some(v) => {
-                        let f = v.as_f64().ok_or_else(|| {
-                            ExecError::TypeError(format!("'{}' not numeric", t.symbols.name(s)))
-                        })?;
-                        Ok(MatVal::Owned(Matrix::constant(1, 1, f)))
-                    }
-                    None => Err(ExecError::UnknownVariable(t.symbols.name(s).to_string())),
+                match &self.vm.frame[s as usize] {
+                    Some(v) => scalar_as_matrix(v, || format!("'{}'", self.t.symbols.name(s))),
+                    None => Err(ExecError::UnknownVariable(
+                        self.t.symbols.name(s).to_string(),
+                    )),
                 }
             }
-            Arg::Const(c) => {
-                let f = t.consts[c as usize]
-                    .as_f64()
-                    .ok_or_else(|| ExecError::TypeError("literal not numeric".into()))?;
-                Ok(MatVal::Owned(Matrix::constant(1, 1, f)))
-            }
+            Arg::Const(c) => scalar_as_matrix(&self.t.consts[c as usize], || "literal".into()),
         }
     }
 
-    fn scalar_arg(&mut self, t: &Tables<'_>, arg: Arg) -> Result<ScalarValue, ExecError> {
-        match arg {
-            Arg::Slot(s) => {
-                if let Some(v) = &self.frame[s as usize] {
-                    return Ok(v.clone());
-                }
-                if self.pool.touch_slot(self.slot(s)) {
-                    let m = self.pool.peek_slot(self.slot(s)).expect("just touched");
-                    let v = m.as_scalar().map_err(ExecError::Matrix)?;
-                    return Ok(ScalarValue::Num(v));
-                }
-                Err(ExecError::UnknownVariable(t.symbols.name(s).to_string()))
-            }
-            Arg::Const(c) => Ok(t.consts[c as usize].clone()),
+    fn bind_matrix(&mut self, out: &u32, m: Matrix, dirty: bool) {
+        self.vm.frame[*out as usize] = None;
+        self.vm
+            .pool
+            .put_slot_with_dirty(self.vm.slot(*out), m, dirty);
+    }
+
+    fn bind_scalar(&mut self, out: &u32, v: ScalarValue) {
+        self.vm.pool.remove_slot(self.vm.slot(*out));
+        self.vm.frame[*out as usize] = Some(v);
+    }
+
+    fn unbind(&mut self, arg: &Arg) {
+        if let Arg::Slot(s) = *arg {
+            self.vm.pool.remove_slot(self.vm.slot(s));
+            self.vm.frame[s as usize] = None;
         }
     }
 
-    fn scalar_num(&mut self, t: &Tables<'_>, arg: Arg) -> Result<f64, ExecError> {
-        self.scalar_arg(t, arg)?
-            .as_f64()
-            .ok_or_else(|| ExecError::TypeError("expected numeric scalar".into()))
-    }
-
-    fn put_matrix(&mut self, out: Option<u32>, m: Matrix) -> Result<(), ExecError> {
-        if let Some(sym) = out {
-            if let Some(limit) = self.oom_limit_bytes {
-                let needed = self.pool.resident_bytes().saturating_add(m.size_bytes());
-                if needed > limit {
-                    reml_trace::event!("exec.oom", needed_bytes = needed, limit_bytes = limit);
-                    return Err(ExecError::OutOfMemory {
-                        needed_bytes: needed,
-                        limit_bytes: limit,
-                    });
-                }
-            }
-            self.frame[sym as usize] = None;
-            self.pool.put_slot(self.slot(sym), m);
-        }
-        Ok(())
-    }
-
-    fn put_scalar(&mut self, out: Option<u32>, v: ScalarValue) {
-        if let Some(sym) = out {
-            self.pool.remove_slot(self.slot(sym));
-            self.frame[sym as usize] = Some(v);
+    fn mark_clean(&mut self, arg: &Arg) {
+        if let Arg::Slot(s) = *arg {
+            self.vm.pool.mark_clean_slot(self.vm.slot(s));
         }
     }
 
-    // ------------------------------------------------------------------
-    // Opcode semantics (mirrors Executor::execute_op arm for arm)
-    // ------------------------------------------------------------------
-
-    fn execute_core(&mut self, t: &Tables<'_>, instr: &VmInstr) -> Result<(), ExecError> {
-        let args = &instr.args;
-        let out = instr.out;
-        match &instr.op {
-            VmOp::PRead { path } => {
-                let path = &t.strings[*path as usize];
-                let m = self
-                    .hdfs
-                    .read(path)
-                    .ok_or_else(|| ExecError::MissingInput(path.clone()))?;
-                if let Some(sym) = out {
-                    self.frame[sym as usize] = None;
-                    self.pool.put_slot_with_dirty(self.slot(sym), m, false);
-                }
-                Ok(())
-            }
-            VmOp::PWrite { path } => {
-                self.touch_arg(t, args[0])?;
-                let m = self.peek_arg(t, args[0])?.mat().clone();
-                self.hdfs.write(t.strings[*path as usize].clone(), m);
-                if let Arg::Slot(s) = args[0] {
-                    self.pool.mark_clean_slot(self.slot(s));
-                }
-                Ok(())
-            }
-            VmOp::DataGenConst => {
-                let v = self.scalar_num(t, args[0])?;
-                let rows = self.scalar_num(t, args[1])? as usize;
-                let cols = self.scalar_num(t, args[2])? as usize;
-                self.put_matrix(out, Matrix::constant(rows, cols, v))
-            }
-            VmOp::DataGenSeq => {
-                let from = self.scalar_num(t, args[0])?;
-                let to = self.scalar_num(t, args[1])?;
-                let by = if args.len() > 2 {
-                    self.scalar_num(t, args[2])?
-                } else if from <= to {
-                    1.0
-                } else {
-                    -1.0
-                };
-                self.put_matrix(
-                    out,
-                    Matrix::Dense(reml_matrix::generate::seq_by(from, to, by)),
-                )
-            }
-            VmOp::DataGenRand => {
-                let rows = self.scalar_num(t, args[0])? as usize;
-                let cols = self.scalar_num(t, args[1])? as usize;
-                let sparsity = self.scalar_num(t, args[2])?;
-                let seed = self.scalar_num(t, args[3])? as u64;
-                let m = if sparsity >= 1.0 {
-                    Matrix::Dense(reml_matrix::generate::rand_dense(
-                        rows, cols, 0.0, 1.0, seed,
-                    ))
-                } else {
-                    Matrix::from_sparse_auto(reml_matrix::generate::rand_sparse(
-                        rows, cols, sparsity, 0.0, 1.0, seed,
-                    ))
-                };
-                self.put_matrix(out, m)
-            }
-            VmOp::MatMult => {
-                self.touch_arg(t, args[0])?;
-                self.touch_arg(t, args[1])?;
-                let m = {
-                    let a = self.peek_arg(t, args[0])?;
-                    let b = self.peek_arg(t, args[1])?;
-                    a.mat().matmult(b.mat())?
-                };
-                self.put_matrix(out, m)
-            }
-            VmOp::Tsmm => {
-                self.touch_arg(t, args[0])?;
-                let m = self.peek_arg(t, args[0])?.mat().tsmm();
-                self.put_matrix(out, m)
-            }
-            VmOp::MatMultTransLeft => {
-                self.touch_arg(t, args[0])?;
-                self.touch_arg(t, args[1])?;
-                let m = {
-                    let a = self.peek_arg(t, args[0])?;
-                    let b = self.peek_arg(t, args[1])?;
-                    a.mat().transpose().matmult(b.mat())?
-                };
-                self.put_matrix(out, m)
-            }
-            VmOp::MmChain => {
-                self.touch_arg(t, args[0])?;
-                self.touch_arg(t, args[1])?;
-                let m = {
-                    let x = self.peek_arg(t, args[0])?;
-                    let v = self.peek_arg(t, args[1])?;
-                    let xv = x.mat().matmult(v.mat())?;
-                    x.mat().transpose().matmult(&xv)?
-                };
-                self.put_matrix(out, m)
-            }
-            VmOp::Solve => {
-                self.touch_arg(t, args[0])?;
-                self.touch_arg(t, args[1])?;
-                let m = {
-                    let a = self.peek_arg(t, args[0])?;
-                    let b = self.peek_arg(t, args[1])?;
-                    a.mat().solve(b.mat())?
-                };
-                self.put_matrix(out, m)
-            }
-            VmOp::Transpose => {
-                self.touch_arg(t, args[0])?;
-                let m = self.peek_arg(t, args[0])?.mat().transpose();
-                self.put_matrix(out, m)
-            }
-            VmOp::Diag => {
-                self.touch_arg(t, args[0])?;
-                let m = self.peek_arg(t, args[0])?.mat().diag();
-                self.put_matrix(out, m)
-            }
-            VmOp::BinaryMM(op) => {
-                self.touch_arg(t, args[0])?;
-                self.touch_arg(t, args[1])?;
-                let m = {
-                    let av = self.peek_arg(t, args[0])?;
-                    let bv = self.peek_arg(t, args[1])?;
-                    let (a, b) = (av.mat(), bv.mat());
-                    // 1x1 matrices degrade to scalar ops per DML semantics.
-                    if a.rows() == 1 && a.cols() == 1 && (b.rows() > 1 || b.cols() > 1) {
-                        b.scalar_binary(*op, a.get(0, 0))
-                    } else if b.rows() == 1 && b.cols() == 1 && (a.rows() > 1 || a.cols() > 1) {
-                        a.binary_scalar(*op, b.get(0, 0))
-                    } else {
-                        a.binary(*op, b)?
-                    }
-                };
-                self.put_matrix(out, m)
-            }
-            VmOp::BinaryMS(op) => {
-                self.touch_arg(t, args[0])?;
-                let s = self.scalar_num(t, args[1])?;
-                let m = self.peek_arg(t, args[0])?.mat().binary_scalar(*op, s);
-                self.put_matrix(out, m)
-            }
-            VmOp::BinarySM(op) => {
-                let s = self.scalar_num(t, args[0])?;
-                self.touch_arg(t, args[1])?;
-                let m = self.peek_arg(t, args[1])?.mat().scalar_binary(*op, s);
-                self.put_matrix(out, m)
-            }
-            VmOp::BinarySS(op) => {
-                let a = self.scalar_arg(t, args[0])?;
-                let b = self.scalar_arg(t, args[1])?;
-                let result = match op {
-                    BinaryOp::And | BinaryOp::Or => {
-                        let (x, y) = (
-                            a.as_bool().ok_or_else(|| {
-                                ExecError::TypeError("non-boolean in logical op".into())
-                            })?,
-                            b.as_bool().ok_or_else(|| {
-                                ExecError::TypeError("non-boolean in logical op".into())
-                            })?,
-                        );
-                        ScalarValue::Bool(if *op == BinaryOp::And { x && y } else { x || y })
-                    }
-                    BinaryOp::Eq
-                    | BinaryOp::NotEq
-                    | BinaryOp::Less
-                    | BinaryOp::LessEq
-                    | BinaryOp::Greater
-                    | BinaryOp::GreaterEq => {
-                        let (x, y) = (
-                            a.as_f64()
-                                .ok_or_else(|| ExecError::TypeError("non-numeric".into()))?,
-                            b.as_f64()
-                                .ok_or_else(|| ExecError::TypeError("non-numeric".into()))?,
-                        );
-                        ScalarValue::Bool(op.apply(x, y) != 0.0)
-                    }
-                    _ => {
-                        let (x, y) = (
-                            a.as_f64()
-                                .ok_or_else(|| ExecError::TypeError("non-numeric".into()))?,
-                            b.as_f64()
-                                .ok_or_else(|| ExecError::TypeError("non-numeric".into()))?,
-                        );
-                        ScalarValue::Num(op.apply(x, y))
-                    }
-                };
-                self.put_scalar(out, result);
-                Ok(())
-            }
-            VmOp::UnaryM(op) => {
-                self.touch_arg(t, args[0])?;
-                let m = self.peek_arg(t, args[0])?.mat().unary(*op);
-                self.put_matrix(out, m)
-            }
-            VmOp::UnaryS(op) => {
-                let v = self.scalar_num(t, args[0])?;
-                self.put_scalar(out, ScalarValue::Num(op.apply(v)));
-                Ok(())
-            }
-            VmOp::Agg(op) => {
-                self.touch_arg(t, args[0])?;
-                let agg = self.peek_arg(t, args[0])?.mat().aggregate(*op);
-                if op.is_full_reduction() {
-                    let v = agg.as_scalar().map_err(ExecError::Matrix)?;
-                    self.put_scalar(out, ScalarValue::Num(v));
-                    Ok(())
-                } else {
-                    self.put_matrix(out, agg)
-                }
-            }
-            VmOp::TableSeq => {
-                self.touch_arg(t, args[0])?;
-                let m = {
-                    let y = self.peek_arg(t, args[0])?;
-                    reml_matrix::generate::table_seq(&y.mat().to_dense())?
-                };
-                self.put_matrix(out, m)
-            }
-            VmOp::RightIndex => {
-                self.touch_arg(t, args[0])?;
-                let (rows, cols) = {
-                    let a = self.peek_arg(t, args[0])?;
-                    (a.mat().rows(), a.mat().cols())
-                };
-                let (rl, rh, cl, ch) = self.index_bounds(t, &args[1..5], rows, cols)?;
-                let m = self.peek_arg(t, args[0])?.mat().slice(rl, rh, cl, ch)?;
-                self.put_matrix(out, m)
-            }
-            VmOp::LeftIndex => {
-                self.touch_arg(t, args[0])?;
-                self.touch_arg(t, args[1])?;
-                let (mut d, vd) = {
-                    let target = self.peek_arg(t, args[0])?;
-                    let value = self.peek_arg(t, args[1])?;
-                    (target.mat().to_dense(), value.mat().to_dense())
-                };
-                let (rl, rh, cl, ch) = self.index_bounds(t, &args[2..6], d.rows(), d.cols())?;
-                for (ri, r) in (rl..=rh).enumerate() {
-                    for (ci, c) in (cl..=ch).enumerate() {
-                        let v = if vd.rows() == 1 && vd.cols() == 1 {
-                            vd.get(0, 0)
-                        } else {
-                            vd.get(ri, ci)
-                        };
-                        d.set(r, c, v);
-                    }
-                }
-                self.put_matrix(out, Matrix::from_dense_auto(d))
-            }
-            VmOp::Append => {
-                self.touch_arg(t, args[0])?;
-                self.touch_arg(t, args[1])?;
-                let m = {
-                    let a = self.peek_arg(t, args[0])?;
-                    let b = self.peek_arg(t, args[1])?;
-                    a.mat().cbind(b.mat())?
-                };
-                self.put_matrix(out, m)
-            }
-            VmOp::AppendR => {
-                self.touch_arg(t, args[0])?;
-                self.touch_arg(t, args[1])?;
-                let m = {
-                    let a = self.peek_arg(t, args[0])?;
-                    let b = self.peek_arg(t, args[1])?;
-                    a.mat().rbind(b.mat())?
-                };
-                self.put_matrix(out, m)
-            }
-            VmOp::NRow => {
-                self.touch_arg(t, args[0])?;
-                let rows = self.peek_arg(t, args[0])?.mat().rows();
-                self.put_scalar(out, ScalarValue::Num(rows as f64));
-                Ok(())
-            }
-            VmOp::NCol => {
-                self.touch_arg(t, args[0])?;
-                let cols = self.peek_arg(t, args[0])?.mat().cols();
-                self.put_scalar(out, ScalarValue::Num(cols as f64));
-                Ok(())
-            }
-            VmOp::CastScalar => {
-                self.touch_arg(t, args[0])?;
-                let v = self.peek_arg(t, args[0])?.mat().as_scalar();
-                let v = v.map_err(ExecError::Matrix)?;
-                self.put_scalar(out, ScalarValue::Num(v));
-                Ok(())
-            }
-            VmOp::CastMatrix => {
-                let v = self.scalar_num(t, args[0])?;
-                self.put_matrix(out, Matrix::constant(1, 1, v))
-            }
-            VmOp::Assign => {
-                match args[0] {
-                    Arg::Slot(s) => {
-                        if let Some(v) = self.frame[s as usize].clone() {
-                            self.put_scalar(out, v);
-                        } else if self.pool.touch_slot(self.slot(s)) {
-                            let m = self
-                                .pool
-                                .peek_slot(self.slot(s))
-                                .expect("just touched")
-                                .clone();
-                            self.put_matrix(out, m)?;
-                        } else {
-                            return Err(ExecError::UnknownVariable(t.symbols.name(s).to_string()));
-                        }
-                    }
-                    Arg::Const(c) => self.put_scalar(out, t.consts[c as usize].clone()),
-                }
-                Ok(())
-            }
-            VmOp::Concat => {
-                let a = self.scalar_arg(t, args[0])?;
-                let b = self.scalar_arg(t, args[1])?;
-                self.put_scalar(
-                    out,
-                    ScalarValue::Str(format!("{}{}", a.render(), b.render())),
-                );
-                Ok(())
-            }
-            VmOp::Print => {
-                let v = self.scalar_arg(t, args[0])?;
-                self.stats.printed.push(v.render());
-                Ok(())
-            }
-            VmOp::RmVar => {
-                for &arg in args.iter() {
-                    if let Arg::Slot(s) = arg {
-                        self.pool.remove_slot(self.slot(s));
-                        self.frame[s as usize] = None;
-                    }
-                }
-                Ok(())
-            }
-            VmOp::Fused { spec } => self.execute_fused(t, &t.fused[*spec as usize], out),
-            VmOp::MrJob { .. } => unreachable!("MR jobs dispatch in execute_instr"),
-        }
+    fn hdfs_read(&mut self, path: u32) -> Result<Matrix, ExecError> {
+        let path = &self.t.strings[path as usize];
+        self.vm
+            .hdfs
+            .read(path)
+            .ok_or_else(|| ExecError::MissingInput(path.clone()))
     }
 
-    /// Resolve 1-based inclusive index bounds, 0 meaning "open".
-    fn index_bounds(
-        &mut self,
-        t: &Tables<'_>,
-        ops: &[Arg],
-        rows: usize,
-        cols: usize,
-    ) -> Result<(usize, usize, usize, usize), ExecError> {
-        let rl = self.scalar_num(t, ops[0])? as usize;
-        let rh = self.scalar_num(t, ops[1])? as usize;
-        let cl = self.scalar_num(t, ops[2])? as usize;
-        let ch = self.scalar_num(t, ops[3])? as usize;
-        let rl = if rl == 0 { 1 } else { rl };
-        let rh = if rh == 0 { rows } else { rh };
-        let cl = if cl == 0 { 1 } else { cl };
-        let ch = if ch == 0 { cols } else { ch };
-        Ok((rl - 1, rh - 1, cl - 1, ch - 1))
+    fn hdfs_write(&mut self, path: u32, m: Matrix) {
+        self.vm.hdfs.write(self.t.strings[path as usize].clone(), m);
     }
 
-    // ------------------------------------------------------------------
-    // Fused chains
-    // ------------------------------------------------------------------
+    fn print(&mut self, line: String) {
+        self.vm.stats.printed.push(line);
+    }
 
+    fn oom_limit(&self) -> Option<(u64, u64)> {
+        let limit = self.vm.oom_limit_bytes?;
+        Some((self.vm.pool.resident_bytes(), limit))
+    }
+}
+
+impl SlotStore<'_> {
     /// Execute a fused elementwise chain.
     ///
     /// The fast path runs all steps over one flat `f64` buffer when every
@@ -890,14 +493,9 @@ impl VmExecutor {
     ///
     /// Anything else (sparse or missing inputs, runtime shapes diverging
     /// from compile-time, literals in matrix position) falls back to a
-    /// stepwise path using the exact tree-interpreter operator semantics
-    /// with chain intermediates kept as locals instead of pool entries.
-    fn execute_fused(
-        &mut self,
-        t: &Tables<'_>,
-        spec: &FusedSpec,
-        out: Option<u32>,
-    ) -> Result<(), ExecError> {
+    /// stepwise path using the unfused operator semantics with chain
+    /// intermediates kept as locals instead of pool entries.
+    fn execute_fused(&mut self, spec: &FusedSpec, out: Option<u32>) -> Result<(), ExecError> {
         // Phase 1 (mutable): resolve operands in the same order the
         // unfused instructions would, touching pool slots and resolving
         // scalars, so restore accounting and resolution errors match.
@@ -917,11 +515,11 @@ impl VmExecutor {
                     match *arg {
                         FusedArg::Flow => mats.push(FusedMatIn::Flow),
                         FusedArg::Slot(s) => {
-                            self.touch_arg(t, Arg::Slot(s))?;
+                            self.touch(&Arg::Slot(s))?;
                             mats.push(FusedMatIn::Slot(s));
                         }
                         FusedArg::Const(c) => {
-                            let f = t.consts[c as usize].as_f64().ok_or_else(|| {
+                            let f = self.t.consts[c as usize].as_f64().ok_or_else(|| {
                                 ExecError::TypeError("literal not numeric".into())
                             })?;
                             mats.push(FusedMatIn::Lit(f));
@@ -934,7 +532,7 @@ impl VmExecutor {
                         FusedArg::Const(c) => Arg::Const(c),
                         FusedArg::Flow => unreachable!("flow in scalar position"),
                     };
-                    scalar = Some(self.scalar_num(t, arg)?);
+                    scalar = Some(self.scalar_num(&arg)?);
                 }
             }
             steps.push(ResolvedStep {
@@ -945,33 +543,53 @@ impl VmExecutor {
         }
         // Phase 2: gate the fast path on every external input being a
         // pool-resident dense matrix of the chain's shape.
-        if fast {
-            for step in &steps {
-                for m in &step.mats {
-                    if let FusedMatIn::Slot(s) = m {
-                        match self.pool.peek_slot(self.slot(*s)) {
-                            Some(Matrix::Dense(d))
-                                if d.rows() == spec.rows && d.cols() == spec.cols => {}
-                            _ => {
-                                fast = false;
-                                break;
-                            }
-                        }
-                    }
-                }
-                if !fast {
-                    break;
-                }
-            }
-        }
+        fast = fast
+            && steps.iter().flat_map(|step| &step.mats).all(|m| match m {
+                FusedMatIn::Slot(s) => matches!(
+                    self.vm.pool.peek_slot(self.vm.slot(*s)),
+                    Some(Matrix::Dense(d)) if d.rows() == spec.rows && d.cols() == spec.cols
+                ),
+                _ => true,
+            });
         let result = if fast {
-            self.fused_fast(spec, &steps)?
+            self.vm.fused_fast(spec, &steps)?
         } else {
-            self.fused_stepwise(t, &steps)?
+            self.fused_stepwise(&steps)?
         };
-        self.put_matrix(out, result)
+        self.put_matrix(out.as_ref(), result)
     }
 
+    /// Fallback: execute the chain step by step with the unfused operator
+    /// semantics, holding intermediates as locals.
+    fn fused_stepwise(&self, steps: &[ResolvedStep]) -> Result<Matrix, ExecError> {
+        let mut flow: Option<Matrix> = None;
+        for step in steps {
+            let input = |i: usize| -> Result<Cow<'_, Matrix>, ExecError> {
+                match step.mats[i] {
+                    FusedMatIn::Flow => {
+                        Ok(Cow::Borrowed(flow.as_ref().expect("flow set after step 0")))
+                    }
+                    FusedMatIn::Lit(f) => Ok(Cow::Owned(Matrix::constant(1, 1, f))),
+                    FusedMatIn::Slot(s) => self.peek(&Arg::Slot(s)),
+                }
+            };
+            let result = match step.kind {
+                FusedOpKind::MM(op) => binary_mm(op, &*input(0)?, &*input(1)?)?,
+                FusedOpKind::MS(op) => {
+                    input(0)?.binary_scalar(op, step.scalar.expect("MS has a scalar"))
+                }
+                FusedOpKind::SM(op) => {
+                    input(0)?.scalar_binary(op, step.scalar.expect("SM has a scalar"))
+                }
+                FusedOpKind::Unary(op) => input(0)?.unary(op),
+            };
+            flow = Some(result);
+        }
+        Ok(flow.expect("chains have >= 2 steps"))
+    }
+}
+
+impl VmExecutor {
     /// Fast path: one flat buffer, all steps in place.
     fn fused_fast(&self, spec: &FusedSpec, steps: &[ResolvedStep]) -> Result<Matrix, ExecError> {
         let (rows, cols) = (spec.rows, spec.cols);
@@ -1079,68 +697,6 @@ impl VmExecutor {
         }
         let d = DenseMatrix::from_vec(rows, cols, buf)?;
         Ok(Matrix::from_dense_auto(d))
-    }
-
-    /// Fallback: execute the chain step by step with the exact unfused
-    /// operator semantics, holding intermediates as locals.
-    fn fused_stepwise(
-        &mut self,
-        t: &Tables<'_>,
-        steps: &[ResolvedStep],
-    ) -> Result<Matrix, ExecError> {
-        let mut flow: Option<Matrix> = None;
-        for step in steps {
-            let resolve = |m: &FusedMatIn, flow: &Option<Matrix>| -> Result<Matrix, ExecError> {
-                match *m {
-                    FusedMatIn::Flow => Ok(flow.clone().expect("flow set after step 0")),
-                    FusedMatIn::Lit(f) => Ok(Matrix::constant(1, 1, f)),
-                    FusedMatIn::Slot(s) => {
-                        if let Some(m) = self.pool.peek_slot(self.slot(s)) {
-                            return Ok(m.clone());
-                        }
-                        match &self.frame[s as usize] {
-                            Some(v) => {
-                                let f = v.as_f64().ok_or_else(|| {
-                                    ExecError::TypeError(format!(
-                                        "'{}' not numeric",
-                                        t.symbols.name(s)
-                                    ))
-                                })?;
-                                Ok(Matrix::constant(1, 1, f))
-                            }
-                            None => Err(ExecError::UnknownVariable(t.symbols.name(s).to_string())),
-                        }
-                    }
-                }
-            };
-            let result = match step.kind {
-                FusedOpKind::MM(op) => {
-                    let a = resolve(&step.mats[0], &flow)?;
-                    let b = resolve(&step.mats[1], &flow)?;
-                    if a.rows() == 1 && a.cols() == 1 && (b.rows() > 1 || b.cols() > 1) {
-                        b.scalar_binary(op, a.get(0, 0))
-                    } else if b.rows() == 1 && b.cols() == 1 && (a.rows() > 1 || a.cols() > 1) {
-                        a.binary_scalar(op, b.get(0, 0))
-                    } else {
-                        a.binary(op, &b)?
-                    }
-                }
-                FusedOpKind::MS(op) => {
-                    let a = resolve(&step.mats[0], &flow)?;
-                    a.binary_scalar(op, step.scalar.expect("MS has a scalar"))
-                }
-                FusedOpKind::SM(op) => {
-                    let a = resolve(&step.mats[0], &flow)?;
-                    a.scalar_binary(op, step.scalar.expect("SM has a scalar"))
-                }
-                FusedOpKind::Unary(op) => {
-                    let a = resolve(&step.mats[0], &flow)?;
-                    a.unary(op)
-                }
-            };
-            flow = Some(result);
-        }
-        Ok(flow.expect("chains have >= 2 steps"))
     }
 }
 

@@ -290,7 +290,7 @@ impl Lowerer {
     }
 
     fn lower_cp(&mut self, cp: &CpInstruction) -> VmInstr {
-        let op = self.lower_opcode(&cp.opcode);
+        let op = vm_op(&cp.opcode, |path| self.intern_string(path));
         let args: Box<[Arg]> = cp.operands.iter().map(|o| self.lower_arg(o)).collect();
         let out = cp.output.as_deref().map(|n| self.symbols.intern(n));
         let meta = self.push_meta(self.cp_meta(cp));
@@ -307,7 +307,7 @@ impl Lowerer {
     /// are neither individually timed nor observed, matching the tree
     /// executor.
     fn lower_mr_op(&mut self, op: &MrOperator) -> VmInstr {
-        let vop = self.lower_opcode(&op.opcode);
+        let vop = vm_op(&op.opcode, |path| self.intern_string(path));
         let args: Box<[Arg]> = op.operands.iter().map(|o| self.lower_arg(o)).collect();
         let out = op.output.as_deref().map(|n| self.symbols.intern(n));
         let meta = self.push_meta(InstrMeta {
@@ -328,50 +328,9 @@ impl Lowerer {
         }
     }
 
-    fn lower_opcode(&mut self, opcode: &OpCode) -> VmOp {
-        match opcode {
-            OpCode::PersistentRead { path } => VmOp::PRead {
-                path: self.intern_string(path),
-            },
-            OpCode::PersistentWrite { path } => VmOp::PWrite {
-                path: self.intern_string(path),
-            },
-            OpCode::DataGenConst => VmOp::DataGenConst,
-            OpCode::DataGenSeq => VmOp::DataGenSeq,
-            OpCode::DataGenRand => VmOp::DataGenRand,
-            OpCode::MatMult => VmOp::MatMult,
-            OpCode::MatMultTransLeft => VmOp::MatMultTransLeft,
-            OpCode::Tsmm => VmOp::Tsmm,
-            OpCode::MmChain => VmOp::MmChain,
-            OpCode::Solve => VmOp::Solve,
-            OpCode::Transpose => VmOp::Transpose,
-            OpCode::Diag => VmOp::Diag,
-            OpCode::BinaryMM(op) => VmOp::BinaryMM(*op),
-            OpCode::BinaryMS(op) => VmOp::BinaryMS(*op),
-            OpCode::BinarySM(op) => VmOp::BinarySM(*op),
-            OpCode::BinarySS(op) => VmOp::BinarySS(*op),
-            OpCode::UnaryM(op) => VmOp::UnaryM(*op),
-            OpCode::UnaryS(op) => VmOp::UnaryS(*op),
-            OpCode::Agg(op) => VmOp::Agg(*op),
-            OpCode::TableSeq => VmOp::TableSeq,
-            OpCode::RightIndex => VmOp::RightIndex,
-            OpCode::LeftIndex => VmOp::LeftIndex,
-            OpCode::Append => VmOp::Append,
-            OpCode::AppendR => VmOp::AppendR,
-            OpCode::NRow => VmOp::NRow,
-            OpCode::NCol => VmOp::NCol,
-            OpCode::CastScalar => VmOp::CastScalar,
-            OpCode::CastMatrix => VmOp::CastMatrix,
-            OpCode::Assign => VmOp::Assign,
-            OpCode::Concat => VmOp::Concat,
-            OpCode::Print => VmOp::Print,
-            OpCode::RmVar => VmOp::RmVar,
-        }
-    }
-
-    /// The tree executor's `record_observation` fold, precomputed: sum of
-    /// operand and output size estimates (None-propagating) plus the
-    /// sorted distinct touched-variable set.
+    /// Observation metadata precomputed: sum of operand and output size
+    /// estimates (None-propagating) plus the sorted distinct
+    /// touched-variable set.
     fn cp_meta(&self, cp: &CpInstruction) -> InstrMeta {
         let mnemonic = cp.opcode.mnemonic();
         InstrMeta {
@@ -499,11 +458,54 @@ impl Lowerer {
     }
 }
 
-fn cp_flops(cp: &CpInstruction) -> Option<f64> {
+/// The [`VmOp`] of an [`OpCode`]: the same vocabulary with path strings
+/// replaced by whatever index `intern` assigns them. Lowering interns
+/// into the string pool; the reference tree walker calls this per
+/// instruction to reach the shared op table.
+pub(crate) fn vm_op<'a>(opcode: &'a OpCode, intern: impl FnOnce(&'a str) -> u32) -> VmOp {
+    match opcode {
+        OpCode::PersistentRead { path } => VmOp::PRead { path: intern(path) },
+        OpCode::PersistentWrite { path } => VmOp::PWrite { path: intern(path) },
+        OpCode::DataGenConst => VmOp::DataGenConst,
+        OpCode::DataGenSeq => VmOp::DataGenSeq,
+        OpCode::DataGenRand => VmOp::DataGenRand,
+        OpCode::MatMult => VmOp::MatMult,
+        OpCode::MatMultTransLeft => VmOp::MatMultTransLeft,
+        OpCode::Tsmm => VmOp::Tsmm,
+        OpCode::MmChain => VmOp::MmChain,
+        OpCode::Solve => VmOp::Solve,
+        OpCode::Transpose => VmOp::Transpose,
+        OpCode::Diag => VmOp::Diag,
+        OpCode::BinaryMM(op) => VmOp::BinaryMM(*op),
+        OpCode::BinaryMS(op) => VmOp::BinaryMS(*op),
+        OpCode::BinarySM(op) => VmOp::BinarySM(*op),
+        OpCode::BinarySS(op) => VmOp::BinarySS(*op),
+        OpCode::UnaryM(op) => VmOp::UnaryM(*op),
+        OpCode::UnaryS(op) => VmOp::UnaryS(*op),
+        OpCode::Agg(op) => VmOp::Agg(*op),
+        OpCode::TableSeq => VmOp::TableSeq,
+        OpCode::RightIndex => VmOp::RightIndex,
+        OpCode::LeftIndex => VmOp::LeftIndex,
+        OpCode::Append => VmOp::Append,
+        OpCode::AppendR => VmOp::AppendR,
+        OpCode::NRow => VmOp::NRow,
+        OpCode::NCol => VmOp::NCol,
+        OpCode::CastScalar => VmOp::CastScalar,
+        OpCode::CastMatrix => VmOp::CastMatrix,
+        OpCode::Assign => VmOp::Assign,
+        OpCode::Concat => VmOp::Concat,
+        OpCode::Print => VmOp::Print,
+        OpCode::RmVar => VmOp::RmVar,
+    }
+}
+
+pub(crate) fn cp_flops(cp: &CpInstruction) -> Option<f64> {
     crate::flops::predicted_flops(&cp.opcode, &cp.operand_mcs, &cp.output_mc)
 }
 
-fn predicted_sum(cp: &CpInstruction) -> Option<u64> {
+/// Compile-time operand + output size estimate of a CP instruction (the
+/// quantities `memest` budgets against), `None` if any size is unknown.
+pub(crate) fn predicted_sum(cp: &CpInstruction) -> Option<u64> {
     let mut predicted = Some(0u64);
     for mc in cp.operand_mcs.iter().chain(std::iter::once(&cp.output_mc)) {
         predicted = match (predicted, mc.estimated_size_bytes()) {

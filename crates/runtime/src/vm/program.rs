@@ -211,10 +211,10 @@ pub struct InstrMeta {
     /// Precomputed histogram name `vm.op.<mnemonic>`.
     pub metric: String,
     /// Constituent CP-instruction count (1, or chain length for fused) so
-    /// `ExecStats::cp_instructions` matches the tree interpreter exactly.
+    /// `ExecStats::cp_instructions` matches the tree walker exactly.
     pub cp_count: u64,
-    /// Compile-time operand+output size estimate (the tree executor's
-    /// `record_observation` fold), `None` if any size was unknown. For
+    /// Compile-time operand+output size estimate (`lower::predicted_sum`),
+    /// `None` if any size was unknown. For
     /// fused chains: the sum over constituents, which stays a sound
     /// prediction because each constituent prediction covers its step.
     pub predicted_bytes: Option<u64>,

@@ -1,7 +1,8 @@
 //! Differential oracle: the bytecode VM must be bit-identical to the
-//! tree interpreter on all five paper scripts.
+//! reference tree walker on all five paper scripts, on one program that
+//! executes every opcode, and on the inputs that must fail typed.
 //!
-//! Each script runs three ways — tree interpreter, VM without fusion,
+//! Each program runs three ways — tree walker, VM without fusion,
 //! VM with fusion — on the same generated dataset, and every observable
 //! is compared: printed output, final scalar variables (f64 compared by
 //! bit pattern), live pool matrices (representation, dims, nnz, and the
@@ -9,13 +10,16 @@
 //! contents are compared excluding compiler temporaries (`_mVar*`):
 //! under fusion those intermediates are legitimately never materialized.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
+use reml::matrix::{BinaryOp, MatrixError};
 use reml::prelude::*;
-use reml::runtime::executor::NoRecompile;
-use reml::runtime::instructions::TEMP_PREFIX;
+use reml::runtime::executor::{ExecError, NoRecompile};
+use reml::runtime::instructions::{CpInstruction, Instruction, OpCode, TEMP_PREFIX};
 use reml::runtime::vm::lower::VmLowerOptions;
-use reml::runtime::{Executor, HdfsStore, ScalarValue, VmExecutor};
+use reml::runtime::{
+    Executor, HdfsStore, MemObservation, Operand, RtBlock, RuntimeProgram, ScalarValue, VmExecutor,
+};
 use reml::scripts::data::{generate_dataset, Dataset, LabelKind};
 use reml::scripts::ScriptSpec;
 
@@ -56,6 +60,9 @@ struct Observed {
     cp_instructions: u64,
     mr_jobs: u64,
     loop_iterations: u64,
+    /// Distinct opcode mnemonics executed, fused chains expanded into
+    /// their constituents (not compared; the coverage test reads it).
+    mnemonics: BTreeSet<String>,
 }
 
 #[derive(Debug, PartialEq, Eq)]
@@ -91,6 +98,7 @@ fn observe(
     peek: impl Fn(&str) -> Option<reml::matrix::Matrix>,
     hdfs: &HdfsStore,
     stats: &reml::runtime::ExecStats,
+    observations: Vec<MemObservation>,
 ) -> Observed {
     let mut matrices = BTreeMap::new();
     for name in pool_vars {
@@ -113,41 +121,48 @@ fn observe(
         cp_instructions: stats.cp_instructions,
         mr_jobs: stats.mr_jobs,
         loop_iterations: stats.loop_iterations,
+        mnemonics: observations
+            .into_iter()
+            .flat_map(|o| match o.constituents.is_empty() {
+                true => vec![o.opcode],
+                false => o.constituents.into_iter().map(|c| c.mnemonic).collect(),
+            })
+            .collect(),
     }
 }
 
-fn run_tree(script: &ScriptSpec, data: &Dataset, overrides: &[(&str, f64)]) -> Observed {
-    let compiled = compile_script(script, data, overrides);
-    let mut exec = Executor::new(CP_BUDGET_BYTES, staged_hdfs(data));
-    exec.run(&compiled.runtime, &mut NoRecompile)
-        .unwrap_or_else(|e| panic!("{} tree execute: {e}", script.name));
+fn run_tree(program: &RuntimeProgram, hdfs: HdfsStore) -> Result<Observed, ExecError> {
+    let mut exec = Executor::new(CP_BUDGET_BYTES, hdfs);
+    exec.enable_memory_observation();
+    exec.run(program, &mut NoRecompile)?;
+    let observations = exec.take_memory_observations();
     let scalars = exec
         .scalars
         .iter()
         .filter(|(name, _)| !name.starts_with(TEMP_PREFIX))
         .map(|(name, v)| (name.clone(), scalar_bits(v)))
         .collect();
-    observe(
+    Ok(observe(
         &exec.stats.printed,
         scalars,
         exec.pool.variables(),
         |name| exec.pool.peek(name).cloned(),
         &exec.hdfs,
         &exec.stats,
-    )
+        observations,
+    ))
 }
 
 fn run_vm(
-    script: &ScriptSpec,
-    data: &Dataset,
-    overrides: &[(&str, f64)],
+    program: &RuntimeProgram,
+    hdfs: HdfsStore,
     fuse: bool,
-) -> (Observed, usize) {
-    let compiled = compile_script(script, data, overrides);
-    let program = compiled.runtime.lower_vm(VmLowerOptions { fuse });
-    let mut exec = VmExecutor::new(CP_BUDGET_BYTES, staged_hdfs(data));
-    exec.run(&program, &mut NoRecompile)
-        .unwrap_or_else(|e| panic!("{} vm execute: {e}", script.name));
+) -> Result<(Observed, usize), ExecError> {
+    let program = program.lower_vm(VmLowerOptions { fuse });
+    let mut exec = VmExecutor::new(CP_BUDGET_BYTES, hdfs);
+    exec.enable_memory_observation();
+    exec.run(&program, &mut NoRecompile)?;
+    let observations = exec.take_memory_observations();
     let scalars = exec
         .scalars()
         .iter()
@@ -161,8 +176,9 @@ fn run_vm(
         |name| exec.pool.peek(name).cloned(),
         &exec.hdfs,
         &exec.stats,
+        observations,
     );
-    (observed, program.stats.fused_groups)
+    Ok((observed, program.stats.fused_groups))
 }
 
 fn assert_identical(script: &str, mode: &str, tree: &Observed, vm: &Observed) {
@@ -201,25 +217,46 @@ fn assert_identical(script: &str, mode: &str, tree: &Observed, vm: &Observed) {
     );
 }
 
+/// Run `program` the three ways and assert every observable identical;
+/// returns the three runs (tree, unfused VM, fused VM).
+fn differential_program(
+    name: &str,
+    program: &RuntimeProgram,
+    hdfs: &HdfsStore,
+    expect_fusion: bool,
+) -> [Observed; 3] {
+    let tree =
+        run_tree(program, hdfs.clone()).unwrap_or_else(|e| panic!("{name} tree execute: {e}"));
+    let run_vm = |fuse| {
+        run_vm(program, hdfs.clone(), fuse).unwrap_or_else(|e| panic!("{name} vm execute: {e}"))
+    };
+    let (unfused, groups) = run_vm(false);
+    assert_eq!(groups, 0, "{name}: unfused lowering must not fuse");
+    assert_identical(name, "unfused", &tree, &unfused);
+    let (fused, groups) = run_vm(true);
+    if expect_fusion {
+        assert!(
+            groups > 0,
+            "{name}: expected the fusion pass to find chains"
+        );
+    }
+    assert_identical(name, "fused", &tree, &fused);
+    [tree, unfused, fused]
+}
+
 fn differential(
     script: &ScriptSpec,
     data: &Dataset,
     overrides: &[(&str, f64)],
     expect_fusion: bool,
 ) {
-    let tree = run_tree(script, data, overrides);
-    let (unfused, groups) = run_vm(script, data, overrides, false);
-    assert_eq!(groups, 0, "{}: unfused lowering must not fuse", script.name);
-    assert_identical(script.name, "unfused", &tree, &unfused);
-    let (fused, groups) = run_vm(script, data, overrides, true);
-    if expect_fusion {
-        assert!(
-            groups > 0,
-            "{}: expected the fusion pass to find chains",
-            script.name
-        );
-    }
-    assert_identical(script.name, "fused", &tree, &fused);
+    let compiled = compile_script(script, data, overrides);
+    differential_program(
+        script.name,
+        &compiled.runtime,
+        &staged_hdfs(data),
+        expect_fusion,
+    );
 }
 
 #[test]
@@ -286,4 +323,254 @@ fn small_pool_vm_identical() {
     let model_tree = tree.hdfs.peek("model").unwrap();
     let model_vm = vm.hdfs.peek("model").unwrap();
     assert_eq!(matrix_bits(model_tree), matrix_bits(model_vm));
+}
+
+/// A hand-written CP instruction claiming compile-time size `mc` for
+/// every operand and the output; an empty `output` means none.
+fn cp_sized(
+    opcode: OpCode,
+    operands: Vec<Operand>,
+    output: &str,
+    mc: MatrixCharacteristics,
+) -> Instruction {
+    Instruction::Cp(CpInstruction {
+        opcode,
+        operand_mcs: vec![mc; operands.len()],
+        operands,
+        output: (!output.is_empty()).then(|| output.to_string()),
+        output_mc: mc,
+        bound_bytes: None,
+    })
+}
+
+fn cp(opcode: OpCode, operands: Vec<Operand>, output: &str) -> Instruction {
+    cp_sized(opcode, operands, output, MatrixCharacteristics::unknown())
+}
+
+fn generic(instructions: Vec<Instruction>) -> RtBlock {
+    RtBlock::Generic {
+        source: reml::lang::BlockId(9000),
+        instructions,
+        requires_recompile: false,
+    }
+}
+
+/// One program through the shared op table against both operand stores:
+/// every `OpCode` variant executes at least once on the tree walker
+/// (name-keyed), the unfused VM and the fused VM (slot-keyed). The DML
+/// part covers what the compiler emits; a hand-written tail adds what it
+/// never does — `rmvar`, a scalar and a literal in matrix position (the
+/// latter inside a fusible chain, so the fused run takes the stepwise
+/// path), and a name rebound from scalar to matrix and back.
+#[test]
+fn every_opcode_through_both_stores() {
+    let data = generate_dataset(40, 4, 1.0, LabelKind::Classes(3), 21);
+    let script = ScriptSpec {
+        name: "AllOps",
+        source: r#"
+            X = read($X)
+            y = read($Y)
+            n = nrow(X)
+            m = ncol(X)
+            ones = matrix(1, rows=n, cols=1)
+            Z = matrix(0, rows=m, cols=m)
+            R = rand(rows=m, cols=m, sparsity=0.5, seed=3)
+            s = seq(1, m)
+            Xa = append(X, ones)
+            Xr = rbind(X, X)
+            G = t(X) %*% X
+            b = t(Xa) %*% y
+            q = t(Xr) %*% (Xr %*% s)
+            A = G + diag(matrix(1, rows=m, cols=1))
+            w = solve(A, G %*% s)
+            p = X %*% w
+            Xt = t(Xr)
+            e = exp((p - y) * 0.5 / 100)
+            f = 1 - e
+            tot = sum(f) + sum(Xt) + sum(colSums(Xa)) + sum(b)
+            r = sqrt(tot * tot + 1)
+            T = table(seq(1, n), y)
+            K = X[1:3, 1:2]
+            Z[1:2, 1] = s[1:2, 1]
+            c1 = as_scalar(w[1, 1])
+            C = as_matrix(r)
+            i = 0
+            while (i < 2) {
+                i = i + 1
+                q = q + R %*% s
+            }
+            print("r=" + r + " c1=" + c1 + " k=" + ncol(T) + " q=" + sum(q) + sum(K) + sum(C))
+            write(Z, $model)
+        "#
+        .to_string(),
+        params: reml::scripts::linreg_ds().params,
+        has_unknowns: true,
+        iterative: true,
+    };
+    let mut program = compile_script(&script, &data, &[]).runtime;
+    // Claims X's shape for every operand, as fusion planning requires.
+    let shaped =
+        |opcode, operands, output| cp_sized(opcode, operands, output, data.x.characteristics());
+    program.blocks.push(generic(vec![
+        cp(OpCode::Assign, vec![Operand::num(5.0)], "sv"),
+        // Scalar variable in matrix position: degrades to a scalar op.
+        cp(
+            OpCode::BinaryMM(BinaryOp::Mul),
+            vec![Operand::var("X"), Operand::var("sv")],
+            "Ms",
+        ),
+        cp(OpCode::NRow, vec![Operand::var("sv")], "one"),
+        // Literal in matrix position inside a fusible chain.
+        shaped(
+            OpCode::BinaryMM(BinaryOp::Add),
+            vec![Operand::var("X"), Operand::num(2.0)],
+            "_mVar9001",
+        ),
+        shaped(
+            OpCode::BinaryMS(BinaryOp::Mul),
+            vec![Operand::var("_mVar9001"), Operand::num(3.0)],
+            "Fz",
+        ),
+        // sv: scalar -> matrix; Ms: matrix -> scalar.
+        cp(OpCode::Transpose, vec![Operand::var("X")], "sv"),
+        cp(OpCode::NCol, vec![Operand::var("sv")], "Ms"),
+        cp(OpCode::Assign, vec![Operand::var("sv")], "Sv2"),
+        // table() compiles to an MR operator (unknown size), which is not
+        // observed; this one runs in CP.
+        cp(OpCode::TableSeq, vec![Operand::var("y")], "T2"),
+        cp(
+            OpCode::RmVar,
+            vec![Operand::var("one"), Operand::var("Xa")],
+            "",
+        ),
+    ]));
+    let runs = differential_program("AllOps", &program, &staged_hdfs(&data), true);
+    let expected = [
+        "pread",
+        "pwrite",
+        "datagen-const",
+        "datagen-seq",
+        "datagen-rand",
+        "ba+*",
+        "tmm",
+        "tsmm",
+        "mmchain",
+        "solve",
+        "r'",
+        "rdiag",
+        "map-",
+        "s*",
+        "s-",
+        "ss+",
+        "uexp",
+        "ussqrt",
+        "uasum",
+        "ctable",
+        "rix",
+        "lix",
+        "append",
+        "rappend",
+        "nrow",
+        "ncol",
+        "castdts",
+        "castdtm",
+        "assignvar",
+        "concat",
+        "print",
+        "rmvar",
+    ];
+    for (mode, run) in ["tree", "unfused", "fused"].iter().zip(&runs) {
+        let missing: Vec<_> = expected
+            .iter()
+            .filter(|m| !run.mnemonics.contains(**m))
+            .collect();
+        assert!(
+            missing.is_empty(),
+            "{mode}: opcodes never executed: {missing:?}; executed {:?}",
+            run.mnemonics
+        );
+    }
+    // Shadowing resolved the same way by name and by slot.
+    let tree = &runs[0];
+    assert!(tree.matrices.contains_key("sv") && !tree.scalars.contains_key("sv"));
+    assert!(tree.scalars.contains_key("Ms") && !tree.matrices.contains_key("Ms"));
+    assert!(!tree.matrices.contains_key("Xa") && !tree.scalars.contains_key("one"));
+}
+
+/// A block of hand-written instructions over a 3x3 `A`, run the three
+/// ways: all must fail, with the same typed error.
+fn failing(instructions: Vec<Instruction>) -> ExecError {
+    let mut body = vec![cp(
+        OpCode::DataGenConst,
+        vec![Operand::num(1.0), Operand::num(3.0), Operand::num(3.0)],
+        "A",
+    )];
+    body.extend(instructions);
+    let program = RuntimeProgram {
+        blocks: vec![generic(body)],
+        ..Default::default()
+    };
+    let tree = run_tree(&program, HdfsStore::new())
+        .map(drop)
+        .expect_err("must fail");
+    for fuse in [false, true] {
+        let vm = run_vm(&program, HdfsStore::new(), fuse)
+            .map(drop)
+            .expect_err("must fail");
+        assert_eq!(tree, vm, "fuse={fuse}");
+    }
+    tree
+}
+
+#[test]
+fn left_index_outside_the_target_is_a_typed_error() {
+    // A[1:4, 1] = 7 on a 3x3 target.
+    let lix = |value: Operand, bounds: [f64; 4]| {
+        let mut operands = vec![Operand::var("A"), value];
+        operands.extend(bounds.map(Operand::num));
+        cp(OpCode::LeftIndex, operands, "A")
+    };
+    let err = failing(vec![lix(Operand::num(7.0), [1.0, 4.0, 1.0, 1.0])]);
+    assert!(
+        matches!(
+            err,
+            ExecError::Matrix(MatrixError::IndexOutOfBounds { shape: (3, 3), .. })
+        ),
+        "{err:?}"
+    );
+    // A[1:2, 1] = A: a 3x3 value into a 2x1 range.
+    let err = failing(vec![lix(Operand::var("A"), [1.0, 2.0, 1.0, 1.0])]);
+    assert!(
+        matches!(
+            err,
+            ExecError::Matrix(MatrixError::ShapeMismatch {
+                left: (2, 1),
+                right: (3, 3),
+                ..
+            })
+        ),
+        "{err:?}"
+    );
+}
+
+#[test]
+fn oversized_datagen_is_a_typed_error_before_allocating() {
+    // matrix(0, rows=1e11, cols=1e11) and the rand() of the same shape.
+    let err = failing(vec![cp(
+        OpCode::DataGenConst,
+        vec![Operand::num(0.0), Operand::num(1e11), Operand::num(1e11)],
+        "B",
+    )]);
+    assert!(matches!(err, ExecError::OutOfMemory { .. }), "{err:?}");
+    let err = failing(vec![cp(
+        OpCode::DataGenRand,
+        vec![
+            Operand::num(1e11),
+            Operand::num(1e11),
+            Operand::num(0.001),
+            Operand::num(7.0),
+        ],
+        "B",
+    )]);
+    assert!(matches!(err, ExecError::OutOfMemory { .. }), "{err:?}");
 }
