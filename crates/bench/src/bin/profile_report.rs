@@ -281,19 +281,15 @@ fn profile() {
     phases.print();
 
     // Per-opcode table from the executor histograms. The real-executor
-    // pass (the memory-soundness audit) runs on the bytecode VM, so the
-    // histograms are `vm.op.*`; `exec.op.*` is matched too in case a
-    // tree-interpreter pass ran under the same recorder.
+    // pass (the memory-soundness audit) runs on the bytecode VM, which
+    // publishes the `vm.op.*` histograms.
     let snapshot = reml_trace::metrics().snapshot();
     let mut opcodes = ExperimentResult::new(
         "profile_opcodes",
         "CP instruction timing by opcode (real executor pass, VM)",
     );
     for (name, snap) in &snapshot {
-        let Some(op) = name
-            .strip_prefix("vm.op.")
-            .or_else(|| name.strip_prefix("exec.op."))
-        else {
+        let Some(op) = name.strip_prefix("vm.op.") else {
             continue;
         };
         if let reml_trace::MetricSnapshot::Histogram {

@@ -11,7 +11,7 @@
 //! what lets a profile fitted on fused executions still calibrate the
 //! unfused opcodes the cost model scans.
 //!
-//! Secondary source: `reml_trace`'s `exec.op.*` / `vm.op.*` histograms.
+//! Secondary source: `reml_trace`'s `vm.op.*` histograms.
 //! Histograms only retain (count, sum, min, max, mean) — no per-sample
 //! size columns — so they can only reinforce [`TimeModel::Fixed`]-style
 //! medians for opcodes that never appeared in the observation rows.
@@ -82,18 +82,14 @@ pub fn samples_from_observations(observations: &[MemObservation]) -> Vec<Sample>
 }
 
 /// Harvest mean-time samples from the trace registry's per-opcode
-/// histograms (`exec.op.<mnemonic>` from the tree executor,
-/// `vm.op.<mnemonic>` from the VM), for opcodes *not* already covered by
-/// observation rows. Histogram means carry no size columns, so each
+/// histograms (`vm.op.<mnemonic>`, published by the VM), for opcodes
+/// *not* already covered by observation rows. Histogram means carry no size columns, so each
 /// becomes `count` flop-less samples at the mean — enough for a `Fixed`
 /// fallback entry, never an affine fit.
 pub fn samples_from_trace_histograms(covered: &dyn Fn(&str) -> bool) -> Vec<Sample> {
     let mut out = Vec::new();
     for (name, snap) in reml_trace::metrics().snapshot() {
-        let opcode = match name
-            .strip_prefix("exec.op.")
-            .or(name.strip_prefix("vm.op."))
-        {
+        let opcode = match name.strip_prefix("vm.op.") {
             Some(op) if !op.is_empty() => op.to_string(),
             _ => continue,
         };

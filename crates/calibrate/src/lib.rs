@@ -6,7 +6,7 @@
 //! per-instruction observation enabled, harvest (opcode, predicted
 //! flops, predicted bytes, measured wall time) samples, fit per-opcode
 //! correction models, and persist a versioned
-//! [`CalibrationProfile`](reml_cost::calibrate::CalibrationProfile) that
+//! [`CalibrationProfile`] that
 //! [`CostModel`](reml_cost::CostModel) consults when attached.
 //!
 //! Pipeline:
@@ -15,7 +15,7 @@
 //!    rows (from `reml_sim::collect_observations` or any observed
 //!    executor run) into fit samples, backfilling fused-chain composites
 //!    onto their constituent opcodes, and optionally topping up from
-//!    `reml_trace`'s `exec.op.*`/`vm.op.*` histograms;
+//!    `reml_trace`'s `vm.op.*` histograms;
 //! 2. [`fit`] — online least squares per opcode
 //!    (`t = a·flops + b·bytes + c`) with a robust median-ratio fallback
 //!    and a one-sided (never shrinking) byte-inflation factor;

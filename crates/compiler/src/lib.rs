@@ -43,7 +43,6 @@ pub mod session;
 pub use config::{CompileConfig, CompileError, CompileStats, MrHeapAssignment};
 pub use hop::{Hop, HopDag, HopId, HopOp, VType};
 pub use pipeline::{
-    analyze_program, compile, compile_source, compile_source_with_inputs, AnalyzedProgram,
-    BlockSummary, CompiledProgram,
+    analyze_program, compile, compile_source, AnalyzedProgram, BlockSummary, CompiledProgram,
 };
 pub use session::{CompiledBlock, PlanHandle, SessionStats, WhatIfSession};

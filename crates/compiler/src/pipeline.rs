@@ -216,33 +216,16 @@ pub fn compile(
     analyzed: &AnalyzedProgram,
     config: &CompileConfig,
 ) -> Result<CompiledProgram, CompileError> {
-    let mut walker = Walker {
-        config,
-        stats: CompileStats::default(),
-        summaries: Vec::new(),
-        entry_envs: BTreeMap::new(),
-        predicate_estimates: Vec::new(),
-        audit: RewriteAudit::default(),
-        record: true,
-    };
-    let mut env = Env::new();
-    let blocks = walker.walk_blocks(&analyzed.blocks, &mut env)?;
-    Ok(CompiledProgram {
-        runtime: RuntimeProgram {
-            blocks,
-            params: config
-                .params
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect(),
-            inputs: config.inputs.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-        },
-        stats: walker.stats,
-        summaries: walker.summaries,
-        entry_envs: walker.entry_envs,
-        predicate_decision_estimates_mb: walker.predicate_estimates,
-        rewrite_audit: walker.audit,
-    })
+    // The whole program is the scope from the first top-level block with
+    // nothing bound; only a whole program carries its params and inputs.
+    let mut compiled = compile_scope(analyzed, config, 0, &Env::new())?;
+    compiled.runtime.params = config
+        .params
+        .iter()
+        .map(|(k, v)| (k.clone(), v.clone()))
+        .collect();
+    compiled.runtime.inputs = config.inputs.iter().map(|(k, v)| (k.clone(), *v)).collect();
+    Ok(compiled)
 }
 
 /// Convenience: analyze + compile a source string.
@@ -252,15 +235,6 @@ pub fn compile_source(
 ) -> Result<CompiledProgram, CompileError> {
     let analyzed = analyze_program(source)?;
     compile(&analyzed, config)
-}
-
-/// Convenience used by the facade crate: compile with explicit inputs
-/// already embedded in `config`.
-pub fn compile_source_with_inputs(
-    source: &str,
-    config: &CompileConfig,
-) -> Result<CompiledProgram, CompileError> {
-    compile_source(source, config)
 }
 
 /// Compile a *scope* of the program: the top-level blocks from
@@ -274,15 +248,7 @@ pub fn compile_scope(
     start_top_idx: usize,
     entry_env: &Env,
 ) -> Result<CompiledProgram, CompileError> {
-    let mut walker = Walker {
-        config,
-        stats: CompileStats::default(),
-        summaries: Vec::new(),
-        entry_envs: BTreeMap::new(),
-        predicate_estimates: Vec::new(),
-        audit: RewriteAudit::default(),
-        record: true,
-    };
+    let mut walker = Walker::new(config, true);
     let mut env = entry_env.clone();
     let scope = &analyzed.blocks[start_top_idx.min(analyzed.blocks.len())..];
     let blocks = walker.walk_blocks(scope, &mut env)?;
@@ -342,15 +308,7 @@ pub fn compile_block_with_env(
             "block {block_id:?} is not generic"
         )));
     };
-    let mut walker = Walker {
-        config,
-        stats: CompileStats::default(),
-        summaries: Vec::new(),
-        entry_envs: BTreeMap::new(),
-        predicate_estimates: Vec::new(),
-        audit: RewriteAudit::default(),
-        record: false,
-    };
+    let mut walker = Walker::new(config, false);
     let rt = walker.compile_generic(block_id, statements, env)?;
     let RtBlock::Generic { instructions, .. } = rt else {
         unreachable!()
@@ -366,33 +324,20 @@ pub fn compile_block_with_env(
 /// (no instruction generation). The simulator uses this to advance the
 /// environment over branches it does not execute.
 pub fn propagate_blocks_env(
-    analyzed: &AnalyzedProgram,
     config: &CompileConfig,
     blocks: &[StatementBlock],
     env: &mut Env,
 ) -> Result<(), CompileError> {
-    let _ = analyzed;
-    let walker = Walker {
-        config,
-        stats: CompileStats::default(),
-        summaries: Vec::new(),
-        entry_envs: BTreeMap::new(),
-        predicate_estimates: Vec::new(),
-        audit: RewriteAudit::default(),
-        record: false,
-    };
-    walker.propagate_blocks(blocks, env)
+    Walker::new(config, false).propagate_blocks(blocks, env)
 }
 
 /// Fold a predicate expression against an environment (simulator control
 /// flow). Returns the constant when the predicate folds.
 pub fn fold_predicate_with_env(
-    analyzed: &AnalyzedProgram,
     config: &CompileConfig,
     pred: &Expr,
     env: &Env,
 ) -> Result<Option<ScalarValue>, CompileError> {
-    let _ = analyzed;
     let mut env2 = env.clone();
     let builder = BlockBuilder::new(config);
     let (_, _, konst) = builder.build_predicate(pred, &mut env2)?;
@@ -411,6 +356,18 @@ struct Walker<'a> {
 }
 
 impl<'a> Walker<'a> {
+    fn new(config: &'a CompileConfig, record: bool) -> Self {
+        Walker {
+            config,
+            stats: CompileStats::default(),
+            summaries: Vec::new(),
+            entry_envs: BTreeMap::new(),
+            predicate_estimates: Vec::new(),
+            audit: RewriteAudit::default(),
+            record,
+        }
+    }
+
     fn walk_blocks(
         &mut self,
         blocks: &[StatementBlock],
@@ -500,7 +457,11 @@ impl<'a> Walker<'a> {
                         self.fold_predicate(from, env)?.and_then(|v| v.as_f64()),
                         self.fold_predicate(to, env)?.and_then(|v| v.as_f64()),
                     ) {
-                        (Some(f), Some(t)) if t >= f => Some((t - f) as u64 + 1),
+                        // A non-finite range has no count (the executors
+                        // refuse it); a huge finite one saturates.
+                        (Some(f), Some(t)) if t >= f && (t - f).is_finite() => {
+                            Some(((t - f) as u64).saturating_add(1))
+                        }
                         _ => None,
                     };
                     let from_rt = self.compile_predicate(block.id, from, env)?;

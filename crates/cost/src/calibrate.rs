@@ -6,7 +6,7 @@
 //! white-box estimate that is deliberately machine-independent. A
 //! [`CalibrationProfile`] closes the loop with reality: the
 //! `reml-calibrate` crate fits per-opcode coefficients from measured
-//! execution traces, and [`CostModel`](crate::model::CostModel) consults
+//! execution traces, and [`CostModel`] consults
 //! the profile (when attached) for every CP instruction whose opcode has
 //! a fitted entry.
 //!

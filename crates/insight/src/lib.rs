@@ -15,7 +15,7 @@
 //!   (busy / idle / preempted / requeued lanes) synthesized from the
 //!   causal trace, exportable as Chrome `trace_event` Gantt charts, plus
 //!   a cluster-utilization scalar.
-//! * [`explain`] — render the optimizer's decision provenance: the
+//! * [`mod@explain`] — render the optimizer's decision provenance: the
 //!   chosen plan, the top-k runner-ups with cost deltas, and the
 //!   marginal-resource analysis ("what would +1 GB CP heap or +2 nodes
 //!   buy"), identifying the binding resource.

@@ -7,7 +7,7 @@
 //!
 //! 1. [`lexer`] — tokenization;
 //! 2. [`parser`] — recursive-descent / Pratt parsing into an [`ast`];
-//! 3. [`validate`] — semantic validation (definite assignment, scalar vs
+//! 3. [`mod@validate`] — semantic validation (definite assignment, scalar vs
 //!    matrix typing of builtins and operators);
 //! 4. [`blocks`] — construction of the *statement-block hierarchy* the rest
 //!    of the stack operates on: consecutive straight-line statements form

@@ -11,7 +11,7 @@
 //! plan, the top-k runner-ups, and the marginal-resource analysis.
 //!
 //! Both optimizer front ends (serial and parallel) build the ledger from
-//! the same candidate buffers through [`build_ledger`], after the best
+//! the same candidate buffers through `build_ledger`, after the best
 //! configuration is folded — the ledger is derived from, and can never
 //! perturb, the optimization outcome.
 

@@ -33,7 +33,7 @@
 //! | PL030 | sizebound | point memory estimate never exceeds the sound interval bound |
 //! | PL031 | sizebound | CP placement justified beyond the point estimate |
 //! | PL032 | sizebound | forced-CP operators provably fit the CP budget |
-//! | PL040 | vm      | every slot/constant/string/spec/job/meta index resolves in its pool |
+//! | PL040 | vm      | every slot/constant/spec/job/meta index resolves in its pool |
 //! | PL041 | vm      | metadata side table index-aligned and internally consistent |
 //! | PL042 | vm      | definite assignment over the `VmBlock` dataflow |
 //! | PL043 | vm      | no dead stores or leaked buffers among temporaries |
@@ -222,7 +222,7 @@ pub const RULES: &[(&str, Severity, &str, &str)] = &[
         "PL040",
         Severity::Error,
         "vm",
-        "every slot/constant/string/spec/job/meta index resolves inside its pool",
+        "every slot/constant/spec/job/meta index resolves inside its pool",
     ),
     (
         "PL041",

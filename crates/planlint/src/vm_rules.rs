@@ -1,13 +1,12 @@
 //! Bytecode-layer rules (PL040–PL047): static verification of lowered
 //! [`VmProgram`]s without executing them.
 //!
-//! The bytecode VM is trusted by everything above it — the differential
-//! oracle only exercises the plans the paper scripts happen to produce,
-//! and ROADMAP item 2 anticipates removing the tree interpreter from the
-//! hot path entirely. These rules restate the lowering's invariants as
+//! The bytecode VM is trusted by everything above it, and the
+//! differential oracle only exercises the plans the paper scripts happen
+//! to produce. These rules restate the lowering's invariants as
 //! independently checkable properties of the flat program:
 //!
-//! * **PL040** — pool/reference validity: every slot, constant, string,
+//! * **PL040** — pool/reference validity: every slot, constant,
 //!   fused-spec, MR-job, and metadata index resolves inside its pool.
 //! * **PL041** — the [`InstrMeta`] side table is index-aligned with the
 //!   instruction stream (a bijection) and internally consistent
@@ -24,7 +23,9 @@
 //!   position).
 //! * **PL045** — non-empty predicate code binds its result symbol.
 //! * **PL046** — lowering fidelity: the bytecode corresponds structurally
-//!   to the source [`Instruction`] list modulo fusion, and each fused
+//!   to the source [`Instruction`] list modulo fusion (a CP instruction's
+//!   opcode must *equal* its source's — the VM carries `OpCode` itself,
+//!   HDFS path included), and each fused
 //!   chain's safety is re-proved *independently of the greedy planner*
 //!   (single-use temporary intermediates under recomputed per-list use
 //!   counts, step-to-step shape conformance, no intermediate aliasing
@@ -64,7 +65,6 @@ use crate::{is_temp_name, Diagnostic, LintReport};
 struct Pools<'a> {
     symbols: &'a SymbolTable,
     consts: &'a [ScalarValue],
-    strings: &'a [String],
     metas: &'a [InstrMeta],
     fused: &'a [FusedSpec],
     mr_jobs: &'a [VmMrJob],
@@ -75,7 +75,6 @@ impl<'a> Pools<'a> {
         Pools {
             symbols: &p.symbols,
             consts: &p.consts,
-            strings: &p.strings,
             metas: &p.metas,
             fused: &p.fused,
             mr_jobs: &p.mr_jobs,
@@ -86,7 +85,6 @@ impl<'a> Pools<'a> {
         Pools {
             symbols: &f.symbols,
             consts: &f.consts,
-            strings: &f.strings,
             metas: &f.metas,
             fused: &f.fused,
             mr_jobs: &f.mr_jobs,
@@ -278,39 +276,39 @@ fn check_pred_refs(t: &Pools, pred: &VmPredicate, path: &str, diags: &mut Vec<Di
 
 /// Minimum operand count the executor will index, per opcode. `None`
 /// means variable arity (`rmvar`) or arity is checked elsewhere.
-fn min_arity(op: &VmOp) -> Option<usize> {
+fn min_arity(op: &OpCode) -> Option<usize> {
     Some(match op {
-        VmOp::PRead { .. } | VmOp::RmVar | VmOp::Fused { .. } | VmOp::MrJob { .. } => return None,
-        VmOp::PWrite { .. } => 1,
-        VmOp::DataGenConst => 3,
-        VmOp::DataGenSeq => 2,
-        VmOp::DataGenRand => 4,
-        VmOp::MatMult
-        | VmOp::MatMultTransLeft
-        | VmOp::MmChain
-        | VmOp::Solve
-        | VmOp::BinaryMM(_)
-        | VmOp::BinaryMS(_)
-        | VmOp::BinarySM(_)
-        | VmOp::BinarySS(_)
-        | VmOp::Append
-        | VmOp::AppendR
-        | VmOp::Concat => 2,
-        VmOp::Tsmm
-        | VmOp::Transpose
-        | VmOp::Diag
-        | VmOp::UnaryM(_)
-        | VmOp::UnaryS(_)
-        | VmOp::Agg(_)
-        | VmOp::TableSeq
-        | VmOp::NRow
-        | VmOp::NCol
-        | VmOp::CastScalar
-        | VmOp::CastMatrix
-        | VmOp::Assign
-        | VmOp::Print => 1,
-        VmOp::RightIndex => 5,
-        VmOp::LeftIndex => 6,
+        OpCode::PersistentRead { .. } | OpCode::RmVar => return None,
+        OpCode::PersistentWrite { .. } => 1,
+        OpCode::DataGenConst => 3,
+        OpCode::DataGenSeq => 2,
+        OpCode::DataGenRand => 4,
+        OpCode::MatMult
+        | OpCode::MatMultTransLeft
+        | OpCode::MmChain
+        | OpCode::Solve
+        | OpCode::BinaryMM(_)
+        | OpCode::BinaryMS(_)
+        | OpCode::BinarySM(_)
+        | OpCode::BinarySS(_)
+        | OpCode::Append
+        | OpCode::AppendR
+        | OpCode::Concat => 2,
+        OpCode::Tsmm
+        | OpCode::Transpose
+        | OpCode::Diag
+        | OpCode::UnaryM(_)
+        | OpCode::UnaryS(_)
+        | OpCode::Agg(_)
+        | OpCode::TableSeq
+        | OpCode::NRow
+        | OpCode::NCol
+        | OpCode::CastScalar
+        | OpCode::CastMatrix
+        | OpCode::Assign
+        | OpCode::Print => 1,
+        OpCode::RightIndex => 5,
+        OpCode::LeftIndex => 6,
     })
 }
 
@@ -357,26 +355,18 @@ fn check_instr_refs(t: &Pools, instr: &VmInstr, path: &str, diags: &mut Vec<Diag
             }
         }
     }
-    if let Some(min) = min_arity(&instr.op) {
-        if instr.args.len() < min {
-            diags.push(Diagnostic::new(
-                "PL040",
-                path,
-                format!(
-                    "{:?} carries {} operands but the executor indexes {min}",
-                    instr.op,
-                    instr.args.len()
-                ),
-            ));
-        }
-    }
     match &instr.op {
-        VmOp::PRead { path: s } | VmOp::PWrite { path: s } if *s as usize >= t.strings.len() => {
-            diags.push(Diagnostic::new(
-                "PL040",
-                path,
-                format!("string-pool index {s} out of range"),
-            ));
+        VmOp::Cp(op) => {
+            if let Some(min) = min_arity(op).filter(|min| instr.args.len() < *min) {
+                diags.push(Diagnostic::new(
+                    "PL040",
+                    path,
+                    format!(
+                        "{op:?} carries {} operands but the executor indexes {min}",
+                        instr.args.len()
+                    ),
+                ));
+            }
         }
         VmOp::Fused { spec } => {
             if !instr.args.is_empty() {
@@ -438,7 +428,7 @@ fn check_instr_refs(t: &Pools, instr: &VmInstr, path: &str, diags: &mut Vec<Diag
                 for (k, op) in job.ops.iter().enumerate() {
                     check_instr_refs(t, op, &format!("{path}/mr op {k}"), diags);
                 }
-                for (sym, export) in &job.outputs {
+                for sym in &job.outputs {
                     if *sym as usize >= t.symbols.len() {
                         diags.push(Diagnostic::new(
                             "PL040",
@@ -446,17 +436,9 @@ fn check_instr_refs(t: &Pools, instr: &VmInstr, path: &str, diags: &mut Vec<Diag
                             format!("MR-job output symbol {sym} out of range"),
                         ));
                     }
-                    if *export as usize >= t.strings.len() {
-                        diags.push(Diagnostic::new(
-                            "PL040",
-                            path,
-                            format!("MR-job export path index {export} out of range"),
-                        ));
-                    }
                 }
             }
         }
-        _ => {}
     }
 }
 
@@ -612,38 +594,7 @@ fn kind_mnemonic(kind: &FusedOpKind) -> String {
 /// The mnemonic the lowering should have stamped for `op`.
 fn vm_mnemonic(t: &Pools, op: &VmOp) -> Option<String> {
     Some(match op {
-        VmOp::PRead { .. } => "pread".to_string(),
-        VmOp::PWrite { .. } => "pwrite".to_string(),
-        VmOp::DataGenConst => OpCode::DataGenConst.mnemonic(),
-        VmOp::DataGenSeq => OpCode::DataGenSeq.mnemonic(),
-        VmOp::DataGenRand => OpCode::DataGenRand.mnemonic(),
-        VmOp::MatMult => OpCode::MatMult.mnemonic(),
-        VmOp::MatMultTransLeft => OpCode::MatMultTransLeft.mnemonic(),
-        VmOp::Tsmm => OpCode::Tsmm.mnemonic(),
-        VmOp::MmChain => OpCode::MmChain.mnemonic(),
-        VmOp::Solve => OpCode::Solve.mnemonic(),
-        VmOp::Transpose => OpCode::Transpose.mnemonic(),
-        VmOp::Diag => OpCode::Diag.mnemonic(),
-        VmOp::BinaryMM(op) => OpCode::BinaryMM(*op).mnemonic(),
-        VmOp::BinaryMS(op) => OpCode::BinaryMS(*op).mnemonic(),
-        VmOp::BinarySM(op) => OpCode::BinarySM(*op).mnemonic(),
-        VmOp::BinarySS(op) => OpCode::BinarySS(*op).mnemonic(),
-        VmOp::UnaryM(op) => OpCode::UnaryM(*op).mnemonic(),
-        VmOp::UnaryS(op) => OpCode::UnaryS(*op).mnemonic(),
-        VmOp::Agg(op) => OpCode::Agg(*op).mnemonic(),
-        VmOp::TableSeq => OpCode::TableSeq.mnemonic(),
-        VmOp::RightIndex => OpCode::RightIndex.mnemonic(),
-        VmOp::LeftIndex => OpCode::LeftIndex.mnemonic(),
-        VmOp::Append => OpCode::Append.mnemonic(),
-        VmOp::AppendR => OpCode::AppendR.mnemonic(),
-        VmOp::NRow => OpCode::NRow.mnemonic(),
-        VmOp::NCol => OpCode::NCol.mnemonic(),
-        VmOp::CastScalar => OpCode::CastScalar.mnemonic(),
-        VmOp::CastMatrix => OpCode::CastMatrix.mnemonic(),
-        VmOp::Assign => OpCode::Assign.mnemonic(),
-        VmOp::Concat => OpCode::Concat.mnemonic(),
-        VmOp::Print => OpCode::Print.mnemonic(),
-        VmOp::RmVar => OpCode::RmVar.mnemonic(),
+        VmOp::Cp(op) => op.mnemonic(),
         VmOp::Fused { spec } => {
             let spec = t.fused.get(*spec as usize)?;
             let mnemonics: Vec<String> =
@@ -951,7 +902,7 @@ fn check_instr_defs(
         }
     };
     match &instr.op {
-        VmOp::RmVar => {
+        VmOp::Cp(OpCode::RmVar) => {
             for arg in instr.args.iter() {
                 if let Arg::Slot(s) = arg {
                     if let Some(d) = defined.get_mut(*s as usize) {
@@ -996,7 +947,7 @@ fn check_instr_defs(
                         }
                     }
                 }
-                for (sym, _) in &job.outputs {
+                for sym in &job.outputs {
                     if let Some(d) = defined.get_mut(*sym as usize) {
                         *d = true;
                     }
@@ -1044,7 +995,7 @@ fn check_list_liveness(
     };
     for (k, instr) in code.iter().enumerate() {
         match &instr.op {
-            VmOp::RmVar => {
+            VmOp::Cp(OpCode::RmVar) => {
                 for arg in instr.args.iter() {
                     if let Arg::Slot(s) = arg {
                         pending.remove(s); // evicted, not leaked
@@ -1077,7 +1028,7 @@ fn check_list_liveness(
                             }
                         }
                     }
-                    for (sym, _) in &job.outputs {
+                    for sym in &job.outputs {
                         // Exported to HDFS: written and immediately used.
                         if t.sym_name(*sym).is_some_and(is_temp_name) {
                             pending.insert(*sym, (k, true));
@@ -1225,7 +1176,7 @@ fn check_pred_binding(t: &Pools, pred: &VmPredicate, path: &str, diags: &mut Vec
         }
         if let VmOp::MrJob { job } = &instr.op {
             if let Some(job) = t.mr_jobs.get(*job as usize) {
-                return job.outputs.iter().any(|(sym, _)| *sym == pred.result);
+                return job.outputs.contains(&pred.result);
             }
         }
         false
@@ -1489,7 +1440,7 @@ fn match_code(
                 }
                 j += 1;
             }
-            _ => {
+            VmOp::Cp(_) => {
                 let Instruction::Cp(cp) = first else {
                     diags.push(Diagnostic::new(
                         "PL046",
@@ -1513,47 +1464,6 @@ fn match_code(
     }
 }
 
-fn op_matches(t: &Pools, vop: &VmOp, opcode: &OpCode) -> bool {
-    match (vop, opcode) {
-        (VmOp::PRead { path }, OpCode::PersistentRead { path: p }) => {
-            t.strings.get(*path as usize).map(String::as_str) == Some(p.as_str())
-        }
-        (VmOp::PWrite { path }, OpCode::PersistentWrite { path: p }) => {
-            t.strings.get(*path as usize).map(String::as_str) == Some(p.as_str())
-        }
-        (VmOp::DataGenConst, OpCode::DataGenConst)
-        | (VmOp::DataGenSeq, OpCode::DataGenSeq)
-        | (VmOp::DataGenRand, OpCode::DataGenRand)
-        | (VmOp::MatMult, OpCode::MatMult)
-        | (VmOp::MatMultTransLeft, OpCode::MatMultTransLeft)
-        | (VmOp::Tsmm, OpCode::Tsmm)
-        | (VmOp::MmChain, OpCode::MmChain)
-        | (VmOp::Solve, OpCode::Solve)
-        | (VmOp::Transpose, OpCode::Transpose)
-        | (VmOp::Diag, OpCode::Diag)
-        | (VmOp::TableSeq, OpCode::TableSeq)
-        | (VmOp::RightIndex, OpCode::RightIndex)
-        | (VmOp::LeftIndex, OpCode::LeftIndex)
-        | (VmOp::Append, OpCode::Append)
-        | (VmOp::AppendR, OpCode::AppendR)
-        | (VmOp::NRow, OpCode::NRow)
-        | (VmOp::NCol, OpCode::NCol)
-        | (VmOp::CastScalar, OpCode::CastScalar)
-        | (VmOp::CastMatrix, OpCode::CastMatrix)
-        | (VmOp::Assign, OpCode::Assign)
-        | (VmOp::Concat, OpCode::Concat)
-        | (VmOp::Print, OpCode::Print)
-        | (VmOp::RmVar, OpCode::RmVar) => true,
-        (VmOp::BinaryMM(a), OpCode::BinaryMM(b))
-        | (VmOp::BinaryMS(a), OpCode::BinaryMS(b))
-        | (VmOp::BinarySM(a), OpCode::BinarySM(b))
-        | (VmOp::BinarySS(a), OpCode::BinarySS(b)) => a == b,
-        (VmOp::UnaryM(a), OpCode::UnaryM(b)) | (VmOp::UnaryS(a), OpCode::UnaryS(b)) => a == b,
-        (VmOp::Agg(a), OpCode::Agg(b)) => a == b,
-        _ => false,
-    }
-}
-
 fn arg_matches(t: &Pools, arg: &Arg, operand: &Operand) -> bool {
     match (arg, operand) {
         (Arg::Slot(s), Operand::Var(name)) => t.sym_name(*s) == Some(name.as_str()),
@@ -1562,9 +1472,11 @@ fn arg_matches(t: &Pools, arg: &Arg, operand: &Operand) -> bool {
     }
 }
 
-/// 1:1 correspondence of a non-fused CP (or MR operator) lowering.
+/// 1:1 correspondence of a non-fused CP lowering. Opcode fidelity is
+/// equality: the lowering copies the source [`OpCode`] (HDFS path
+/// included) into [`VmOp::Cp`].
 fn match_cp(t: &Pools, cp: &CpInstruction, vi: &VmInstr, path: &str, diags: &mut Vec<Diagnostic>) {
-    if !op_matches(t, &vi.op, &cp.opcode) {
+    if !matches!(&vi.op, VmOp::Cp(lowered) if *lowered == cp.opcode) {
         diags.push(Diagnostic::new(
             "PL046",
             path,
@@ -1604,7 +1516,7 @@ fn match_cp(t: &Pools, cp: &CpInstruction, vi: &VmInstr, path: &str, diags: &mut
 }
 
 fn match_mr_op(t: &Pools, op: &MrOperator, vi: &VmInstr, path: &str, diags: &mut Vec<Diagnostic>) {
-    if !op_matches(t, &vi.op, &op.opcode) {
+    if !matches!(&vi.op, VmOp::Cp(lowered) if *lowered == op.opcode) {
         diags.push(Diagnostic::new(
             "PL046",
             path,
@@ -1677,20 +1589,12 @@ fn match_mr_job(
             ),
         ));
     } else {
-        for (k, ((name, _), (sym, export))) in src.outputs.iter().zip(&vm.outputs).enumerate() {
+        for (k, ((name, _), sym)) in src.outputs.iter().zip(&vm.outputs).enumerate() {
             if t.sym_name(*sym) != Some(name.as_str()) {
                 diags.push(Diagnostic::new(
                     "PL046",
                     path,
                     format!("MR-job output {k} {name} lowered to slot {sym} with another name"),
-                ));
-            }
-            let expected = format!("tmp/{name}");
-            if t.strings.get(*export as usize) != Some(&expected) {
-                diags.push(Diagnostic::new(
-                    "PL046",
-                    path,
-                    format!("MR-job output {k} export path disagrees with {expected:?}"),
                 ));
             }
         }

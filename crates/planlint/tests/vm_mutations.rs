@@ -13,7 +13,9 @@
 use reml_cluster::ClusterConfig;
 use reml_compiler::pipeline::{analyze_program, compile};
 use reml_compiler::MrHeapAssignment;
+use reml_matrix::BinaryOp;
 use reml_planlint::{lint_vm, lint_vm_program};
+use reml_runtime::instructions::OpCode;
 use reml_runtime::program::RuntimeProgram;
 use reml_runtime::vm::{Arg, FusedArg, VmBlock, VmInstr, VmLowerOptions, VmOp, VmProgram};
 use reml_runtime::ScalarValue;
@@ -105,7 +107,6 @@ fn visit_instrs_mut(vm: &mut VmProgram, f: &mut dyn FnMut(&mut VmInstr)) {
 struct Sizes {
     symbols: u32,
     consts: u32,
-    strings: u32,
     metas: u32,
     fused: u32,
     mr_jobs: u32,
@@ -115,7 +116,6 @@ fn sizes(vm: &VmProgram) -> Sizes {
     Sizes {
         symbols: vm.symbols.len() as u32,
         consts: vm.consts.len() as u32,
-        strings: vm.strings.len() as u32,
         metas: vm.metas.len() as u32,
         fused: vm.fused.len() as u32,
         mr_jobs: vm.mr_jobs.len() as u32,
@@ -166,6 +166,39 @@ fn pool_mutants(
             m
         })
         .collect()
+}
+
+/// A different CP opcode taking the same number of operands, so the swap
+/// survives every arity check and only opcode fidelity can catch it.
+fn same_arity_swap(op: &VmOp) -> Option<OpCode> {
+    let VmOp::Cp(op) = op else { return None };
+    Some(match op {
+        OpCode::MatMult => OpCode::Solve,
+        OpCode::MatMultTransLeft
+        | OpCode::MmChain
+        | OpCode::Solve
+        | OpCode::Append
+        | OpCode::AppendR => OpCode::MatMult,
+        OpCode::BinaryMM(b) => OpCode::BinaryMM(other_binary(*b)),
+        OpCode::BinaryMS(b) => OpCode::BinaryMS(other_binary(*b)),
+        OpCode::BinarySM(b) => OpCode::BinarySM(other_binary(*b)),
+        OpCode::BinarySS(b) => OpCode::BinarySS(other_binary(*b)),
+        OpCode::Tsmm | OpCode::Diag => OpCode::Transpose,
+        OpCode::Transpose => OpCode::Diag,
+        OpCode::NRow => OpCode::NCol,
+        OpCode::NCol | OpCode::CastScalar => OpCode::NRow,
+        OpCode::Assign => OpCode::CastMatrix,
+        OpCode::CastMatrix => OpCode::Assign,
+        _ => return None,
+    })
+}
+
+fn other_binary(op: BinaryOp) -> BinaryOp {
+    if op == BinaryOp::Add {
+        BinaryOp::Mul
+    } else {
+        BinaryOp::Add
+    }
 }
 
 fn first_slot(instr: &VmInstr) -> Option<usize> {
@@ -259,16 +292,33 @@ fn mutant_classes(vm: &VmProgram) -> Vec<(&'static str, Vec<VmProgram>)> {
         let _ = sz;
         classes.push(("const_swap", mutants));
     }
+
+    // --- opcode corruptions --------------------------------------------
+    // The VM carries the source `OpCode` itself, so both classes are
+    // caught by PL046's opcode equality (asserted per class below).
     classes.push((
-        "string_oob",
+        "path_forge",
         instr_mutants(
             vm,
-            &|_, i| matches!(i.op, VmOp::PRead { .. } | VmOp::PWrite { .. }),
-            &|sz, i| match &mut i.op {
-                VmOp::PRead { path } | VmOp::PWrite { path } => *path = sz.strings,
+            &|_, i| {
+                matches!(
+                    i.op,
+                    VmOp::Cp(OpCode::PersistentRead { .. } | OpCode::PersistentWrite { .. })
+                )
+            },
+            &|_, i| match &mut i.op {
+                VmOp::Cp(OpCode::PersistentRead { path } | OpCode::PersistentWrite { path }) => {
+                    path.push_str(".forged")
+                }
                 _ => unreachable!(),
             },
         ),
+    ));
+    classes.push((
+        "opcode_swap",
+        instr_mutants(vm, &|_, i| same_arity_swap(&i.op).is_some(), &|_, i| {
+            i.op = VmOp::Cp(same_arity_swap(&i.op).unwrap());
+        }),
     ));
 
     // --- output corruptions --------------------------------------------
@@ -528,7 +578,7 @@ fn mutant_classes(vm: &VmProgram) -> Vec<(&'static str, Vec<VmProgram>)> {
                     break;
                 }
                 let mut m = vm.clone();
-                m.mr_jobs[j].outputs[o].0 = (m.mr_jobs[j].outputs[o].0 + 1) % sz.symbols;
+                m.mr_jobs[j].outputs[o] = (m.mr_jobs[j].outputs[o] + 1) % sz.symbols;
                 mutants.push(m);
             }
         }
@@ -574,7 +624,14 @@ fn verifier_catches_seeded_corruptions() {
                 // (PL046/047) or may be internally inconsistent
                 // (PL040–045); both count as caught.
                 let report = lint_vm(&fx.runtime, &mutant);
-                if report.is_empty() {
+                // The opcode classes must trip the rule that owns opcode
+                // fidelity, not be caught incidentally.
+                let is_caught = if matches!(class, "path_forge" | "opcode_swap") {
+                    report.rules().contains(&"PL046")
+                } else {
+                    !report.is_empty()
+                };
+                if !is_caught {
                     misses.push(format!("{} / {class} site {site}", fx.name));
                 } else {
                     caught += 1;

@@ -27,7 +27,7 @@ use crate::instructions::{CpInstruction, Instruction, MrJobInstruction, OpCode};
 use crate::ops::{eval_op, scalar_as_matrix, OperandStore};
 use crate::program::{Predicate, RtBlock, RuntimeProgram};
 use crate::value::{Operand, ScalarValue};
-use crate::vm::lower::{cp_flops, predicted_sum, vm_op};
+use crate::vm::lower::{cp_flops, predicted_sum};
 
 /// Execution statistics.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -56,7 +56,8 @@ pub enum ExecError {
     Matrix(reml_matrix::MatrixError),
     /// A persistent read path is missing from the HDFS store.
     MissingInput(String),
-    /// Iteration guard: a while loop exceeded the hard safety bound.
+    /// Iteration guard: a `while` or `for` loop exceeded the hard safety
+    /// bound.
     RunawayLoop(usize),
     /// A produced matrix pushed the executor past its OOM limit — the
     /// runtime surface of the simulator's task-OOM fault: the caller
@@ -78,7 +79,7 @@ impl fmt::Display for ExecError {
             ExecError::TypeError(m) => write!(f, "type error: {m}"),
             ExecError::Matrix(e) => write!(f, "matrix error: {e}"),
             ExecError::MissingInput(p) => write!(f, "missing HDFS input '{p}'"),
-            ExecError::RunawayLoop(n) => write!(f, "while loop exceeded {n} iterations"),
+            ExecError::RunawayLoop(n) => write!(f, "loop exceeded {n} iterations"),
             ExecError::OutOfMemory {
                 needed_bytes,
                 limit_bytes,
@@ -124,10 +125,32 @@ impl RecompileHook for NoRecompile {
     }
 }
 
-/// Hard safety bound on while-loop iterations (scripts in this repo all
-/// converge or carry explicit maxiter bounds far below this). Shared with
-/// the bytecode VM so both walkers abort identically.
-pub(crate) const MAX_WHILE_ITERATIONS: usize = 100_000;
+/// Hard safety bound on the iterations of one loop, `while` or `for`
+/// (scripts in this repo all converge or carry explicit maxiter bounds far
+/// below this). Shared with the bytecode VM so both walkers abort
+/// identically.
+pub(crate) const MAX_LOOP_ITERATIONS: usize = 100_000;
+
+/// Trip count of `for (i in from:to)`, decided before the first
+/// iteration: counting up by `i += 1.0` never terminates on an infinite
+/// bound (nor past 2^53, where `i + 1.0 == i`), so a non-finite bound and
+/// a count above [`MAX_LOOP_ITERATIONS`] are errors instead of hangs.
+/// Iteration `k` binds the loop variable to `from + k`.
+pub(crate) fn for_trip_count(from: f64, to: f64) -> Result<usize, ExecError> {
+    if !from.is_finite() || !to.is_finite() {
+        return Err(ExecError::TypeError(format!(
+            "for-loop range {from}:{to} is not finite"
+        )));
+    }
+    if to < from {
+        return Ok(0);
+    }
+    let trips = (to - from).floor() + 1.0;
+    if trips > MAX_LOOP_ITERATIONS as f64 {
+        return Err(ExecError::RunawayLoop(MAX_LOOP_ITERATIONS));
+    }
+    Ok(trips as usize)
+}
 
 /// Report of one AM runtime migration (§4.1).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -221,19 +244,6 @@ impl MemObservation {
         }
         observations.push(self);
     }
-}
-
-/// Run `f`, measuring its wall time in nanoseconds when a wall-clock
-/// trace recorder or `observe` asks for it (0 otherwise). Under a
-/// deterministic (sim-clock) recorder the measurement is skipped so
-/// traces stay bit-reproducible. The flag says whether the time belongs
-/// in a per-opcode trace histogram.
-pub(crate) fn timed<T>(observe: bool, f: impl FnOnce() -> T) -> (T, u64, bool) {
-    let trace_timed = reml_trace::enabled() && !reml_trace::deterministic();
-    let t0 = (trace_timed || observe).then(std::time::Instant::now);
-    let result = f();
-    let wall_ns = t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
-    (result, wall_ns, trace_timed)
 }
 
 impl Executor {
@@ -371,8 +381,8 @@ impl Executor {
                 let mut iters = 0usize;
                 while self.eval_predicate(pred)? {
                     iters += 1;
-                    if iters > MAX_WHILE_ITERATIONS {
-                        return Err(ExecError::RunawayLoop(MAX_WHILE_ITERATIONS));
+                    if iters > MAX_LOOP_ITERATIONS {
+                        return Err(ExecError::RunawayLoop(MAX_LOOP_ITERATIONS));
                     }
                     self.stats.loop_iterations += 1;
                     for b in body {
@@ -390,14 +400,13 @@ impl Executor {
             } => {
                 let from_v = self.eval_predicate_num(from)?;
                 let to_v = self.eval_predicate_num(to)?;
-                let mut i = from_v;
-                while i <= to_v {
-                    self.scalars.insert(var.clone(), ScalarValue::Num(i));
+                for k in 0..for_trip_count(from_v, to_v)? {
+                    self.scalars
+                        .insert(var.clone(), ScalarValue::Num(from_v + k as f64));
                     self.stats.loop_iterations += 1;
                     for b in body {
                         self.run_block(b, hook)?;
                     }
-                    i += 1.0;
                 }
                 Ok(())
             }
@@ -425,57 +434,36 @@ impl Executor {
             .ok_or_else(|| ExecError::TypeError(format!("'{}' not numeric", pred.result_var)))
     }
 
-    /// Execute one instruction. When tracing is enabled each CP
-    /// instruction's wall time feeds the per-opcode histograms
-    /// (`exec.op.<mnemonic>`) behind `profile_report`'s attribution
-    /// table.
+    /// Execute one instruction. Per-opcode timing histograms are the
+    /// VM's (`vm.op.<mnemonic>`); the reference walker times an
+    /// instruction only for an opt-in memory observation.
     pub fn execute(&mut self, instr: &Instruction) -> Result<(), ExecError> {
         match instr {
             Instruction::Cp(cp) => {
                 self.stats.cp_instructions += 1;
-                let (result, wall_ns, trace_timed) = timed(self.observe_memory, || {
-                    self.eval(&cp.opcode, &cp.operands, cp.output.as_deref())
-                });
-                result?;
-                if trace_timed {
-                    reml_trace::metrics()
-                        .histogram(&format!("exec.op.{}", cp.opcode.mnemonic()))
-                        .observe(wall_ns / 1_000);
-                }
-                if self.observe_memory {
-                    self.record_observation(cp, wall_ns);
+                let t0 = self.observe_memory.then(std::time::Instant::now);
+                self.eval(&cp.opcode, &cp.operands, cp.output.as_deref())?;
+                if let Some(t0) = t0 {
+                    self.record_observation(cp, t0.elapsed().as_nanos() as u64);
                 }
                 Ok(())
             }
             Instruction::MrJob(job) => {
                 self.stats.mr_jobs += 1;
                 reml_trace::count("exec.mr_jobs", 1);
-                let (result, wall_ns, trace_timed) = timed(false, || self.execute_mr_job(job));
-                if trace_timed {
-                    reml_trace::metrics()
-                        .histogram("exec.op.mr_job")
-                        .observe(wall_ns / 1_000);
-                }
-                result
+                self.execute_mr_job(job)
             }
         }
     }
 
-    /// One operation through the shared table; the opcode's HDFS path (if
-    /// any) rides along in the store, since [`VmOp`](crate::vm::VmOp)
-    /// only carries an index.
+    /// One operation through the shared table.
     fn eval(
         &mut self,
         opcode: &OpCode,
         operands: &[Operand],
         output: Option<&str>,
     ) -> Result<(), ExecError> {
-        let mut path = "";
-        let op = vm_op(opcode, |p| {
-            path = p;
-            0
-        });
-        eval_op(&mut NameStore { exec: self, path }, &op, operands, output)
+        eval_op(&mut NameStore { exec: self }, opcode, operands, output)
     }
 
     /// Record predicted vs. actual footprint of a just-executed CP
@@ -528,10 +516,9 @@ impl Executor {
 }
 
 /// The name-keyed [`OperandStore`]: an [`Executor`] seen by one
-/// instruction, with that instruction's HDFS path.
+/// instruction.
 struct NameStore<'a> {
     exec: &'a mut Executor,
-    path: &'a str,
 }
 
 impl OperandStore for NameStore<'_> {
@@ -595,15 +582,15 @@ impl OperandStore for NameStore<'_> {
         }
     }
 
-    fn hdfs_read(&mut self, _path: u32) -> Result<Matrix, ExecError> {
+    fn hdfs_read(&mut self, path: &str) -> Result<Matrix, ExecError> {
         self.exec
             .hdfs
-            .read(self.path)
-            .ok_or_else(|| ExecError::MissingInput(self.path.to_string()))
+            .read(path)
+            .ok_or_else(|| ExecError::MissingInput(path.to_string()))
     }
 
-    fn hdfs_write(&mut self, _path: u32, m: Matrix) {
-        self.exec.hdfs.write(self.path, m);
+    fn hdfs_write(&mut self, path: &str, m: Matrix) {
+        self.exec.hdfs.write(path, m);
     }
 
     fn print(&mut self, line: String) {

@@ -11,17 +11,19 @@
 //! Monomorphisation gives each walker its own copy of the table, so the
 //! VM's hot loop pays nothing for the sharing.
 //!
-//! The table dispatches on [`VmOp`]: the tree walker bridges its
-//! [`OpCode`](crate::instructions::OpCode) per instruction with
-//! [`vm_op`](crate::vm::lower::vm_op), the VM never converts anything.
+//! The table dispatches on [`OpCode`] — the vocabulary the compiler
+//! emits and the cost model prices. The tree walker passes each
+//! instruction's opcode as is; the VM carries the same opcode inside
+//! [`VmOp::Cp`](crate::vm::VmOp::Cp) and handles its two VM-only forms
+//! (fused chains, MR jobs) before reaching the table.
 
 use std::borrow::Cow;
 
 use reml_matrix::{BinaryOp, Matrix, MatrixCharacteristics, MatrixError};
 
 use crate::executor::ExecError;
+use crate::instructions::OpCode;
 use crate::value::ScalarValue;
-use crate::vm::VmOp;
 
 /// Where an executor keeps its variables: how operands are fetched and
 /// results bound. Everything else about an opcode lives in [`eval_op`].
@@ -48,10 +50,10 @@ pub(crate) trait OperandStore {
     fn unbind(&mut self, arg: &Self::Arg);
     /// Mark a variable operand's matrix as matching its HDFS copy.
     fn mark_clean(&mut self, arg: &Self::Arg);
-    /// Read the dataset at an instruction's path.
-    fn hdfs_read(&mut self, path: u32) -> Result<Matrix, ExecError>;
-    /// Write a dataset to an instruction's path.
-    fn hdfs_write(&mut self, path: u32, m: Matrix);
+    /// Read the dataset at an HDFS path.
+    fn hdfs_read(&mut self, path: &str) -> Result<Matrix, ExecError>;
+    /// Write a dataset to an HDFS path.
+    fn hdfs_write(&mut self, path: &str, m: Matrix);
     /// Capture one printed line.
     fn print(&mut self, line: String);
     /// `(pool-resident bytes, limit)` when an OOM limit is configured.
@@ -229,32 +231,32 @@ fn reserve_generated<S: OperandStore>(
 /// Execute one CP operation against `store`.
 pub(crate) fn eval_op<S: OperandStore>(
     store: &mut S,
-    op: &VmOp,
+    op: &OpCode,
     args: &[S::Arg],
     out: Option<&S::Out>,
 ) -> Result<(), ExecError> {
     match op {
-        VmOp::PRead { path } => {
-            let m = store.hdfs_read(*path)?;
+        OpCode::PersistentRead { path } => {
+            let m = store.hdfs_read(path)?;
             if let Some(out) = out {
                 store.bind_matrix(out, m, false);
             }
             Ok(())
         }
-        VmOp::PWrite { path } => {
+        OpCode::PersistentWrite { path } => {
             let m = with_matrix(store, &args[0], Matrix::clone)?;
-            store.hdfs_write(*path, m);
+            store.hdfs_write(path, m);
             store.mark_clean(&args[0]);
             Ok(())
         }
-        VmOp::DataGenConst => {
+        OpCode::DataGenConst => {
             let v = store.scalar_num(&args[0])?;
             let rows = store.scalar_num(&args[1])? as usize;
             let cols = store.scalar_num(&args[2])? as usize;
             reserve_generated(store, rows, cols, if v == 0.0 { 0.0 } else { 1.0 })?;
             store.put_matrix(out, Matrix::constant(rows, cols, v))
         }
-        VmOp::DataGenSeq => {
+        OpCode::DataGenSeq => {
             let from = store.scalar_num(&args[0])?;
             let to = store.scalar_num(&args[1])?;
             let by = if args.len() > 2 {
@@ -269,7 +271,7 @@ pub(crate) fn eval_op<S: OperandStore>(
                 Matrix::Dense(reml_matrix::generate::seq_by(from, to, by)),
             )
         }
-        VmOp::DataGenRand => {
+        OpCode::DataGenRand => {
             let rows = store.scalar_num(&args[0])? as usize;
             let cols = store.scalar_num(&args[1])? as usize;
             let sparsity = store.scalar_num(&args[2])?;
@@ -286,66 +288,66 @@ pub(crate) fn eval_op<S: OperandStore>(
             };
             store.put_matrix(out, m)
         }
-        VmOp::MatMult => {
+        OpCode::MatMult => {
             let m = with_matrices(store, args, |a, b| a.matmult(b))?;
             store.put_matrix(out, m)
         }
-        VmOp::Tsmm => {
+        OpCode::Tsmm => {
             let m = with_matrix(store, &args[0], |a| a.tsmm())?;
             store.put_matrix(out, m)
         }
-        VmOp::MatMultTransLeft => {
+        OpCode::MatMultTransLeft => {
             let m = with_matrices(store, args, |a, b| a.transpose().matmult(b))?;
             store.put_matrix(out, m)
         }
-        VmOp::MmChain => {
+        OpCode::MmChain => {
             // t(X) %*% (X %*% v): operands [X, v].
             let m = with_matrices(store, args, |x, v| x.transpose().matmult(&x.matmult(v)?))?;
             store.put_matrix(out, m)
         }
-        VmOp::Solve => {
+        OpCode::Solve => {
             let m = with_matrices(store, args, |a, b| a.solve(b))?;
             store.put_matrix(out, m)
         }
-        VmOp::Transpose => {
+        OpCode::Transpose => {
             let m = with_matrix(store, &args[0], Matrix::transpose)?;
             store.put_matrix(out, m)
         }
-        VmOp::Diag => {
+        OpCode::Diag => {
             let m = with_matrix(store, &args[0], Matrix::diag)?;
             store.put_matrix(out, m)
         }
-        VmOp::BinaryMM(op) => {
+        OpCode::BinaryMM(op) => {
             let m = with_matrices(store, args, |a, b| binary_mm(*op, a, b))?;
             store.put_matrix(out, m)
         }
-        VmOp::BinaryMS(op) => {
+        OpCode::BinaryMS(op) => {
             store.touch(&args[0])?;
             let s = store.scalar_num(&args[1])?;
             let m = store.peek(&args[0])?.binary_scalar(*op, s);
             store.put_matrix(out, m)
         }
-        VmOp::BinarySM(op) => {
+        OpCode::BinarySM(op) => {
             let s = store.scalar_num(&args[0])?;
             let m = with_matrix(store, &args[1], |a| a.scalar_binary(*op, s))?;
             store.put_matrix(out, m)
         }
-        VmOp::BinarySS(op) => {
+        OpCode::BinarySS(op) => {
             let a = store.scalar(&args[0])?;
             let b = store.scalar(&args[1])?;
             store.put_scalar(out, binary_ss(*op, &a, &b)?);
             Ok(())
         }
-        VmOp::UnaryM(op) => {
+        OpCode::UnaryM(op) => {
             let m = with_matrix(store, &args[0], |a| a.unary(*op))?;
             store.put_matrix(out, m)
         }
-        VmOp::UnaryS(op) => {
+        OpCode::UnaryS(op) => {
             let v = store.scalar_num(&args[0])?;
             store.put_scalar(out, ScalarValue::Num(op.apply(v)));
             Ok(())
         }
-        VmOp::Agg(op) => {
+        OpCode::Agg(op) => {
             let agg = with_matrix(store, &args[0], |a| a.aggregate(*op))?;
             if op.is_full_reduction() {
                 store.put_scalar(out, ScalarValue::Num(agg.as_scalar()?));
@@ -354,19 +356,19 @@ pub(crate) fn eval_op<S: OperandStore>(
                 store.put_matrix(out, agg)
             }
         }
-        VmOp::TableSeq => {
+        OpCode::TableSeq => {
             let m = with_matrix(store, &args[0], |y| {
                 reml_matrix::generate::table_seq(&y.to_dense())
             })??;
             store.put_matrix(out, m)
         }
-        VmOp::RightIndex => {
+        OpCode::RightIndex => {
             let (rows, cols) = with_matrix(store, &args[0], |a| (a.rows(), a.cols()))?;
             let (rl, rh, cl, ch) = index_bounds(store, &args[1..5], rows, cols)?;
             let m = store.peek(&args[0])?.slice(rl, rh, cl, ch)?;
             store.put_matrix(out, m)
         }
-        VmOp::LeftIndex => {
+        OpCode::LeftIndex => {
             store.touch(&args[0])?;
             store.touch(&args[1])?;
             let mut d = store.peek(&args[0])?.to_dense();
@@ -393,34 +395,34 @@ pub(crate) fn eval_op<S: OperandStore>(
             }
             store.put_matrix(out, Matrix::from_dense_auto(d))
         }
-        VmOp::Append => {
+        OpCode::Append => {
             let m = with_matrices(store, args, |a, b| a.cbind(b))?;
             store.put_matrix(out, m)
         }
-        VmOp::AppendR => {
+        OpCode::AppendR => {
             let m = with_matrices(store, args, |a, b| a.rbind(b))?;
             store.put_matrix(out, m)
         }
-        VmOp::NRow => {
+        OpCode::NRow => {
             let rows = with_matrix(store, &args[0], Matrix::rows)?;
             store.put_scalar(out, ScalarValue::Num(rows as f64));
             Ok(())
         }
-        VmOp::NCol => {
+        OpCode::NCol => {
             let cols = with_matrix(store, &args[0], Matrix::cols)?;
             store.put_scalar(out, ScalarValue::Num(cols as f64));
             Ok(())
         }
-        VmOp::CastScalar => {
+        OpCode::CastScalar => {
             let v = with_matrix(store, &args[0], Matrix::as_scalar)??;
             store.put_scalar(out, ScalarValue::Num(v));
             Ok(())
         }
-        VmOp::CastMatrix => {
+        OpCode::CastMatrix => {
             let v = store.scalar_num(&args[0])?;
             store.put_matrix(out, Matrix::constant(1, 1, v))
         }
-        VmOp::Assign => match store.held_scalar(&args[0]) {
+        OpCode::Assign => match store.held_scalar(&args[0]) {
             Some(v) => {
                 store.put_scalar(out, v);
                 Ok(())
@@ -430,7 +432,7 @@ pub(crate) fn eval_op<S: OperandStore>(
                 store.put_matrix(out, m)
             }
         },
-        VmOp::Concat => {
+        OpCode::Concat => {
             let a = store.scalar(&args[0])?;
             let b = store.scalar(&args[1])?;
             store.put_scalar(
@@ -439,17 +441,14 @@ pub(crate) fn eval_op<S: OperandStore>(
             );
             Ok(())
         }
-        VmOp::Print => {
+        OpCode::Print => {
             let v = store.scalar(&args[0])?;
             store.print(v.render());
             Ok(())
         }
-        VmOp::RmVar => {
+        OpCode::RmVar => {
             args.iter().for_each(|arg| store.unbind(arg));
             Ok(())
-        }
-        VmOp::Fused { .. } | VmOp::MrJob { .. } => {
-            unreachable!("VM-only forms are dispatched before the CP table")
         }
     }
 }

@@ -28,7 +28,7 @@ use reml_matrix::{DenseMatrix, Matrix};
 
 use crate::bufferpool::{BufferPool, SlotId};
 use crate::executor::{
-    timed, ExecError, ExecStats, MemObservation, RecompileHook, MAX_WHILE_ITERATIONS,
+    for_trip_count, ExecError, ExecStats, MemObservation, RecompileHook, MAX_LOOP_ITERATIONS,
 };
 use crate::hdfs::HdfsStore;
 use crate::ops::{binary_mm, eval_op, scalar_as_matrix, OperandStore};
@@ -57,6 +57,19 @@ struct ResolvedStep {
     mats: Vec<FusedMatIn>,
     /// The scalar operand of an MS/SM step.
     scalar: Option<f64>,
+}
+
+/// Run `f`, measuring its wall time in nanoseconds when a wall-clock
+/// trace recorder or `observe` asks for it (0 otherwise). Under a
+/// deterministic (sim-clock) recorder the measurement is skipped so
+/// traces stay bit-reproducible. The flag says whether the time belongs
+/// in a per-opcode trace histogram.
+fn timed<T>(observe: bool, f: impl FnOnce() -> T) -> (T, u64, bool) {
+    let trace_timed = reml_trace::enabled() && !reml_trace::deterministic();
+    let t0 = (trace_timed || observe).then(std::time::Instant::now);
+    let result = f();
+    let wall_ns = t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
+    (result, wall_ns, trace_timed)
 }
 
 /// The bytecode VM executor. One executor runs one program (plus any
@@ -233,8 +246,8 @@ impl VmExecutor {
                 let mut iters = 0usize;
                 while self.eval_predicate(t, pred)? {
                     iters += 1;
-                    if iters > MAX_WHILE_ITERATIONS {
-                        return Err(ExecError::RunawayLoop(MAX_WHILE_ITERATIONS));
+                    if iters > MAX_LOOP_ITERATIONS {
+                        return Err(ExecError::RunawayLoop(MAX_LOOP_ITERATIONS));
                     }
                     self.stats.loop_iterations += 1;
                     for b in body {
@@ -251,14 +264,12 @@ impl VmExecutor {
             } => {
                 let from_v = self.eval_predicate_num(t, from)?;
                 let to_v = self.eval_predicate_num(t, to)?;
-                let mut i = from_v;
-                while i <= to_v {
-                    SlotStore { vm: self, t }.bind_scalar(var, ScalarValue::Num(i));
+                for k in 0..for_trip_count(from_v, to_v)? {
+                    SlotStore { vm: self, t }.bind_scalar(var, ScalarValue::Num(from_v + k as f64));
                     self.stats.loop_iterations += 1;
                     for b in body {
                         self.run_block(t, b, hook)?;
                     }
-                    i += 1.0;
                 }
                 Ok(())
             }
@@ -354,7 +365,7 @@ impl VmExecutor {
         for op in &job.ops {
             self.execute_core(t, op)?;
         }
-        for &(sym, path) in &job.outputs {
+        for &sym in &job.outputs {
             if !self.pool.touch_slot(self.slot(sym)) {
                 return Err(ExecError::UnknownVariable(t.symbols.name(sym).to_string()));
             }
@@ -363,7 +374,7 @@ impl VmExecutor {
                 .peek_slot(self.slot(sym))
                 .expect("just touched")
                 .clone();
-            self.hdfs.write(t.strings[path as usize].clone(), m);
+            self.hdfs.write(format!("tmp/{}", t.symbols.name(sym)), m);
             self.pool.mark_clean_slot(self.slot(sym));
         }
         Ok(())
@@ -377,9 +388,10 @@ impl VmExecutor {
     /// shared table.
     fn execute_core(&mut self, t: &Tables<'_>, instr: &VmInstr) -> Result<(), ExecError> {
         let mut store = SlotStore { vm: self, t };
-        match instr.op {
-            VmOp::Fused { spec } => store.execute_fused(&t.fused[spec as usize], instr.out),
-            ref op => eval_op(&mut store, op, &instr.args, instr.out.as_ref()),
+        match &instr.op {
+            VmOp::Cp(op) => eval_op(&mut store, op, &instr.args, instr.out.as_ref()),
+            VmOp::Fused { spec } => store.execute_fused(&t.fused[*spec as usize], instr.out),
+            VmOp::MrJob { .. } => unreachable!("MR jobs are dispatched by execute_instr"),
         }
     }
 }
@@ -457,16 +469,15 @@ impl OperandStore for SlotStore<'_> {
         }
     }
 
-    fn hdfs_read(&mut self, path: u32) -> Result<Matrix, ExecError> {
-        let path = &self.t.strings[path as usize];
+    fn hdfs_read(&mut self, path: &str) -> Result<Matrix, ExecError> {
         self.vm
             .hdfs
             .read(path)
-            .ok_or_else(|| ExecError::MissingInput(path.clone()))
+            .ok_or_else(|| ExecError::MissingInput(path.to_string()))
     }
 
-    fn hdfs_write(&mut self, path: u32, m: Matrix) {
-        self.vm.hdfs.write(self.t.strings[path as usize].clone(), m);
+    fn hdfs_write(&mut self, path: &str, m: Matrix) {
+        self.vm.hdfs.write(path, m);
     }
 
     fn print(&mut self, line: String) {

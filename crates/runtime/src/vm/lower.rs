@@ -1,12 +1,14 @@
 //! One-time lowering of a [`RuntimeProgram`] into a [`VmProgram`].
 //!
 //! This is the symbol-resolution pass: every variable name is interned to
-//! a `u32` symbol id, every literal moves into the constant pool, every
-//! HDFS path into the string pool, and per-instruction observation
-//! metadata (mnemonic, predicted bytes, touched set) is precomputed into
-//! the [`InstrMeta`] side table. When fusion is enabled, straight-line
-//! blocks additionally run the peephole planner from [`super::fuse`] and
-//! lower each chain to a single [`VmOp::Fused`] instruction.
+//! a `u32` symbol id, every literal moves into the constant pool, and
+//! per-instruction observation metadata (mnemonic, predicted bytes,
+//! touched set) is precomputed into the [`InstrMeta`] side table. Opcodes
+//! are copied, not translated: a CP instruction lowers to
+//! [`VmOp::Cp`] around its own [`OpCode`]. When fusion is enabled,
+//! straight-line blocks additionally run the peephole planner (the
+//! private `fuse` module) and lower each chain to a single
+//! [`VmOp::Fused`] instruction.
 
 use crate::instructions::{CpInstruction, Instruction, MrOperator, OpCode};
 use crate::program::{Predicate, RtBlock, RuntimeProgram};
@@ -36,7 +38,6 @@ pub fn lower_program(program: &RuntimeProgram, options: VmLowerOptions) -> VmPro
     let mut lw = Lowerer {
         symbols: SymbolTable::default(),
         consts: Vec::new(),
-        strings: Vec::new(),
         metas: Vec::new(),
         fused: Vec::new(),
         mr_jobs: Vec::new(),
@@ -55,7 +56,6 @@ pub fn lower_program(program: &RuntimeProgram, options: VmLowerOptions) -> VmPro
     let lowered = VmProgram {
         symbols: lw.symbols,
         consts: lw.consts,
-        strings: lw.strings,
         metas: lw.metas,
         fused: lw.fused,
         mr_jobs: lw.mr_jobs,
@@ -75,8 +75,6 @@ pub struct VmFragment {
     pub symbols: SymbolTable,
     /// Fragment-local constant pool.
     pub consts: Vec<crate::value::ScalarValue>,
-    /// Fragment-local string pool.
-    pub strings: Vec<String>,
     /// Fragment-local metadata table.
     pub metas: Vec<InstrMeta>,
     /// Fragment-local fused specs.
@@ -92,7 +90,6 @@ impl VmFragment {
         Tables {
             symbols: &self.symbols,
             consts: &self.consts,
-            strings: &self.strings,
             metas: &self.metas,
             fused: &self.fused,
             mr_jobs: &self.mr_jobs,
@@ -112,7 +109,6 @@ pub fn lower_fragment(
     let mut lw = Lowerer {
         symbols: base_symbols.extend_clone(),
         consts: Vec::new(),
-        strings: Vec::new(),
         metas: Vec::new(),
         fused: Vec::new(),
         mr_jobs: Vec::new(),
@@ -124,7 +120,6 @@ pub fn lower_fragment(
     let fragment = VmFragment {
         symbols: lw.symbols,
         consts: lw.consts,
-        strings: lw.strings,
         metas: lw.metas,
         fused: lw.fused,
         mr_jobs: lw.mr_jobs,
@@ -137,7 +132,6 @@ pub fn lower_fragment(
 struct Lowerer {
     symbols: SymbolTable,
     consts: Vec<crate::value::ScalarValue>,
-    strings: Vec<String>,
     metas: Vec<InstrMeta>,
     fused: Vec<FusedSpec>,
     mr_jobs: Vec<VmMrJob>,
@@ -238,11 +232,6 @@ impl Lowerer {
         }
     }
 
-    fn intern_string(&mut self, s: &str) -> u32 {
-        self.strings.push(s.to_string());
-        (self.strings.len() - 1) as u32
-    }
-
     fn push_meta(&mut self, meta: InstrMeta) -> u32 {
         self.metas.push(meta);
         (self.metas.len() - 1) as u32
@@ -261,11 +250,7 @@ impl Lowerer {
                 let outputs = job
                     .outputs
                     .iter()
-                    .map(|(name, _)| {
-                        let sym = self.symbols.intern(name);
-                        let path = self.intern_string(&format!("tmp/{name}"));
-                        (sym, path)
-                    })
+                    .map(|(name, _)| self.symbols.intern(name))
                     .collect();
                 self.mr_jobs.push(VmMrJob { ops, outputs });
                 let job_idx = (self.mr_jobs.len() - 1) as u32;
@@ -290,12 +275,11 @@ impl Lowerer {
     }
 
     fn lower_cp(&mut self, cp: &CpInstruction) -> VmInstr {
-        let op = vm_op(&cp.opcode, |path| self.intern_string(path));
         let args: Box<[Arg]> = cp.operands.iter().map(|o| self.lower_arg(o)).collect();
         let out = cp.output.as_deref().map(|n| self.symbols.intern(n));
         let meta = self.push_meta(self.cp_meta(cp));
         VmInstr {
-            op,
+            op: VmOp::Cp(cp.opcode.clone()),
             args,
             out,
             meta,
@@ -307,7 +291,6 @@ impl Lowerer {
     /// are neither individually timed nor observed, matching the tree
     /// executor.
     fn lower_mr_op(&mut self, op: &MrOperator) -> VmInstr {
-        let vop = vm_op(&op.opcode, |path| self.intern_string(path));
         let args: Box<[Arg]> = op.operands.iter().map(|o| self.lower_arg(o)).collect();
         let out = op.output.as_deref().map(|n| self.symbols.intern(n));
         let meta = self.push_meta(InstrMeta {
@@ -321,7 +304,7 @@ impl Lowerer {
             constituents: Box::new([]),
         });
         VmInstr {
-            op: vop,
+            op: VmOp::Cp(op.opcode.clone()),
             args,
             out,
             meta,
@@ -455,47 +438,6 @@ impl Lowerer {
             out: Some(out),
             meta,
         }
-    }
-}
-
-/// The [`VmOp`] of an [`OpCode`]: the same vocabulary with path strings
-/// replaced by whatever index `intern` assigns them. Lowering interns
-/// into the string pool; the reference tree walker calls this per
-/// instruction to reach the shared op table.
-pub(crate) fn vm_op<'a>(opcode: &'a OpCode, intern: impl FnOnce(&'a str) -> u32) -> VmOp {
-    match opcode {
-        OpCode::PersistentRead { path } => VmOp::PRead { path: intern(path) },
-        OpCode::PersistentWrite { path } => VmOp::PWrite { path: intern(path) },
-        OpCode::DataGenConst => VmOp::DataGenConst,
-        OpCode::DataGenSeq => VmOp::DataGenSeq,
-        OpCode::DataGenRand => VmOp::DataGenRand,
-        OpCode::MatMult => VmOp::MatMult,
-        OpCode::MatMultTransLeft => VmOp::MatMultTransLeft,
-        OpCode::Tsmm => VmOp::Tsmm,
-        OpCode::MmChain => VmOp::MmChain,
-        OpCode::Solve => VmOp::Solve,
-        OpCode::Transpose => VmOp::Transpose,
-        OpCode::Diag => VmOp::Diag,
-        OpCode::BinaryMM(op) => VmOp::BinaryMM(*op),
-        OpCode::BinaryMS(op) => VmOp::BinaryMS(*op),
-        OpCode::BinarySM(op) => VmOp::BinarySM(*op),
-        OpCode::BinarySS(op) => VmOp::BinarySS(*op),
-        OpCode::UnaryM(op) => VmOp::UnaryM(*op),
-        OpCode::UnaryS(op) => VmOp::UnaryS(*op),
-        OpCode::Agg(op) => VmOp::Agg(*op),
-        OpCode::TableSeq => VmOp::TableSeq,
-        OpCode::RightIndex => VmOp::RightIndex,
-        OpCode::LeftIndex => VmOp::LeftIndex,
-        OpCode::Append => VmOp::Append,
-        OpCode::AppendR => VmOp::AppendR,
-        OpCode::NRow => VmOp::NRow,
-        OpCode::NCol => VmOp::NCol,
-        OpCode::CastScalar => VmOp::CastScalar,
-        OpCode::CastMatrix => VmOp::CastMatrix,
-        OpCode::Assign => VmOp::Assign,
-        OpCode::Concat => VmOp::Concat,
-        OpCode::Print => VmOp::Print,
-        OpCode::RmVar => VmOp::RmVar,
     }
 }
 

@@ -18,12 +18,16 @@
 //! * per-instruction metadata (mnemonic, `vm.op.*` metric name, memory
 //!   prediction, touched-variable set) is precomputed into a side table,
 //!   so the hot loop allocates no strings;
-//! * a peephole pass ([`fuse`]) collapses chains of elementwise
-//!   operations over single-use temporaries into one fused instruction
-//!   executed over a single flat buffer with one output allocation.
+//! * a peephole pass (the private `fuse` module) collapses chains of
+//!   elementwise operations over single-use temporaries into one fused
+//!   instruction executed over a single flat buffer with one output
+//!   allocation.
 //!
-//! What each opcode does is shared with the tree walker (the crate's
-//! `ops::eval_op` table, instantiated here over slots). The tree walker
+//! There is one opcode vocabulary: a lowered CP instruction carries its
+//! [`OpCode`](crate::instructions::OpCode) verbatim inside [`VmOp::Cp`];
+//! only fused chains and MR jobs are VM-only forms. What each opcode does
+//! is shared with the tree walker (the crate's `ops::eval_op` table,
+//! dispatching on `OpCode`, instantiated here over slots). The tree walker
 //! remains the *differential reference* for everything this module adds
 //! around that table — lowering, slot frames, fragments, fusion: the VM
 //! is bit-identical on values (printed output, scalars, matrices

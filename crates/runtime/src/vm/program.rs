@@ -2,17 +2,18 @@
 //!
 //! A [`VmProgram`] is the lowered form of a
 //! [`RuntimeProgram`](crate::program::RuntimeProgram): every variable
-//! name, path string, and literal has been resolved once at load time
-//! into a compact `u32` index, so the executor's hot loop never hashes a
-//! string. Instruction side data that only matters off the hot path
-//! (mnemonics, compile-time characteristics, memory bounds) lives in a
-//! separate [`InstrMeta`] table referenced by index.
+//! name and literal has been resolved once at load time into a compact
+//! `u32` index, so the executor's hot loop never hashes a variable name.
+//! Instruction side data that only matters off the hot path (mnemonics,
+//! compile-time characteristics, memory bounds) lives in a separate
+//! [`InstrMeta`] table referenced by index.
 
 use std::collections::HashMap;
 
 use reml_lang::BlockId;
-use reml_matrix::{AggOp, BinaryOp, UnaryOp};
+use reml_matrix::{BinaryOp, UnaryOp};
 
+use crate::instructions::OpCode;
 use crate::value::ScalarValue;
 
 /// Interned variable names: a bijection between names and dense `u32`
@@ -99,81 +100,14 @@ pub enum Arg {
     Const(u32),
 }
 
-/// VM operation. Mirrors [`OpCode`](crate::instructions::OpCode) with
-/// strings replaced by string-table indices, plus the two VM-only forms:
-/// fused elementwise chains and MR jobs by table index.
+/// VM operation: a CP opcode — the one [`OpCode`] vocabulary the
+/// compiler emits and the cost model prices, carried verbatim — or one of
+/// the two VM-only forms, fused elementwise chains and MR jobs by table
+/// index.
 #[derive(Debug, Clone, PartialEq)]
 pub enum VmOp {
-    /// Read a persistent dataset (path by string-table index).
-    PRead {
-        /// String-table index of the HDFS path.
-        path: u32,
-    },
-    /// Write a variable to HDFS (path by string-table index).
-    PWrite {
-        /// String-table index of the HDFS path.
-        path: u32,
-    },
-    /// `matrix(value, rows, cols)`.
-    DataGenConst,
-    /// `seq(from, to[, by])`.
-    DataGenSeq,
-    /// `rand(rows, cols, sparsity, seed)`.
-    DataGenRand,
-    /// Matrix multiply.
-    MatMult,
-    /// `t(A) %*% B` fused physical operator.
-    MatMultTransLeft,
-    /// `t(X) %*% X`.
-    Tsmm,
-    /// `t(X) %*% (X %*% v)`.
-    MmChain,
-    /// Dense linear solve.
-    Solve,
-    /// Transpose.
-    Transpose,
-    /// Diagonal extract/expand.
-    Diag,
-    /// Elementwise matrix-matrix binary.
-    BinaryMM(BinaryOp),
-    /// Matrix op scalar.
-    BinaryMS(BinaryOp),
-    /// Scalar op matrix.
-    BinarySM(BinaryOp),
-    /// Scalar op scalar.
-    BinarySS(BinaryOp),
-    /// Elementwise unary on a matrix.
-    UnaryM(UnaryOp),
-    /// Unary on a scalar.
-    UnaryS(UnaryOp),
-    /// Aggregation.
-    Agg(AggOp),
-    /// `table(seq(1, nrow(y)), y)`.
-    TableSeq,
-    /// Right indexing.
-    RightIndex,
-    /// Left indexing.
-    LeftIndex,
-    /// cbind.
-    Append,
-    /// rbind.
-    AppendR,
-    /// `nrow(X)`.
-    NRow,
-    /// `ncol(X)`.
-    NCol,
-    /// Cast 1×1 matrix to scalar.
-    CastScalar,
-    /// Cast scalar to 1×1 matrix.
-    CastMatrix,
-    /// Copy/rename.
-    Assign,
-    /// String concatenation.
-    Concat,
-    /// Print.
-    Print,
-    /// Remove variables.
-    RmVar,
+    /// A CP opcode, executed through the shared op-semantics table.
+    Cp(OpCode),
     /// Fused elementwise chain ([`FusedSpec`] by table index).
     Fused {
         /// Index into the program's fused-spec table.
@@ -305,9 +239,8 @@ pub struct FusedSpec {
 pub struct VmMrJob {
     /// Map then reduce operators, lowered.
     pub ops: Vec<VmInstr>,
-    /// Job outputs: (symbol id, string-table index of the `tmp/<name>`
-    /// export path).
-    pub outputs: Vec<(u32, u32)>,
+    /// Job outputs by symbol id, each exported to HDFS as `tmp/<name>`.
+    pub outputs: Vec<u32>,
 }
 
 /// A compiled predicate: straight-line code plus the result symbol.
@@ -379,8 +312,6 @@ pub struct VmProgram {
     pub symbols: SymbolTable,
     /// Literal pool.
     pub consts: Vec<ScalarValue>,
-    /// String pool (HDFS paths).
-    pub strings: Vec<String>,
     /// Instruction metadata side table.
     pub metas: Vec<InstrMeta>,
     /// Fused-chain specs.
@@ -401,7 +332,6 @@ pub struct VmProgram {
 pub(crate) struct Tables<'a> {
     pub(crate) symbols: &'a SymbolTable,
     pub(crate) consts: &'a [ScalarValue],
-    pub(crate) strings: &'a [String],
     pub(crate) metas: &'a [InstrMeta],
     pub(crate) fused: &'a [FusedSpec],
     pub(crate) mr_jobs: &'a [VmMrJob],
@@ -412,7 +342,6 @@ impl VmProgram {
         Tables {
             symbols: &self.symbols,
             consts: &self.consts,
-            strings: &self.strings,
             metas: &self.metas,
             fused: &self.fused,
             mr_jobs: &self.mr_jobs,

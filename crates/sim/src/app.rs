@@ -460,12 +460,7 @@ impl<'a> SimState<'a> {
                     else_blocks,
                 } => {
                     self.charge_predicate();
-                    let konst = fold_predicate_with_env(
-                        self.analyzed,
-                        &self.current_cfg(),
-                        pred,
-                        &self.env,
-                    )?;
+                    let konst = fold_predicate_with_env(&self.current_cfg(), pred, &self.env)?;
                     match konst.and_then(|v| v.as_bool()) {
                         Some(true) => self.sim_blocks(then_blocks)?,
                         Some(false) => self.sim_blocks(else_blocks)?,
@@ -475,12 +470,7 @@ impl<'a> SimState<'a> {
                             // the then branch's definitions into the
                             // environment so later compiles see them.
                             let mut then_env = self.env.clone();
-                            propagate_blocks_env(
-                                self.analyzed,
-                                &self.current_cfg(),
-                                then_blocks,
-                                &mut then_env,
-                            )?;
+                            propagate_blocks_env(&self.current_cfg(), then_blocks, &mut then_env)?;
                             self.sim_blocks(else_blocks)?;
                             self.env =
                                 reml_compiler::build::merge_env_branches(&then_env, &self.env);
@@ -681,9 +671,7 @@ impl<'a> SimState<'a> {
             .cluster
             .budget_mb_for_heap(self.resources.cp_heap_mb);
         if needed_mb as f64 > frac.clamp(0.0, 1.0) * budget_mb as f64 {
-            let op = format!("{:?}", cp.opcode);
-            let op = op.split([' ', '{', '(']).next().unwrap_or("").to_string();
-            Some((op, needed_mb))
+            Some((opcode_tag(&cp.opcode), needed_mb))
         } else {
             None
         }
@@ -1128,7 +1116,8 @@ fn decision_opt_overhead_s() -> f64 {
     0.5
 }
 
-/// Short opcode tag for causal-node labels (`MatMult { .. }` → "MatMult").
+/// Short opcode tag for causal-node labels and OOM events
+/// (`MatMult { .. }` → "MatMult").
 fn opcode_tag(op: &OpCode) -> String {
     let s = format!("{op:?}");
     s.split([' ', '{', '(']).next().unwrap_or("op").to_string()

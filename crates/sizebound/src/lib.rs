@@ -11,7 +11,7 @@
 //!
 //! The abstract domain is a product of three intervals `[lo, hi]` with
 //! `hi = None` meaning unbounded ([`DimInterval`], [`SizeBound`]).
-//! Transfer functions ([`transfer`]) are monotone over the interval
+//! Transfer functions ([`transfer()`]) are monotone over the interval
 //! lattice for every HOP operator; `if`/`else` merges take the hull
 //! join; `while`/`for` loop heads apply widening (`lo → 0`,
 //! `hi → None` on growth), which reaches a fixpoint in a bounded number
@@ -19,13 +19,13 @@
 //!
 //! Consumers:
 //!
-//! * [`annotate`] stamps every CP instruction with the summed byte bound
+//! * [`annotate()`] stamps every CP instruction with the summed byte bound
 //!   over its distinct touched variables
 //!   ([`CpInstruction::bound_bytes`](reml_runtime::instructions::CpInstruction)),
 //!   which the executor copies into its memory observations — the
 //!   `sim::audit` differential harness then asserts
 //!   `actual ≤ sound_bound` for every instruction.
-//! * [`lint`] runs the PL030 rule family (catalogued in `reml-planlint`):
+//! * [`lint()`] runs the PL030 rule family (catalogued in `reml-planlint`):
 //!   PL030 (bound below point estimate — an internal inconsistency),
 //!   PL031 (CP placement justified only by the point estimate), PL032
 //!   (forced-CP operator provably over budget).

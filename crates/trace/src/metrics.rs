@@ -147,7 +147,7 @@ impl MetricSnapshot {
 }
 
 /// The metric registry. One global instance lives behind
-/// [`crate::metrics`]; tests may construct private ones.
+/// [`crate::metrics()`]; tests may construct private ones.
 #[derive(Default)]
 pub struct Registry {
     counters: Mutex<HashMap<String, Arc<Counter>>>,

@@ -497,8 +497,23 @@ fn every_opcode_through_both_stores() {
     assert!(!tree.matrices.contains_key("Xa") && !tree.scalars.contains_key("one"));
 }
 
+/// Run a program the three ways: all must fail, with the same typed
+/// error.
+fn failing_program(program: &RuntimeProgram) -> ExecError {
+    let tree = run_tree(program, HdfsStore::new())
+        .map(drop)
+        .expect_err("must fail");
+    for fuse in [false, true] {
+        let vm = run_vm(program, HdfsStore::new(), fuse)
+            .map(drop)
+            .expect_err("must fail");
+        assert_eq!(tree, vm, "fuse={fuse}");
+    }
+    tree
+}
+
 /// A block of hand-written instructions over a 3x3 `A`, run the three
-/// ways: all must fail, with the same typed error.
+/// ways.
 fn failing(instructions: Vec<Instruction>) -> ExecError {
     let mut body = vec![cp(
         OpCode::DataGenConst,
@@ -506,20 +521,17 @@ fn failing(instructions: Vec<Instruction>) -> ExecError {
         "A",
     )];
     body.extend(instructions);
-    let program = RuntimeProgram {
+    failing_program(&RuntimeProgram {
         blocks: vec![generic(body)],
         ..Default::default()
-    };
-    let tree = run_tree(&program, HdfsStore::new())
-        .map(drop)
-        .expect_err("must fail");
-    for fuse in [false, true] {
-        let vm = run_vm(&program, HdfsStore::new(), fuse)
-            .map(drop)
-            .expect_err("must fail");
-        assert_eq!(tree, vm, "fuse={fuse}");
-    }
-    tree
+    })
+}
+
+/// A DML script compiled with no inputs, run the three ways.
+fn failing_script(source: &str) -> ExecError {
+    let cfg = CompileConfig::new(ClusterConfig::paper_cluster(), 4 * 1024, 1024);
+    let compiled = compile_source(source, &cfg).expect("script compiles");
+    failing_program(&compiled.runtime)
 }
 
 #[test]
@@ -573,4 +585,19 @@ fn oversized_datagen_is_a_typed_error_before_allocating() {
         "B",
     )]);
     assert!(matches!(err, ExecError::OutOfMemory { .. }), "{err:?}");
+}
+
+#[test]
+fn unbounded_for_loop_is_a_typed_error_not_a_hang() {
+    // Counting up to infinity by `i += 1.0` stalls at 2^53; a NaN or
+    // infinite bound on either side is refused before the first iteration.
+    for range in ["1:(1/0)", "(-1/0):1", "1:(0/0)"] {
+        let err = failing_script(&format!(
+            "s = 0\nfor (i in {range}) {{ s = s + i }}\nprint(s)"
+        ));
+        assert!(matches!(err, ExecError::TypeError(_)), "{range}: {err:?}");
+    }
+    // A finite range over the cap shared with `while` loops.
+    let err = failing_script("s = 0\nfor (i in 1:1e15) { s = s + i }\nprint(s)");
+    assert!(matches!(err, ExecError::RunawayLoop(_)), "{err:?}");
 }
