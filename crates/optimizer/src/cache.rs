@@ -1,11 +1,10 @@
 //! Shared grid-walk stages and cost memoization over a what-if session.
 //!
-//! Algorithm 1's inner loop — baseline compile, per-block MR
-//! enumeration, aggregate compile-and-cost — used to be duplicated
-//! across the serial optimizer, the parallel task system, offer
-//! evaluation, and runtime re-optimization. This module holds the
-//! single implementation of those stages; each optimizer front end only
-//! decides *which* grid points to walk and in what order. All
+//! Algorithm 1's inner loop is three stages — baseline compile,
+//! per-block MR enumeration, aggregate compile-and-cost — and this
+//! module holds their single implementation; `ResourceOptimizer::
+//! walk_point` runs them in that order for one CP grid point, on
+//! whichever of the `workers` threads claimed it. All
 //! compilation goes through the [`WhatIfSession`]'s breakpoint-keyed
 //! caches, and per-block costing is memoized here keyed by
 //! `(block, r_c, rⁱ)` (the cost model reads the actual heap sizes, not
@@ -13,11 +12,10 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use reml_compiler::session::{PlanHandle, WhatIfSession};
+use reml_compiler::session::WhatIfSession;
 use reml_compiler::{CompileError, MrHeapAssignment};
 use reml_cost::VarStates;
 use reml_runtime::Instruction;
@@ -35,8 +33,8 @@ pub(crate) struct CostMemo {
     runs: AtomicU64,
     hits: AtomicU64,
     /// Wall time inside actual cost-model executions, microseconds (the
-    /// "cost" column of the Table 3 phase split). Shared atomics so the
-    /// parallel optimizer's workers accumulate into the same totals.
+    /// "cost" column of the Table 3 phase split). Shared atomics so all
+    /// walking threads accumulate into the same totals.
     cost_us: AtomicU64,
     /// Wall time inside the grid-walk stages (baseline/enum/agg) overall,
     /// microseconds; enumerate time = stage time − cost time.
@@ -112,8 +110,8 @@ impl CostMemo {
     }
 
     /// Wall time spent inside grid-walk stages so far, microseconds.
-    /// Under the parallel optimizer this sums across workers, so it can
-    /// exceed the elapsed wall time — it is CPU time spent enumerating.
+    /// With `workers > 1` this sums across threads, so it can exceed the
+    /// elapsed wall time — it is CPU time spent enumerating.
     pub(crate) fn stage_time_us(&self) -> u64 {
         self.stage_us.load(Ordering::Relaxed)
     }
@@ -152,7 +150,7 @@ fn debug_verify_plan(
     memo: &CostMemo,
     rc: u64,
     mr_heap: &MrHeapAssignment,
-    plan: &PlanHandle,
+    plan: &reml_compiler::session::PlanHandle,
 ) {
     let req: PlanReq = (
         rc,
@@ -214,9 +212,6 @@ fn debug_verify_plan(
 
 /// Output of the baseline stage for one CP grid point.
 pub(crate) struct BaselineOut {
-    /// The `(r_c, min)` plan.
-    #[allow(dead_code)]
-    pub plan: Arc<PlanHandle>,
     /// `(block id, baseline cost)` for every unpruned block with a
     /// recorded entry environment.
     pub blocks: Vec<(usize, f64)>,
@@ -249,7 +244,6 @@ pub(crate) fn stage_baseline(
         blocks.push((bid, cost));
     }
     Ok(BaselineOut {
-        plan,
         blocks,
         blocks_total,
     })

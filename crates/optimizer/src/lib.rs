@@ -14,9 +14,9 @@
 //! * [`grid`] — grid-point generators: equi-spaced, exponentially spaced,
 //!   memory-based (compiler estimates), and the hybrid composite (§3.3.2);
 //! * [`optimizer`] — Algorithm 1 with program-aware pruning (§3.4) and
-//!   memoization, plus the optimization-time budget;
-//! * [`parallel`] — the task-parallel master/worker optimizer of
-//!   Appendix C, exploiting the semi-independent-problems property;
+//!   memoization, plus the optimization-time budget; `workers` threads
+//!   walk the CP grid's semi-independent `r_c` problems (§3.2,
+//!   Appendix C) through one per-point routine;
 //! * [`adapt`] — runtime resource adaptation: re-optimization scope
 //!   expansion, the ΔC vs C_M migration decision, and migration cost
 //!   estimation (§4);
@@ -24,7 +24,7 @@
 //!   formulation (§2.3): evaluate concrete resource offers with the same
 //!   what-if machinery.
 //!
-//! All four optimizer front ends (serial, parallel, offers, adaptation)
+//! All three optimizer front ends (the grid walk, offers, adaptation)
 //! enumerate through one `reml_compiler::session::WhatIfSession` per
 //! optimization round: what-if compilations are cached keyed by
 //! *decision fingerprints* (the interval of the memory budget between
@@ -44,7 +44,6 @@ mod cache;
 pub mod grid;
 pub mod offers;
 pub mod optimizer;
-pub mod parallel;
 pub mod provenance;
 pub mod resources;
 

@@ -15,6 +15,7 @@ use reml_compiler::pipeline::AnalyzedProgram;
 use reml_compiler::session::WhatIfSession;
 use reml_compiler::{CompileConfig, CompileError};
 
+use crate::cache::improves;
 use crate::optimizer::ResourceOptimizer;
 use crate::resources::ResourceConfig;
 
@@ -52,7 +53,8 @@ pub fn choose_offer(
     // same decision intervals) share compiled plans.
     let session = WhatIfSession::new(analyzed, base, scope, optimizer.config.plan_cache)?;
     let mut costs_s = Vec::with_capacity(offers.len());
-    let mut best: Option<(usize, f64)> = None;
+    let mut accepted = None;
+    let mut best: Option<(ResourceConfig, f64)> = None;
     for (idx, offer) in offers.iter().enumerate() {
         let plan = session.compile_plan(offer.cp_heap_mb, &offer.mr_heap)?;
         let heap_of = offer.mr_heap.clone();
@@ -63,25 +65,18 @@ pub fn choose_offer(
             })
             .total_s();
         costs_s.push(cost);
-        let better = match &best {
+        // The first acceptable offer must beat declining; after that,
+        // offers compete under Definition 1 like grid points do.
+        let better = match best {
             None => cost < reservation_cost_s,
-            Some((best_idx, best_cost)) => {
-                let tie = (cost - best_cost).abs() <= 0.001 * best_cost.max(1e-9);
-                if tie {
-                    offer.magnitude(cc) < offers[*best_idx].magnitude(cc)
-                } else {
-                    cost < *best_cost
-                }
-            }
+            Some(_) => improves(&best, offer, cost, cc),
         };
         if better {
-            best = Some((idx, cost));
+            accepted = Some(idx);
+            best = Some((offer.clone(), cost));
         }
     }
-    Ok(OfferDecision {
-        accepted: best.map(|(idx, _)| idx),
-        costs_s,
-    })
+    Ok(OfferDecision { accepted, costs_s })
 }
 
 #[cfg(test)]

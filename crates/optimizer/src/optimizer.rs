@@ -2,6 +2,7 @@
 //! enumerated through a what-if compilation session (plan caching).
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use reml_compiler::build::Env;
@@ -29,7 +30,8 @@ pub struct OptimizerConfig {
     pub prune_unknown: bool,
     /// Optimization-time budget; enumeration stops when exceeded.
     pub time_budget: Option<Duration>,
-    /// Worker threads for the parallel optimizer (1 = serial Algorithm 1).
+    /// Threads walking the CP grid, the caller included (1 = serial
+    /// Algorithm 1, nothing is spawned).
     pub workers: usize,
     /// Serve what-if compilations from the session's breakpoint-keyed
     /// plan cache (§3.3 memoization). Disable to force a fresh
@@ -87,7 +89,7 @@ pub struct OptimizerStats {
     pub sound_min_cp_budget_mb: Option<f64>,
     /// Phase split of `opt_time` (Table 3's enumeration-vs-costing
     /// attribution): wall time enumerating/compiling grid points,
-    /// seconds. Under the parallel optimizer this sums worker CPU time,
+    /// seconds. With `workers > 1` this sums over the walking threads,
     /// so the phases can exceed the elapsed `opt_time`.
     pub enumerate_s: f64,
     /// Wall time inside cost-model executions, seconds.
@@ -157,27 +159,39 @@ pub struct OptimizationResult {
 }
 
 /// State of one grid walk, opened by [`ResourceOptimizer::begin_walk`]
-/// and consumed by [`ResourceOptimizer::finish_walk`]; the serial loop
-/// and the parallel task scheduler differ only in how they fill the
-/// per-point candidates in between.
+/// and consumed by [`ResourceOptimizer::finish_walk`]; in between, the
+/// `workers` threads of [`ResourceOptimizer::optimize_scope`] share it
+/// by reference, one [`ResourceOptimizer::walk_point`] per CP grid point.
 pub(crate) struct GridWalk<'a> {
     start: Instant,
     /// When the optimization-time budget runs out.
-    pub(crate) deadline: Option<Instant>,
+    deadline: Option<Instant>,
     /// The what-if session every grid point compiles through.
-    pub(crate) session: WhatIfSession<'a>,
+    session: WhatIfSession<'a>,
     /// Per-block cost memo shared by all stages.
-    pub(crate) memo: CostMemo,
+    memo: CostMemo,
     /// CP grid after soundness pruning — the points actually walked.
-    pub(crate) src: Vec<u64>,
+    src: Vec<u64>,
     /// MR grid.
-    pub(crate) srm: Vec<u64>,
+    srm: Vec<u64>,
     /// The generated (pre-pruning) CP grid: the ledger's key space.
     full_grid: Vec<u64>,
     prune_s: f64,
     /// Counters filled along the walk.
-    pub(crate) stats: OptimizerStats,
+    stats: OptimizerStats,
     _span: reml_trace::SpanGuard,
+}
+
+/// What [`ResourceOptimizer::walk_point`] found at one CP grid point.
+struct PointOut {
+    /// The aggregated `(configuration, cost)` at this `r_c`.
+    candidate: (ResourceConfig, f64),
+    /// Generic-block count before pruning.
+    blocks_total: usize,
+    /// Generic blocks left after pruning (§3.4).
+    blocks_remaining: usize,
+    /// The deadline passed during this point's MR enumeration.
+    cut: bool,
 }
 
 /// The resource optimizer over a cost model.
@@ -200,9 +214,8 @@ impl ResourceOptimizer {
 
     /// Optimizer whose grid walk prices plans with a trace-fitted
     /// calibration profile attached (see `reml_cost::calibrate`). The
-    /// profile flows through every enumeration stage — including the
-    /// parallel workers, which clone the model (and the shared `Arc`)
-    /// cheaply. Opcodes absent from the profile are priced analytically.
+    /// profile flows through every enumeration stage, on every walking
+    /// thread. Opcodes absent from the profile are priced analytically.
     pub fn with_calibration(
         cost_model: CostModel,
         profile: std::sync::Arc<reml_cost::CalibrationProfile>,
@@ -210,8 +223,9 @@ impl ResourceOptimizer {
         ResourceOptimizer::new(cost_model.with_calibration(profile))
     }
 
-    /// Optimize the resource configuration for a program
-    /// (Algorithm 1 / Appendix C when `workers > 1`).
+    /// Optimize the resource configuration for a program (Algorithm 1;
+    /// `workers > 1` walks Appendix C's semi-independent `r_c` problems
+    /// concurrently).
     ///
     /// `base` provides params/inputs; its heap fields are ignored.
     /// `current_cp_heap` requests the `R*|r_c` local optimum as well
@@ -236,18 +250,114 @@ impl ResourceOptimizer {
         scope: Option<(usize, &Env)>,
         current_cp_heap: Option<u64>,
     ) -> Result<OptimizationResult, CompileError> {
-        if self.config.workers > 1 {
-            crate::parallel::optimize_parallel(self, analyzed, base, scope, current_cp_heap)
-        } else {
-            self.optimize_serial(analyzed, base, scope, current_cp_heap)
+        let mut walk = self.begin_walk(analyzed, base, scope)?;
+        // Grid indices are claimed in ascending order; `stop` ends the
+        // claims once the budget ran out or a point failed to compile.
+        let next = AtomicUsize::new(0);
+        let stop = AtomicBool::new(false);
+        let claim_points = || {
+            let mut outs = Vec::new();
+            while !stop.load(Ordering::SeqCst) {
+                let late = walk.deadline.is_some_and(|d| Instant::now() > d);
+                let rc_idx = next.fetch_add(1, Ordering::SeqCst);
+                let Some(&rc) = walk.src.get(rc_idx) else {
+                    break;
+                };
+                // The first point is walked even on an exhausted budget
+                // (without its MR enumeration), so a valid, if unrefined,
+                // configuration always comes out.
+                if late && rc_idx > 0 {
+                    stop.store(true, Ordering::SeqCst);
+                    break;
+                }
+                let out = self.walk_point(&walk, rc, late);
+                let go_on = !late && matches!(out, Ok(PointOut { cut: false, .. }));
+                if !go_on {
+                    stop.store(true, Ordering::SeqCst);
+                }
+                outs.push((rc_idx, out));
+            }
+            outs
+        };
+        // The caller is one of the `workers`: with one, nothing is spawned
+        // and this is the serial loop of Algorithm 1.
+        let spawned = self.config.workers.min(walk.src.len()).saturating_sub(1);
+        let mut outs = std::thread::scope(|threads| {
+            let handles: Vec<_> = (0..spawned).map(|_| threads.spawn(claim_points)).collect();
+            let mut outs = claim_points();
+            for handle in handles {
+                outs.extend(
+                    handle
+                        .join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                );
+            }
+            outs
+        });
+        outs.sort_unstable_by_key(|&(rc_idx, _)| rc_idx);
+
+        // Aggregated (config, cost) per walked grid point; the
+        // lowest-index compile error fails the walk.
+        let mut candidates: Vec<Option<(ResourceConfig, f64)>> = vec![None; walk.src.len()];
+        for (rc_idx, out) in outs {
+            let out = out?;
+            if rc_idx == 0 {
+                walk.stats.blocks_total = out.blocks_total;
+                walk.stats.blocks_remaining = out.blocks_remaining;
+            }
+            candidates[rc_idx] = Some(out.candidate);
         }
+        walk.stats.budget_exhausted = stop.into_inner();
+        self.finish_walk(walk, &candidates, current_cp_heap)
     }
 
-    /// Everything the serial and the parallel grid walk share before the
-    /// first grid point: the what-if session with its probe compile
-    /// (Step 2 of Figure 3 — program info and memory estimates for grid
-    /// generation, and the seed of the plan cache), the two grids, the
-    /// soundness pruning of the CP one, and the walk span.
+    /// One CP grid point, start to finish — the unit of §3.2's
+    /// semi-independent problems: baseline compile at `(rc, min)` (unrolls
+    /// P into blocks, prunes per §3.4, seeds the per-block costs), MR
+    /// enumeration per remaining block, then the whole-program compile at
+    /// the per-block optima and its global costing (loops and branches
+    /// included). `skip_enum` leaves every block at its baseline.
+    fn walk_point(
+        &self,
+        walk: &GridWalk<'_>,
+        rc: u64,
+        skip_enum: bool,
+    ) -> Result<PointOut, CompileError> {
+        let min_heap = self.cost_model.cluster.min_heap_mb();
+        let bl = stage_baseline(self, &walk.session, &walk.memo, rc)?;
+        let mut enums: BTreeMap<usize, (u64, f64)> = BTreeMap::new();
+        let mut cut = false;
+        for &(bid, baseline_cost) in &bl.blocks {
+            // Once the deadline cut one block's enumeration short, the
+            // rest stay at their baseline.
+            let mut found = (min_heap, baseline_cost);
+            if !(skip_enum || cut) {
+                (found, cut) = stage_enum_block(
+                    self,
+                    &walk.session,
+                    &walk.memo,
+                    &walk.srm,
+                    walk.deadline,
+                    rc,
+                    bid,
+                    baseline_cost,
+                );
+            }
+            enums.insert(bid, found);
+        }
+        Ok(PointOut {
+            candidate: stage_agg(self, &walk.session, &walk.memo, rc, &enums)?,
+            blocks_total: bl.blocks_total,
+            blocks_remaining: bl.blocks.len(),
+            cut,
+        })
+    }
+
+    /// Everything before the first grid point: the what-if session with
+    /// its probe compile (Step 2 of Figure 3 — program info and memory
+    /// estimates for grid generation, and the seed of the plan cache),
+    /// the two grids, the soundness pruning of the CP one, and the walk
+    /// span.
     pub(crate) fn begin_walk<'a>(
         &self,
         analyzed: &'a AnalyzedProgram,
@@ -366,73 +476,6 @@ impl ResourceOptimizer {
             stats,
             ledger,
         })
-    }
-
-    fn optimize_serial(
-        &self,
-        analyzed: &AnalyzedProgram,
-        base: &CompileConfig,
-        scope: Option<(usize, &Env)>,
-        current_cp_heap: Option<u64>,
-    ) -> Result<OptimizationResult, CompileError> {
-        let mut walk = self.begin_walk(analyzed, base, scope)?;
-        let min_heap = self.cost_model.cluster.min_heap_mb();
-        // Aggregated (config, cost) per walked grid point.
-        let mut candidates: Vec<Option<(ResourceConfig, f64)>> = vec![None; walk.src.len()];
-
-        for (rc_idx, &rc) in walk.src.iter().enumerate() {
-            let mut exhausted = walk.deadline.is_some_and(|d| Instant::now() > d);
-            if exhausted && rc_idx > 0 {
-                walk.stats.budget_exhausted = true;
-                break;
-            }
-            // Baseline compilation at (rc, min) — unrolls P into blocks,
-            // prunes (§3.4), and seeds the per-block memo.
-            let bl = stage_baseline(self, &walk.session, &walk.memo, rc)?;
-            if rc_idx == 0 {
-                walk.stats.blocks_total = bl.blocks_total;
-                walk.stats.blocks_remaining = bl.blocks.len();
-            }
-            let mut enums: BTreeMap<usize, (u64, f64)> = BTreeMap::new();
-            for &(bid, cost) in &bl.blocks {
-                enums.entry(bid).or_insert((min_heap, cost));
-            }
-
-            // Enumerate the second dimension per block — skipped when the
-            // budget is already exhausted, so a valid (if unrefined)
-            // configuration still comes out of the aggregation below.
-            if !exhausted {
-                for &(bid, baseline_cost) in &bl.blocks {
-                    let (found, cut) = stage_enum_block(
-                        self,
-                        &walk.session,
-                        &walk.memo,
-                        &walk.srm,
-                        walk.deadline,
-                        rc,
-                        bid,
-                        baseline_cost,
-                    );
-                    let entry = enums.get_mut(&bid).expect("memo seeded at baseline");
-                    if found.1 < entry.1 {
-                        *entry = found;
-                    }
-                    if cut {
-                        exhausted = true;
-                        break;
-                    }
-                }
-            }
-
-            // Whole-program compile at the memoized assignment and global
-            // costing (takes loops/branches into account).
-            candidates[rc_idx] = Some(stage_agg(self, &walk.session, &walk.memo, rc, &enums)?);
-            if exhausted {
-                walk.stats.budget_exhausted = true;
-                break;
-            }
-        }
-        self.finish_walk(walk, &candidates, current_cp_heap)
     }
 
     /// Soundness pruning of the CP grid: run the interval analysis over
@@ -661,22 +704,35 @@ mod tests {
         // leak out of the MR loop only, silently continuing with the next
         // CP point. Now exhaustion propagates to the outer loop — and a
         // budget that is exhausted before any point is evaluated still
-        // produces a valid (baseline-only) configuration.
+        // produces a valid (baseline-only) configuration. That holds for
+        // any worker count: only the first grid point is ever walked, so
+        // four workers return exactly what one does.
         let script = reml_scripts::glm();
         let (analyzed, base) = setup(&script, Scenario::M, 1000, 1.0);
-        let mut opt = optimizer();
-        opt.config.time_budget = Some(Duration::ZERO);
-        let r = opt.optimize(&analyzed, &base, None).unwrap();
-        assert!(r.stats.budget_exhausted);
-        assert!(r.best_cost_s > 0.0);
-        // Only the probe, one baseline, and one aggregate were compiled.
         let full = optimizer().optimize(&analyzed, &base, None).unwrap();
-        assert!(
-            r.stats.block_compilations < full.stats.block_compilations,
-            "{} vs {}",
-            r.stats.block_compilations,
-            full.stats.block_compilations
-        );
+        let mut walked = Vec::new();
+        for workers in [1, 4] {
+            let mut opt = optimizer();
+            opt.config.time_budget = Some(Duration::ZERO);
+            opt.config.workers = workers;
+            let r = opt.optimize(&analyzed, &base, None).unwrap();
+            assert!(r.stats.budget_exhausted, "workers={workers}");
+            assert!(r.best_cost_s > 0.0);
+            // Only the probe, one baseline, and one aggregate were compiled.
+            assert!(
+                r.stats.block_compilations < full.stats.block_compilations,
+                "workers={workers}: {} vs {}",
+                r.stats.block_compilations,
+                full.stats.block_compilations
+            );
+            walked.push((
+                r.best,
+                r.best_cost_s.to_bits(),
+                r.ledger,
+                r.stats.block_compilations,
+            ));
+        }
+        assert_eq!(walked[0], walked[1]);
     }
 
     #[test]
@@ -760,7 +816,7 @@ mod tests {
         );
         assert!(cc.budget_mb_for_heap(result.best.cp_heap_mb) as f64 >= sound_min);
 
-        // The parallel path prunes identically and stays bit-identical.
+        // Four workers walk the same pruned grid and stay bit-identical.
         let mut par = optimizer();
         par.config.workers = 4;
         let rp = par.optimize(&analyzed, &base, None).unwrap();
@@ -818,7 +874,7 @@ mod tests {
                 assert!(*delta_s >= -0.001 * r.best_cost_s || *tie);
             }
         }
-        // The parallel path builds the identical ledger.
+        // Four workers build the identical ledger.
         let mut par = optimizer();
         par.config.workers = 4;
         let rp = par.optimize(&analyzed, &base, None).unwrap();
@@ -844,5 +900,77 @@ mod tests {
         assert!(result.stats.cost_invocations > 0);
         assert!(result.stats.cp_points >= 2);
         assert!(result.stats.opt_time > Duration::ZERO);
+    }
+
+    #[test]
+    fn parallel_identical_to_serial_bit_for_bit() {
+        // Every worker runs the same per-point routine and candidates are
+        // folded in grid order, so the worker count is invisible in the
+        // result: the full configuration (including per-block MR
+        // overrides), the cost, the local optimum and the ledger match
+        // the one-worker walk exactly — also with about as many workers
+        // as the hybrid grid has CP points.
+        for ctor in [
+            reml_scripts::linreg_ds,
+            reml_scripts::linreg_cg,
+            reml_scripts::l2svm,
+            reml_scripts::glm,
+            reml_scripts::mlogreg,
+        ] {
+            let script = ctor();
+            let (analyzed, base) = setup(&script, Scenario::M, 1000, 1.0);
+            let min_heap = ClusterConfig::paper_cluster().min_heap_mb();
+            let walk = |workers: usize| {
+                let mut opt = optimizer();
+                opt.config.workers = workers;
+                let r = opt.optimize(&analyzed, &base, Some(min_heap)).unwrap();
+                (
+                    r.best,
+                    r.best_cost_s.to_bits(),
+                    r.best_local.map(|(c, s)| (c, s.to_bits())),
+                    r.ledger,
+                )
+            };
+            let serial = walk(1);
+            for workers in [2, 4, 8] {
+                assert_eq!(serial, walk(workers), "{} x{workers}", script.name);
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_on_glm_counts_work() {
+        let script = reml_scripts::glm();
+        let (analyzed, base) = setup(&script, Scenario::M, 1000, 1.0);
+        let mut par = optimizer();
+        par.config.workers = 4;
+        let r = par.optimize(&analyzed, &base, None).unwrap();
+        assert!(r.stats.block_compilations > 0);
+        assert!(r.best_cost_s > 0.0);
+    }
+
+    #[test]
+    fn parallel_local_optimum_reported() {
+        let script = reml_scripts::linreg_cg();
+        let (analyzed, base) = setup(&script, Scenario::S, 1000, 1.0);
+        let cc = ClusterConfig::paper_cluster();
+        let mut par = optimizer();
+        par.config.workers = 4;
+        let r = par
+            .optimize(&analyzed, &base, Some(cc.min_heap_mb()))
+            .unwrap();
+        let (local, _) = r.best_local.expect("local requested");
+        assert_eq!(local.cp_heap_mb, cc.min_heap_mb());
+    }
+
+    #[test]
+    fn parallel_shares_the_plan_cache_across_workers() {
+        let script = reml_scripts::linreg_ds();
+        let (analyzed, base) = setup(&script, Scenario::M, 1000, 1.0);
+        let mut par = optimizer();
+        par.config.workers = 4;
+        let r = par.optimize(&analyzed, &base, None).unwrap();
+        assert!(r.stats.plan_cache_hits > 0, "{:?}", r.stats);
+        assert!(r.stats.compilations_avoided > 0);
     }
 }

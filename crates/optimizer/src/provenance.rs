@@ -10,8 +10,8 @@
 //! optimizer. `reml_insight::explain` renders the ledger as the chosen
 //! plan, the top-k runner-ups, and the marginal-resource analysis.
 //!
-//! Both optimizer front ends (serial and parallel) build the ledger from
-//! the same candidate buffers through `build_ledger`, after the best
+//! Whatever the worker count, the grid walk builds the ledger from its
+//! grid-ordered candidate buffer through `build_ledger`, after the best
 //! configuration is folded — the ledger is derived from, and can never
 //! perturb, the optimization outcome.
 

@@ -127,9 +127,9 @@ impl RecompileHook for NoRecompile {
 
 /// Hard safety bound on the iterations of one loop, `while` or `for`
 /// (scripts in this repo all converge or carry explicit maxiter bounds far
-/// below this). Shared with the bytecode VM so both walkers abort
-/// identically.
-pub(crate) const MAX_LOOP_ITERATIONS: usize = 100_000;
+/// below this). Shared with the bytecode VM and the cluster simulator so
+/// all three walkers refuse the same loops.
+pub const MAX_LOOP_ITERATIONS: usize = 100_000;
 
 /// Trip count of `for (i in from:to)`, decided before the first
 /// iteration: counting up by `i += 1.0` never terminates on an infinite

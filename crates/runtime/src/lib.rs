@@ -43,7 +43,9 @@ pub mod value;
 pub mod vm;
 
 pub use bufferpool::{BufferPool, BufferPoolStats};
-pub use executor::{ExecStats, Executor, MemObservation, MigrationReport, RecompileHook};
+pub use executor::{
+    ExecStats, Executor, MemObservation, MigrationReport, RecompileHook, MAX_LOOP_ITERATIONS,
+};
 pub use hdfs::HdfsStore;
 pub use instructions::{
     CpInstruction, Instruction, MrJobInstruction, MrLocation, MrOperator, OpCode,

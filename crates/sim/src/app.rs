@@ -450,6 +450,25 @@ impl<'a> SimState<'a> {
         );
     }
 
+    /// Iterations to simulate for the loop at `id`: the compiler's hint,
+    /// else the scenario default. A count the executors would refuse with
+    /// `ExecError::RunawayLoop` is refused here too, instead of spinning.
+    fn loop_iterations(&self, id: BlockId) -> Result<u64, CompileError> {
+        let iters = self
+            .hints
+            .get(&id.0)
+            .copied()
+            .unwrap_or(self.facts.default_inner_iterations)
+            .max(1);
+        if iters > reml_runtime::MAX_LOOP_ITERATIONS as u64 {
+            return Err(CompileError::Unsupported(format!(
+                "loop of {iters} iterations exceeds the runtime's limit of {}",
+                reml_runtime::MAX_LOOP_ITERATIONS
+            )));
+        }
+        Ok(iters)
+    }
+
     fn sim_blocks(&mut self, blocks: &'a [StatementBlock]) -> Result<(), CompileError> {
         for block in blocks {
             match &block.kind {
@@ -478,28 +497,16 @@ impl<'a> SimState<'a> {
                     }
                 }
                 StatementBlockKind::While { body, .. } => {
-                    let iters = self
-                        .hints
-                        .get(&block.id.0)
-                        .copied()
-                        .unwrap_or(self.facts.default_inner_iterations)
-                        .max(1);
-                    for _ in 0..iters {
+                    for _ in 0..self.loop_iterations(block.id)? {
                         self.charge_predicate();
                         self.sim_blocks(body)?;
                     }
                     self.charge_predicate(); // final check
                 }
                 StatementBlockKind::For { var, body, .. } => {
-                    let iters = self
-                        .hints
-                        .get(&block.id.0)
-                        .copied()
-                        .unwrap_or(self.facts.default_inner_iterations)
-                        .max(1);
                     self.env
                         .insert(var.clone(), reml_compiler::build::VarInfo::scalar());
-                    for _ in 0..iters {
+                    for _ in 0..self.loop_iterations(block.id)? {
                         self.sim_blocks(body)?;
                     }
                 }
@@ -1560,6 +1567,30 @@ mod tests {
         collect_markers(&blocks, &mut marked, &mut hints);
         assert!(marked.contains(&1));
         assert_eq!(hints.get(&0), Some(&4));
+    }
+
+    #[test]
+    fn runaway_loop_is_refused_not_simulated() {
+        // A trip count the executors refuse (`ExecError::RunawayLoop`) is
+        // reachable from DML text; simulating it iteration by iteration
+        // would spin for years. The time box turns a regression into a
+        // failure instead of a hung test run.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let analyzed = analyze_program("s = 0;\nfor (i in 1:1e12) { s = s + i; }\nprint(s);")
+                .expect("valid DML");
+            let base = CompileConfig::new(ClusterConfig::paper_cluster(), 512, 512);
+            let out = sim().run_app(
+                &analyzed,
+                &base,
+                &SimConfig::fixed(ResourceConfig::uniform(512, 512)),
+            );
+            let _ = done_tx.send(out.map(|o| o.elapsed_s));
+        });
+        let out = done_rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("run_app returns within the time box");
+        assert!(matches!(out, Err(CompileError::Unsupported(_))), "{out:?}");
     }
 
     #[test]
