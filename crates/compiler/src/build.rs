@@ -69,7 +69,7 @@ impl VarInfo {
 }
 
 /// The inter-block symbol environment.
-pub type Env = BTreeMap<String, VarInfo>;
+pub type Env = BTreeMap<std::sync::Arc<str>, VarInfo>;
 
 /// Merge environments after a conditional: sizes keep only agreed
 /// components; constants survive only when equal.
@@ -259,7 +259,7 @@ impl<'a> BlockBuilder<'a> {
     pub fn build_predicate(
         mut self,
         expr: &Expr,
-        env: &mut Env,
+        env: &Env,
     ) -> Result<(BuiltDag, HopId, Option<ScalarValue>), CompileError> {
         let root = self.build_expr(expr, env)?;
         let konst = self.consts.get(&root).cloned();
@@ -283,7 +283,12 @@ impl<'a> BlockBuilder<'a> {
             mc: hop.mc,
             konst: self.consts.get(&id).cloned(),
         };
-        env.insert(name.to_string(), info);
+        match env.get_mut(name) {
+            Some(slot) => *slot = info,
+            None => {
+                env.insert(name.into(), info);
+            }
+        }
     }
 
     /// Resolve a variable to a hop: intra-block binding or transient read.
@@ -575,7 +580,11 @@ impl<'a> BlockBuilder<'a> {
                         } else {
                             Some(if f <= t { 1.0 } else { -1.0 })
                         };
-                        by.map(|b| (((t - f) / b).floor().max(0.0) as u64) + 1)
+                        // Unknown for a non-finite range (the runtime
+                        // refuses it), saturating for a huge one.
+                        by.map(|b| ((t - f) / b).floor())
+                            .filter(|steps| steps.is_finite())
+                            .map(|steps| (steps.max(0.0) as u64).saturating_add(1))
                     }
                     _ => None,
                 };
@@ -1325,10 +1334,8 @@ mod tests {
         let Statement::Assign { expr, .. } = &program.statements[0] else {
             panic!()
         };
-        let mut env = Env::new();
-        let (_, _, konst) = BlockBuilder::new(&cfg)
-            .build_predicate(expr, &mut env)
-            .unwrap();
+        let env = Env::new();
+        let (_, _, konst) = BlockBuilder::new(&cfg).build_predicate(expr, &env).unwrap();
         assert_eq!(konst, Some(ScalarValue::Bool(false)));
     }
 

@@ -7,6 +7,7 @@
 //! elimination through a structural hash map.
 
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 use reml_matrix::{AggOp, BinaryOp, MatrixCharacteristics, UnaryOp};
 
@@ -127,13 +128,33 @@ impl HopOp {
         ) || matches!(self, HopOp::Agg(a) if !a.is_full_reduction())
     }
 
-    /// Structural hash key for CSE (None for ops that must not be merged,
-    /// i.e. sinks and writes).
-    fn cse_key(&self) -> Option<String> {
-        match self {
-            HopOp::TWrite(_) | HopOp::PWrite(_) | HopOp::Print => None,
-            other => Some(format!("{other:?}")),
+    /// Whether CSE may merge this operator (sinks and writes never merge).
+    fn mergeable(&self) -> bool {
+        !matches!(self, HopOp::TWrite(_) | HopOp::PWrite(_) | HopOp::Print)
+    }
+
+    /// CSE identity: equal exactly when the `Debug` renderings are, which
+    /// for a number means the same bits, every NaN alike.
+    fn cse_eq(&self, other: &HopOp) -> bool {
+        match (self, other) {
+            (HopOp::LitNum(a), HopOp::LitNum(b)) => {
+                a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+            }
+            (a, b) => a == b,
         }
+    }
+
+    /// A hash consistent with [`HopOp::cse_eq`].
+    fn cse_hash(&self, inputs: &[HopId]) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        std::mem::discriminant(self).hash(&mut h);
+        match self {
+            HopOp::TRead(s) | HopOp::PRead(s) | HopOp::LitStr(s) => s.hash(&mut h),
+            HopOp::LitNum(v) if !v.is_nan() => v.to_bits().hash(&mut h),
+            _ => {}
+        }
+        inputs.hash(&mut h);
+        h.finish()
     }
 }
 
@@ -167,12 +188,45 @@ pub struct CseHit {
     pub merged_into: HopId,
 }
 
+/// Every mergeable `(op, inputs)` added to a DAG, as it was added (a
+/// rewrite that later changes a node in place does not change what it is
+/// found under), chained by [`HopOp::cse_hash`].
+#[derive(Debug, Clone, Default)]
+struct CseIndex {
+    /// First entry of each hash chain.
+    heads: HashMap<u64, usize>,
+    /// `(op, its inputs in `inputs`, node, next entry of the chain)`.
+    entries: Vec<(HopOp, std::ops::Range<usize>, HopId, Option<usize>)>,
+    inputs: Vec<HopId>,
+}
+
+impl CseIndex {
+    fn find(&self, hash: u64, op: &HopOp, inputs: &[HopId]) -> Option<HopId> {
+        let mut at = self.heads.get(&hash).copied();
+        while let Some(i) = at {
+            let (o, range, id, next) = &self.entries[i];
+            if o.cse_eq(op) && self.inputs[range.clone()] == *inputs {
+                return Some(*id);
+            }
+            at = *next;
+        }
+        None
+    }
+
+    fn insert(&mut self, hash: u64, op: HopOp, inputs: &[HopId], id: HopId) {
+        let start = self.inputs.len();
+        self.inputs.extend_from_slice(inputs);
+        let next = self.heads.insert(hash, self.entries.len());
+        self.entries.push((op, start..self.inputs.len(), id, next));
+    }
+}
+
 /// A HOP DAG for one generic block or predicate.
 #[derive(Debug, Clone, Default)]
 pub struct HopDag {
     /// Nodes in topological (construction) order.
     pub hops: Vec<Hop>,
-    cse: HashMap<(String, Vec<HopId>), HopId>,
+    cse: CseIndex,
     /// CSE hits during construction.
     pub cse_hits: u64,
     /// Audit log of every CSE merge, in occurrence order.
@@ -204,37 +258,28 @@ impl HopDag {
         vtype: VType,
         mc: MatrixCharacteristics,
     ) -> HopId {
-        if let Some(key) = op.cse_key() {
-            if let Some(&existing) = self.cse.get(&(key.clone(), inputs.clone())) {
+        let id = HopId(self.hops.len());
+        if op.mergeable() {
+            let hash = op.cse_hash(&inputs);
+            if let Some(existing) = self.cse.find(hash, &op, &inputs) {
                 self.cse_hits += 1;
                 self.cse_log.push(CseHit {
-                    key,
+                    key: format!("{op:?}"),
                     inputs,
                     merged_into: existing,
                 });
                 return existing;
             }
-            let id = HopId(self.hops.len());
-            self.cse.insert((key, inputs.clone()), id);
-            self.hops.push(Hop {
-                op,
-                inputs,
-                vtype,
-                mc,
-                mem_mb: 0.0,
-            });
-            id
-        } else {
-            let id = HopId(self.hops.len());
-            self.hops.push(Hop {
-                op,
-                inputs,
-                vtype,
-                mc,
-                mem_mb: 0.0,
-            });
-            id
+            self.cse.insert(hash, op.clone(), &inputs, id);
         }
+        self.hops.push(Hop {
+            op,
+            inputs,
+            vtype,
+            mc,
+            mem_mb: 0.0,
+        });
+        id
     }
 
     /// Immutable node access.

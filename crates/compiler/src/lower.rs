@@ -94,7 +94,7 @@ impl<'a> Lowering<'a> {
         let live = self.dag.live_hops(&root_ids);
 
         // Consumer map over live hops.
-        let mut consumers: HashMap<HopId, Vec<HopId>> = HashMap::new();
+        let mut consumers: HashMap<HopId, Vec<HopId>> = HashMap::with_capacity(live.len());
         for &id in &live {
             for &input in &self.dag.hop(id).inputs {
                 consumers.entry(input).or_default().push(id);
@@ -102,7 +102,7 @@ impl<'a> Lowering<'a> {
         }
 
         // Phase 1: execution decisions + fusion set.
-        let mut exec: HashMap<HopId, ExecType> = HashMap::new();
+        let mut exec: HashMap<HopId, ExecType> = HashMap::with_capacity(live.len());
         let mut fused: HashSet<HopId> = HashSet::new();
         let mut requires_recompile = false;
         let mut mem_estimates = Vec::new();
@@ -138,12 +138,12 @@ impl<'a> Lowering<'a> {
         }
 
         // Phase 2: emission.
-        let mut out: Vec<Instruction> = Vec::new();
+        let mut out: Vec<Instruction> = Vec::with_capacity(live.len());
         let mut pending: Vec<MrOpPlan> = Vec::new();
         let mut pending_set: HashSet<HopId> = HashSet::new();
         // Hops consumed by CP instructions or block outputs: used by the
         // packer to decide job outputs.
-        let mut external: HashSet<HopId> = HashSet::new();
+        let mut external: HashSet<HopId> = HashSet::with_capacity(live.len());
         for &id in &live {
             let hop = self.dag.hop(id);
             for &input in &hop.inputs {
@@ -319,18 +319,17 @@ impl<'a> Lowering<'a> {
         }
         if candidates.len() <= 12 {
             // All subset sums of two or more candidates (singletons are
-            // already covered by the size thresholds above).
-            for mask in 1u32..(1u32 << candidates.len()) {
-                if mask.count_ones() < 2 {
-                    continue;
+            // already covered by the size thresholds above), in mask
+            // order. A mask's sum is the sum of its lower bits plus its
+            // highest candidate: the additions of summing its candidates
+            // in index order, each done once.
+            let mut sums = vec![0.0f64; 1 << candidates.len()];
+            for mask in 1..sums.len() {
+                let high = mask.ilog2() as usize;
+                sums[mask] = sums[mask ^ (1 << high)] + candidates[high];
+                if mask.count_ones() >= 2 {
+                    out.push(sums[mask]);
                 }
-                let sum: f64 = candidates
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| mask & (1 << *i) != 0)
-                    .map(|(_, s)| *s)
-                    .sum();
-                out.push(sum);
             }
         } else {
             for i in 0..candidates.len() {

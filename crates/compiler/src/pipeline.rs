@@ -338,9 +338,8 @@ pub fn fold_predicate_with_env(
     pred: &Expr,
     env: &Env,
 ) -> Result<Option<ScalarValue>, CompileError> {
-    let mut env2 = env.clone();
     let builder = BlockBuilder::new(config);
-    let (_, _, konst) = builder.build_predicate(pred, &mut env2)?;
+    let (_, _, konst) = builder.build_predicate(pred, env)?;
     Ok(konst)
 }
 
@@ -468,14 +467,14 @@ impl<'a> Walker<'a> {
                     let to_rt = self.compile_predicate(block.id, to, env)?;
                     let env0 = env.clone();
                     // Loop variable: scalar with unknown value.
-                    env.insert(var.clone(), VarInfo::scalar());
+                    env.insert(var.as_str().into(), VarInfo::scalar());
                     let mut env1 = env.clone();
                     self.propagate_blocks(body, &mut env1)?;
                     *env = relax_loop_env(env, &env1);
-                    env.insert(var.clone(), VarInfo::scalar());
+                    env.insert(var.as_str().into(), VarInfo::scalar());
                     let body_rt = self.walk_blocks(body, env)?;
                     *env = merge_env_branches(&env0, env);
-                    env.insert(var.clone(), VarInfo::scalar());
+                    env.insert(var.as_str().into(), VarInfo::scalar());
                     out.push(RtBlock::For {
                         source: block.id,
                         var: var.clone(),
@@ -524,11 +523,11 @@ impl<'a> Walker<'a> {
                 }
                 StatementBlockKind::For { var, body, .. } => {
                     let env0 = env.clone();
-                    env.insert(var.clone(), VarInfo::scalar());
+                    env.insert(var.as_str().into(), VarInfo::scalar());
                     let mut env1 = env.clone();
                     self.propagate_blocks(body, &mut env1)?;
                     *env = merge_env_branches(&env0, &relax_loop_env(env, &env1));
-                    env.insert(var.clone(), VarInfo::scalar());
+                    env.insert(var.as_str().into(), VarInfo::scalar());
                 }
             }
         }
@@ -607,9 +606,8 @@ impl<'a> Walker<'a> {
 
     /// Fold a predicate to a constant when possible (without emitting).
     fn fold_predicate(&self, pred: &Expr, env: &Env) -> Result<Option<ScalarValue>, CompileError> {
-        let mut env2 = env.clone();
         let builder = BlockBuilder::new(self.config);
-        let (_, _, konst) = builder.build_predicate(pred, &mut env2)?;
+        let (_, _, konst) = builder.build_predicate(pred, env)?;
         Ok(konst)
     }
 
@@ -620,9 +618,8 @@ impl<'a> Walker<'a> {
         pred: &Expr,
         env: &Env,
     ) -> Result<Predicate, CompileError> {
-        let mut env2 = env.clone();
         let builder = BlockBuilder::new(self.config);
-        let (built, root, _) = builder.build_predicate(pred, &mut env2)?;
+        let (built, root, _) = builder.build_predicate(pred, env)?;
         let mut dag = built.dag;
         estimate_dag(&mut dag);
         let result_var = format!("__pred{}", block.0);
@@ -735,10 +732,10 @@ pub fn env_from_runtime_state(
 ) -> Env {
     let mut env = Env::new();
     for (name, mc) in matrices {
-        env.insert(name.clone(), VarInfo::matrix(*mc));
+        env.insert(name.as_str().into(), VarInfo::matrix(*mc));
     }
     for (name, value) in scalars {
-        env.insert(name.clone(), VarInfo::constant(value.clone()));
+        env.insert(name.as_str().into(), VarInfo::constant(value.clone()));
     }
     env
 }

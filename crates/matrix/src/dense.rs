@@ -31,6 +31,141 @@ fn elementwise_map(len: usize, f: impl Fn(usize) -> f64 + Sync) -> Vec<f64> {
     out
 }
 
+/// Rows of the left operand one `matmult` register tile covers.
+const TILE_ROWS: usize = 4;
+/// Columns of the right operand one `matmult` register tile covers.
+const TILE_COLS: usize = 4;
+/// Bytes of the operand a blocked kernel keeps in cache while the other
+/// operand streams past it: a k-block of `matmult`'s right operand, a
+/// block of `tmatmult`'s output rows.
+const BLOCK_BYTES: usize = 256 * 1024;
+/// Side of a `transpose` tile.
+const TRANSPOSE_TILE: usize = 32;
+
+/// The term `a · b` of a product, `+0.0` when `a` is zero: adding it
+/// equals skipping the term, because an accumulator that starts at `+0.0`
+/// never becomes `-0.0` (branch-free form of `if a == 0.0 { continue }`).
+#[inline(always)]
+fn term(a: f64, b: f64) -> f64 {
+    if a != 0.0 {
+        a * b
+    } else {
+        0.0
+    }
+}
+
+/// `out += a · b` for one band: `a` is the band's rows of the left
+/// operand (`k` columns), `b` the whole `k × n` right operand, `out` the
+/// band's `n`-column output rows. Blocked over `k` so that a block of `b`
+/// stays in cache while every row of the band passes over it; within a
+/// block, `TILE_ROWS × TILE_COLS` register tiles.
+fn matmult_band(a: &[f64], k: usize, b: &[f64], n: usize, out: &mut [f64]) {
+    let rows = out.len() / n;
+    let kb = (BLOCK_BYTES / (8 * n)).max(1);
+    for k0 in (0..k).step_by(kb) {
+        let k1 = (k0 + kb).min(k);
+        let b_block = &b[k0 * n..k1 * n];
+        let mut i = 0;
+        while i + TILE_ROWS <= rows {
+            row_tiles::<TILE_ROWS>(a, k, k0..k1, b_block, n, out, i);
+            i += TILE_ROWS;
+        }
+        for i in i..rows {
+            row_tiles::<1>(a, k, k0..k1, b_block, n, out, i);
+        }
+    }
+}
+
+/// Rows `i..i + R` of one k-block: full column strips, then single
+/// columns.
+#[inline(always)]
+fn row_tiles<const R: usize>(
+    a: &[f64],
+    k: usize,
+    ks: std::ops::Range<usize>,
+    b_block: &[f64],
+    n: usize,
+    out: &mut [f64],
+    i: usize,
+) {
+    let a_rows: [&[f64]; R] =
+        std::array::from_fn(|r| &a[(i + r) * k + ks.start..(i + r) * k + ks.end]);
+    let mut j = 0;
+    while j + TILE_COLS <= n {
+        tile::<R, TILE_COLS>(&a_rows, b_block, n, j, out, i);
+        j += TILE_COLS;
+    }
+    for j in j..n {
+        tile::<R, 1>(&a_rows, b_block, n, j, out, i);
+    }
+}
+
+/// One `R × C` register tile: `out[i + r][j + c] += Σ_t a_rows[r][t] ·
+/// b_block[t][j + c]`, accumulated in locals in ascending `t`. With
+/// `C = 1` this is the matvec kernel: `R` independent row accumulators.
+#[inline(always)]
+fn tile<const R: usize, const C: usize>(
+    a_rows: &[&[f64]; R],
+    b_block: &[f64],
+    n: usize,
+    j: usize,
+    out: &mut [f64],
+    i: usize,
+) {
+    let mut acc = [[0.0; C]; R];
+    for (r, acc_row) in acc.iter_mut().enumerate() {
+        acc_row.copy_from_slice(&out[(i + r) * n + j..(i + r) * n + j + C]);
+    }
+    for (t, b_row) in b_block.chunks_exact(n).enumerate() {
+        let b = &b_row[j..j + C];
+        for (acc_row, a_row) in acc.iter_mut().zip(a_rows) {
+            let x = a_row[t];
+            for (o, &bv) in acc_row.iter_mut().zip(b) {
+                *o += term(x, bv);
+            }
+        }
+    }
+    for (r, acc_row) in acc.iter().enumerate() {
+        out[(i + r) * n + j..(i + r) * n + j + C].copy_from_slice(acc_row);
+    }
+}
+
+/// Upper-triangle rows `a0..a1` of `t(X) %*% X` into `out` (those rows,
+/// `n` columns), streaming `X` once. Four rows of `X` are folded into a
+/// cell per visit — still in ascending row order — so the cell is loaded
+/// and stored once per four terms.
+fn tsmm_band(x: &[f64], n: usize, a0: usize, a1: usize, out: &mut [f64]) {
+    let (quads, rest) = x.split_at(x.len() / (4 * n) * (4 * n));
+    for quad in quads.chunks_exact(4 * n) {
+        let (x0, x1, x2, x3) = (
+            &quad[..n],
+            &quad[n..2 * n],
+            &quad[2 * n..3 * n],
+            &quad[3 * n..],
+        );
+        for a in a0..a1 {
+            let (v0, v1, v2, v3) = (x0[a], x1[a], x2[a], x3[a]);
+            let o_row = &mut out[(a - a0) * n + a..(a - a0 + 1) * n];
+            let rows = x0[a..].iter().zip(&x1[a..]).zip(&x2[a..]).zip(&x3[a..]);
+            for (o, (((&b0, &b1), &b2), &b3)) in o_row.iter_mut().zip(rows) {
+                *o = *o + term(v0, b0) + term(v1, b1) + term(v2, b2) + term(v3, b3);
+            }
+        }
+    }
+    for row in rest.chunks_exact(n) {
+        for a in a0..a1 {
+            let va = row[a];
+            if va == 0.0 {
+                continue;
+            }
+            let o_row = &mut out[(a - a0) * n + a..(a - a0 + 1) * n];
+            for (o, &vb) in o_row.iter_mut().zip(&row[a..]) {
+                *o += va * vb;
+            }
+        }
+    }
+}
+
 /// A row-major dense matrix of `f64`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DenseMatrix {
@@ -142,8 +277,12 @@ impl DenseMatrix {
         MatrixCharacteristics::known(self.rows as u64, self.cols as u64, self.nnz())
     }
 
-    /// Matrix multiply `self %*% other` with a cache-friendly i-k-j loop
-    /// order (the inner loop streams over contiguous rows of `other`).
+    /// Matrix multiply `self %*% other`: each cell `(i, j)` is
+    /// `Σ_k self[i][k] · other[k][j]` accumulated from `+0.0` in ascending
+    /// `k`, a zero `self[i][k]` contributing nothing (so `0 · inf` never
+    /// turns a cell into NaN). The loops are blocked over `k` and
+    /// register-tiled, which changes when a cell is updated but never its
+    /// terms or their order (DESIGN.md, "Matrix kernels").
     pub fn matmult(&self, other: &DenseMatrix) -> Result<DenseMatrix, MatrixError> {
         if self.cols != other.rows {
             return Err(MatrixError::ShapeMismatch {
@@ -154,29 +293,12 @@ impl DenseMatrix {
         }
         let (m, k, n) = (self.rows, self.cols, other.cols);
         let mut out = vec![0.0; m * n];
-        // Per-output-row kernel shared by the sequential and parallel
-        // paths: identical zero-skip and k-ascending accumulation order,
-        // so both produce bit-identical results.
-        let row_kernel = |a_row: &[f64], out_row: &mut [f64]| {
-            for (kk, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = &other.data[kk * n..(kk + 1) * n];
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        };
-        if n > 0 && crate::par_worthwhile(m * k * n, crate::PAR_FLOPS_THRESHOLD, m) {
-            out.par_chunks_mut(n).enumerate().for_each(|(i, out_row)| {
-                row_kernel(&self.data[i * k..(i + 1) * k], out_row);
+        if n > 0 {
+            let parallel = crate::par_worthwhile(m * k * n, crate::PAR_FLOPS_THRESHOLD, m);
+            let cuts = crate::band_cuts(m, parallel, TILE_ROWS, |_| 1);
+            crate::run_bands(&mut out, n, &cuts, &|r0, r1, band| {
+                matmult_band(&self.data[r0 * k..r1 * k], k, &other.data, n, band);
             });
-        } else {
-            for i in 0..m {
-                let a_row = &self.data[i * k..(i + 1) * k];
-                row_kernel(a_row, &mut out[i * n..(i + 1) * n]);
-            }
         }
         Ok(DenseMatrix {
             rows: m,
@@ -185,40 +307,76 @@ impl DenseMatrix {
         })
     }
 
-    /// Transpose-self matrix multiply `t(self) %*% self` exploiting the
-    /// symmetry of the result (SystemML's TSMM physical operator).
-    pub fn tsmm(&self) -> DenseMatrix {
-        let (m, n) = (self.rows, self.cols);
-        let mut out = vec![0.0; n * n];
-        if n > 0 && crate::par_worthwhile(m * n * n / 2, crate::PAR_FLOPS_THRESHOLD, n) {
-            // Partition by output row `a`; each cell still accumulates
-            // over ascending `i` with the same `va == 0` skip, so the
-            // result is bit-identical to the sequential loop below.
-            out.par_chunks_mut(n).enumerate().for_each(|(a, out_row)| {
-                for i in 0..m {
-                    let row = &self.data[i * n..(i + 1) * n];
-                    let va = row[a];
-                    if va == 0.0 {
-                        continue;
-                    }
-                    for b in a..n {
-                        out_row[b] += va * row[b];
+    /// Transpose-left matrix multiply `t(self) %*% other` without
+    /// materializing `t(self)`: bit-identical to
+    /// `self.transpose().matmult(other)` (same terms per cell, ascending
+    /// row of `self`, a zero `self[i][p]` skipped), but each row of both
+    /// operands is read once per output band instead of copying `self`.
+    pub fn tmatmult(&self, other: &DenseMatrix) -> Result<DenseMatrix, MatrixError> {
+        if self.rows != other.rows {
+            return Err(MatrixError::ShapeMismatch {
+                op: "matmult",
+                left: (self.cols, self.rows),
+                right: (other.rows, other.cols),
+            });
+        }
+        let (m, k, n) = (self.rows, self.cols, other.cols);
+        let mut out = vec![0.0; k * n];
+        if n > 0 && k == 1 {
+            // The transpose of a column vector is its data as one row.
+            matmult_band(&self.data, m, &other.data, n, &mut out);
+        } else if n > 0 {
+            let parallel = crate::par_worthwhile(m * k * n, crate::PAR_FLOPS_THRESHOLD, k);
+            let cuts = crate::band_cuts(k, parallel, 1, |_| 1);
+            crate::run_bands(&mut out, n, &cuts, &|p0, p1, band| {
+                // Output rows per pass over the operands, so that the
+                // rows being accumulated stay in cache.
+                let step = (BLOCK_BYTES / (8 * n)).max(1);
+                for q0 in (p0..p1).step_by(step) {
+                    let q1 = (q0 + step).min(p1);
+                    let block = &mut band[(q0 - p0) * n..(q1 - p0) * n];
+                    for i in 0..m {
+                        let a = &self.data[i * k + q0..i * k + q1];
+                        let b_row = &other.data[i * n..(i + 1) * n];
+                        if n == 1 {
+                            for (o, &x) in block.iter_mut().zip(a) {
+                                *o += term(x, b_row[0]);
+                            }
+                        } else {
+                            for (&x, o_row) in a.iter().zip(block.chunks_exact_mut(n)) {
+                                if x != 0.0 {
+                                    for (o, &b) in o_row.iter_mut().zip(b_row) {
+                                        *o += x * b;
+                                    }
+                                }
+                            }
+                        }
                     }
                 }
             });
-        } else {
-            for i in 0..m {
-                let row = &self.data[i * n..(i + 1) * n];
-                for a in 0..n {
-                    let va = row[a];
-                    if va == 0.0 {
-                        continue;
-                    }
-                    for b in a..n {
-                        out[a * n + b] += va * row[b];
-                    }
-                }
-            }
+        }
+        Ok(DenseMatrix {
+            rows: k,
+            cols: n,
+            data: out,
+        })
+    }
+
+    /// Transpose-self matrix multiply `t(self) %*% self` exploiting the
+    /// symmetry of the result (SystemML's TSMM physical operator): cell
+    /// `(a, b)`, `a ≤ b`, is `Σ_i x[i][a] · x[i][b]` in ascending `i`, a
+    /// zero `x[i][a]` skipped, and the lower triangle is its mirror. The
+    /// parallel path gives each worker a band of output rows of equal
+    /// triangle area and streams `X` once per band.
+    pub fn tsmm(&self) -> DenseMatrix {
+        let (m, n) = (self.rows, self.cols);
+        let mut out = vec![0.0; n * n];
+        if n > 0 {
+            let parallel = crate::par_worthwhile(m * n * n / 2, crate::PAR_FLOPS_THRESHOLD, n);
+            let cuts = crate::band_cuts(n, parallel, 1, |a| n - a);
+            crate::run_bands(&mut out, n, &cuts, &|a0, a1, band| {
+                tsmm_band(&self.data, n, a0, a1, band);
+            });
         }
         // Mirror the upper triangle.
         for a in 0..n {
@@ -233,17 +391,31 @@ impl DenseMatrix {
         }
     }
 
-    /// Transpose.
+    /// Transpose, in square tiles so that both the rows read and the rows
+    /// written stay in cache; column-parallel above the cell threshold.
     pub fn transpose(&self) -> DenseMatrix {
-        let mut out = vec![0.0; self.rows * self.cols];
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out[c * self.rows + r] = self.data[r * self.cols + c];
-            }
+        let (m, n) = (self.rows, self.cols);
+        let mut out = vec![0.0; m * n];
+        if m > 0 {
+            let parallel = crate::par_worthwhile(m * n, crate::PAR_CELLS_THRESHOLD, n);
+            let cuts = crate::band_cuts(n, parallel, 1, |_| 1);
+            crate::run_bands(&mut out, m, &cuts, &|c0, c1, band| {
+                for r0 in (0..m).step_by(TRANSPOSE_TILE) {
+                    let r1 = (r0 + TRANSPOSE_TILE).min(m);
+                    for t0 in (c0..c1).step_by(TRANSPOSE_TILE) {
+                        for c in t0..(t0 + TRANSPOSE_TILE).min(c1) {
+                            let dst = &mut band[(c - c0) * m + r0..(c - c0) * m + r1];
+                            for (d, r) in dst.iter_mut().zip(r0..r1) {
+                                *d = self.data[r * n + c];
+                            }
+                        }
+                    }
+                }
+            });
         }
         DenseMatrix {
-            rows: self.cols,
-            cols: self.rows,
+            rows: n,
+            cols: m,
             data: out,
         }
     }

@@ -9,29 +9,67 @@ use crate::error::MatrixError;
 use crate::matrix::Matrix;
 use crate::sparse::SparseMatrix;
 
+/// Longest sequence `seq` builds (16 GiB of cells): bounds the counting
+/// pass of [`seq_len`] far above any vector this runtime can hold.
+const MAX_SEQ_LEN: usize = 1 << 31;
+
 /// DML `seq(from, to)` with implicit increment ±1 — a column vector.
-pub fn seq(from: f64, to: f64) -> DenseMatrix {
+pub fn seq(from: f64, to: f64) -> Result<DenseMatrix, MatrixError> {
     seq_by(from, to, if from <= to { 1.0 } else { -1.0 })
 }
 
-/// DML `seq(from, to, by)` — a column vector.
-pub fn seq_by(from: f64, to: f64, by: f64) -> DenseMatrix {
-    let mut data = Vec::new();
-    if by > 0.0 {
-        let mut v = from;
-        while v <= to + 1e-12 {
-            data.push(v);
-            v += by;
-        }
-    } else if by < 0.0 {
-        let mut v = from;
-        while v >= to - 1e-12 {
-            data.push(v);
-            v += by;
-        }
+/// Number of elements of `seq_by(from, to, by)`, counted by the same
+/// accumulation that builds it, before anything is allocated. Non-finite
+/// arguments, a range of more than `2^31` steps, and a step too small to
+/// advance `v` (`seq(1e20, 2e20)`: `v + 1 == v`) are typed errors; a zero
+/// step, or one pointing away from `to`, gives an empty sequence.
+pub fn seq_len(from: f64, to: f64, by: f64) -> Result<usize, MatrixError> {
+    let invalid = |why: &str| {
+        Err(MatrixError::InvalidArgument(format!(
+            "seq({from}, {to}, {by}): {why}"
+        )))
+    };
+    if !(from.is_finite() && to.is_finite() && by.is_finite()) {
+        return invalid("arguments must be finite");
     }
-    let n = data.len();
-    DenseMatrix::from_vec(n, 1, data).expect("seq shape")
+    if by == 0.0 {
+        return Ok(0);
+    }
+    if (to - from) / by > MAX_SEQ_LEN as f64 {
+        return invalid("more elements than a sequence may hold");
+    }
+    let within = |v: f64| {
+        if by > 0.0 {
+            v <= to + 1e-12
+        } else {
+            v >= to - 1e-12
+        }
+    };
+    let (mut len, mut v) = (0, from);
+    while within(v) {
+        let next = v + by;
+        if next == v {
+            return invalid(&format!("the step does not advance past {v}"));
+        }
+        len += 1;
+        v = next;
+    }
+    Ok(len)
+}
+
+/// DML `seq(from, to, by)` — a column vector of [`seq_len`] elements,
+/// `from`, `from + by`, … accumulated step by step.
+pub fn seq_by(from: f64, to: f64, by: f64) -> Result<DenseMatrix, MatrixError> {
+    let len = seq_len(from, to, by)?;
+    let mut data = Vec::new();
+    data.try_reserve_exact(len)
+        .map_err(|e| MatrixError::InvalidArgument(format!("seq of {len} elements: {e}")))?;
+    let mut v = from;
+    for _ in 0..len {
+        data.push(v);
+        v += by;
+    }
+    DenseMatrix::from_vec(len, 1, data)
 }
 
 /// DML `table(seq(1, n), y)` — the contingency-table pattern from the
@@ -114,22 +152,55 @@ mod tests {
 
     #[test]
     fn seq_ascending() {
-        let s = seq(1.0, 5.0);
+        let s = seq(1.0, 5.0).unwrap();
         assert_eq!(s.rows(), 5);
         assert_eq!(s.data(), &[1.0, 2.0, 3.0, 4.0, 5.0]);
     }
 
     #[test]
     fn seq_descending() {
-        let s = seq(3.0, 1.0);
+        let s = seq(3.0, 1.0).unwrap();
         assert_eq!(s.data(), &[3.0, 2.0, 1.0]);
     }
 
     #[test]
     fn seq_by_step() {
-        let s = seq_by(0.0, 1.0, 0.25);
+        let s = seq_by(0.0, 1.0, 0.25).unwrap();
         assert_eq!(s.rows(), 5);
         assert_eq!(s.get(4, 0), 1.0);
+        // Accumulated, not `from + i * by`: 0.1 + 0.1 + 0.1 > 0.3.
+        let s = seq_by(0.0, 0.3, 0.1).unwrap();
+        assert_eq!(s.data(), &[0.0, 0.1, 0.2, 0.1 + 0.1 + 0.1]);
+        assert_eq!(seq_len(0.0, 0.3, 0.1).unwrap(), 4);
+    }
+
+    #[test]
+    fn seq_empty_ranges() {
+        assert_eq!(seq_by(1.0, 5.0, 0.0).unwrap().rows(), 0);
+        assert_eq!(seq_by(1.0, 5.0, -1.0).unwrap().rows(), 0);
+        assert_eq!(seq_by(5.0, 1.0, 1.0).unwrap().rows(), 0);
+    }
+
+    #[test]
+    fn seq_hostile_ranges_are_typed_errors() {
+        for (from, to, by) in [
+            (1.0, f64::INFINITY, 1.0),
+            (f64::NEG_INFINITY, 1.0, 1.0),
+            (1.0, f64::NAN, 1.0),
+            (1.0, 5.0, f64::NAN),
+            // v + 1 == v from the first step on.
+            (1e20, 2e20, 1.0),
+            // Advances until 2^53, then stalls.
+            (9_007_199_254_740_000.0, 9_007_199_254_741_000.0, 1.0),
+            (1.0, 1e12, 1.0),
+            (-1.0, -1e300, -1e-300),
+        ] {
+            let err = seq_by(from, to, by).unwrap_err();
+            assert!(
+                matches!(err, MatrixError::InvalidArgument(_)),
+                "seq({from}, {to}, {by}): {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -148,11 +148,22 @@ impl Matrix {
         let out = match (self, other) {
             (Matrix::Dense(a), Matrix::Dense(b)) => a.matmult(b)?,
             (Matrix::Sparse(a), Matrix::Dense(b)) => a.matmult_dense(b)?,
-            (Matrix::Dense(a), Matrix::Sparse(b)) => {
-                // Dense x sparse: (B^T A^T)^T via the sparse-dense kernel.
-                b.transpose().matmult_dense(&a.transpose())?.transpose()
-            }
+            (Matrix::Dense(a), Matrix::Sparse(b)) => b.dense_matmult(a)?,
             (Matrix::Sparse(a), Matrix::Sparse(b)) => a.matmult_sparse(b)?,
+        };
+        Ok(Matrix::from_dense_auto(out))
+    }
+
+    /// `t(self) %*% other` (the `tmm` physical operator) without
+    /// materializing `t(self)` — bit-identical to
+    /// `self.transpose().matmult(other)`, which it replaces. Only the
+    /// sparse × sparse pair still transposes `self`.
+    pub fn tmatmult(&self, other: &Matrix) -> Result<Matrix, MatrixError> {
+        let out = match (self, other) {
+            (Matrix::Dense(a), Matrix::Dense(b)) => a.tmatmult(b)?,
+            (Matrix::Sparse(a), Matrix::Dense(b)) => a.tmatmult_dense(b)?,
+            (Matrix::Dense(a), Matrix::Sparse(b)) => b.dense_tmatmult(a)?,
+            (Matrix::Sparse(a), Matrix::Sparse(b)) => a.transpose().matmult_sparse(b)?,
         };
         Ok(Matrix::from_dense_auto(out))
     }

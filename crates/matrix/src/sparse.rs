@@ -1,7 +1,5 @@
 //! CSR sparse matrix block and its kernels.
 
-use rayon::prelude::*;
-
 use crate::dense::DenseMatrix;
 use crate::error::MatrixError;
 use crate::ops::{AggOp, BinaryOp, UnaryOp};
@@ -176,28 +174,144 @@ impl SparseMatrix {
         }
         let n = other.cols();
         let mut out = vec![0.0; self.rows * n];
-        // Per-output-row kernel shared by both paths: accumulation over
-        // the CSR row entries in storage order, so the parallel split is
-        // bit-identical to the sequential loop.
-        let row_kernel = |r: usize, out_row: &mut [f64]| {
-            for (k, v) in self.row_iter(r) {
-                let b_row = other.row(k);
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += v * b;
+        if n > 0 {
+            // Output row `r` accumulates over its CSR entries in storage
+            // order; bands hold equal shares of the stored entries.
+            let flops = self.nnz() as usize * n;
+            let parallel = crate::par_worthwhile(flops, crate::PAR_FLOPS_THRESHOLD, self.rows);
+            let cuts = crate::band_cuts(self.rows, parallel, 1, |r| {
+                self.row_ptr[r + 1] - self.row_ptr[r] + 1
+            });
+            crate::run_bands(&mut out, n, &cuts, &|r0, _, band| {
+                for (r, out_row) in (r0..).zip(band.chunks_exact_mut(n)) {
+                    for (k, v) in self.row_iter(r) {
+                        for (o, &b) in out_row.iter_mut().zip(other.row(k)) {
+                            *o += v * b;
+                        }
+                    }
                 }
-            }
-        };
-        let flops = self.nnz() as usize * n;
-        if n > 0 && crate::par_worthwhile(flops, crate::PAR_FLOPS_THRESHOLD, self.rows) {
-            out.par_chunks_mut(n)
-                .enumerate()
-                .for_each(|(r, out_row)| row_kernel(r, out_row));
-        } else {
-            for (r, out_row) in out.chunks_mut(n.max(1)).enumerate().take(self.rows) {
-                row_kernel(r, out_row);
-            }
+            });
         }
         DenseMatrix::from_vec(self.rows, n, out)
+    }
+
+    /// Transpose-left sparse-times-dense multiply `t(self) %*% other`
+    /// without transposing `self`: row `i` of `self` scatters
+    /// `value · other[i]` into the output rows of its columns, so each
+    /// output cell receives the terms of `self.transpose().matmult_dense`
+    /// in the same (ascending-row) order.
+    pub fn tmatmult_dense(&self, other: &DenseMatrix) -> Result<DenseMatrix, MatrixError> {
+        self.debug_check()?;
+        if self.rows != other.rows() {
+            return Err(MatrixError::ShapeMismatch {
+                op: "matmult",
+                left: (self.cols, self.rows),
+                right: (other.rows(), other.cols()),
+            });
+        }
+        let (k, n) = (self.cols, other.cols());
+        let mut out = vec![0.0; k * n];
+        if n > 0 {
+            let flops = self.nnz() as usize * n;
+            let parallel = crate::par_worthwhile(flops, crate::PAR_FLOPS_THRESHOLD, k);
+            let cuts = crate::band_cuts(k, parallel, 1, |_| 1);
+            crate::run_bands(&mut out, n, &cuts, &|p0, p1, band| {
+                for (i, b_row) in other.data().chunks_exact(n).enumerate() {
+                    let (cols, vals) = self.row_in(i, p0..p1);
+                    for (&p, &v) in cols.iter().zip(vals) {
+                        let o_row = &mut band[(p - p0) * n..(p - p0 + 1) * n];
+                        for (o, &b) in o_row.iter_mut().zip(b_row) {
+                            *o += v * b;
+                        }
+                    }
+                }
+            });
+        }
+        DenseMatrix::from_vec(k, n, out)
+    }
+
+    /// Dense-times-sparse multiply `left %*% self`. Cell `(i, j)` is
+    /// `Σ_k self[k][j] · left[i][k]` over the stored entries of column `j`
+    /// in ascending `k`: zeros of `self` skipped, none of `left`'s.
+    pub fn dense_matmult(&self, left: &DenseMatrix) -> Result<DenseMatrix, MatrixError> {
+        self.debug_check()?;
+        if left.cols() != self.rows {
+            return Err(MatrixError::ShapeMismatch {
+                op: "matmult",
+                left: (left.rows(), left.cols()),
+                right: (self.rows, self.cols),
+            });
+        }
+        let (m, k, n) = (left.rows(), left.cols(), self.cols);
+        // The row of `self` each stored entry sits in, in storage order.
+        let entry_row: Vec<usize> = (0..self.rows)
+            .flat_map(|r| std::iter::repeat_n(r, self.row_ptr[r + 1] - self.row_ptr[r]))
+            .collect();
+        let mut out = vec![0.0; m * n];
+        if n > 0 {
+            let flops = m * self.values.len();
+            let parallel = crate::par_worthwhile(flops, crate::PAR_FLOPS_THRESHOLD, m);
+            let cuts = crate::band_cuts(m, parallel, 1, |_| 1);
+            crate::run_bands(&mut out, n, &cuts, &|r0, r1, band| {
+                let a_rows = left.data()[r0 * k..r1 * k].chunks_exact(k.max(1));
+                for (o_row, a_row) in band.chunks_exact_mut(n).zip(a_rows) {
+                    let entries = entry_row.iter().zip(&self.col_idx).zip(&self.values);
+                    for ((&kk, &j), &v) in entries {
+                        o_row[j] += v * a_row[kk];
+                    }
+                }
+            });
+        }
+        DenseMatrix::from_vec(m, n, out)
+    }
+
+    /// Transpose-left dense-times-sparse multiply `t(left) %*% self`
+    /// without transposing `left`. Cell `(p, j)` is
+    /// `Σ_i self[i][j] · left[i][p]` over the stored entries of column `j`
+    /// in ascending `i`, as `t(left) %*% self` computes it.
+    pub fn dense_tmatmult(&self, left: &DenseMatrix) -> Result<DenseMatrix, MatrixError> {
+        self.debug_check()?;
+        if left.rows() != self.rows {
+            return Err(MatrixError::ShapeMismatch {
+                op: "matmult",
+                left: (left.cols(), left.rows()),
+                right: (self.rows, self.cols),
+            });
+        }
+        let (k, n) = (left.cols(), self.cols);
+        // Accumulate the transposed result, `n × k`, so that each stored
+        // entry updates one contiguous row; the output is small.
+        let mut out_t = vec![0.0; n * k];
+        if k > 0 {
+            let flops = self.nnz() as usize * k;
+            let parallel = crate::par_worthwhile(flops, crate::PAR_FLOPS_THRESHOLD, n);
+            let cuts = crate::band_cuts(n, parallel, 1, |_| 1);
+            crate::run_bands(&mut out_t, k, &cuts, &|j0, j1, band| {
+                for (i, a_row) in left.data().chunks_exact(k).enumerate() {
+                    let (cols, vals) = self.row_in(i, j0..j1);
+                    for (&j, &v) in cols.iter().zip(vals) {
+                        let o_row = &mut band[(j - j0) * k..(j - j0 + 1) * k];
+                        for (o, &a) in o_row.iter_mut().zip(a_row) {
+                            *o += v * a;
+                        }
+                    }
+                }
+            });
+        }
+        Ok(DenseMatrix::from_vec(n, k, out_t)?.transpose())
+    }
+
+    /// The stored entries of row `r` whose columns fall in `cols`, as
+    /// parallel column-index and value slices.
+    #[inline]
+    fn row_in(&self, r: usize, cols: std::ops::Range<usize>) -> (&[usize], &[f64]) {
+        let (mut lo, mut hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
+        if cols.start > 0 || cols.end < self.cols {
+            let idx = &self.col_idx[lo..hi];
+            hi = lo + idx.partition_point(|&c| c < cols.end);
+            lo += idx.partition_point(|&c| c < cols.start);
+        }
+        (&self.col_idx[lo..hi], &self.values[lo..hi])
     }
 
     /// Sparse-times-sparse matrix multiply. Output is produced dense and
@@ -551,6 +665,17 @@ mod tests {
             ok.matmult_sparse(&s),
             Err(MatrixError::CorruptSparseBlock(_))
         ));
+        let d = DenseMatrix::filled(3, 3, 1.0);
+        for result in [
+            s.tmatmult_dense(&d),
+            s.dense_matmult(&d),
+            s.dense_tmatmult(&d),
+        ] {
+            assert!(
+                matches!(result, Err(MatrixError::CorruptSparseBlock(_))),
+                "{result:?}"
+            );
+        }
     }
 
     #[test]

@@ -301,7 +301,7 @@ fn check_summaries(compiled: &CompiledProgram, diags: &mut Vec<Diagnostic>) {
 fn check_definite_assignment(compiled: &CompiledProgram, diags: &mut Vec<Diagnostic>) {
     let mut defined: BTreeSet<String> = BTreeSet::new();
     for env in compiled.entry_envs.values() {
-        defined.extend(env.keys().cloned());
+        defined.extend(env.keys().map(|k| k.to_string()));
     }
     for (path, _) in &compiled.runtime.inputs {
         defined.insert(path.clone());

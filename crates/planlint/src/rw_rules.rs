@@ -1372,7 +1372,7 @@ fn const_eval_pred(expr: &Expr, env: &Env, config: &CompileConfig) -> Option<Sca
         Expr::Num(v) => Some(ScalarValue::Num(*v)),
         Expr::Bool(b) => Some(ScalarValue::Bool(*b)),
         Expr::Str(s) => Some(ScalarValue::Str(s.clone())),
-        Expr::Ident(name) => env.get(name)?.konst.clone(),
+        Expr::Ident(name) => env.get(name.as_str())?.konst.clone(),
         Expr::Param(name) => config.params.get(name).cloned(),
         Expr::Unary { op, expr, .. } => {
             let v = const_eval_pred(expr, env, config)?.as_f64()?;
@@ -1407,7 +1407,7 @@ fn const_eval_pred(expr: &Expr, env: &Env, config: &CompileConfig) -> Option<Sca
             let [Expr::Ident(m)] = &args[..] else {
                 return None;
             };
-            let info = env.get(m)?;
+            let info = env.get(m.as_str())?;
             let dim = if name == "nrow" {
                 info.mc.rows
             } else {

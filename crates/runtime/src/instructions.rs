@@ -36,12 +36,15 @@ pub enum OpCode {
     /// Matrix multiply `A %*% B`.
     MatMult,
     /// Transpose-left matrix multiply `t(A) %*% B` (fused physical
-    /// operator: avoids materializing the large transpose, Appendix B's
-    /// transpose-mm rewrite).
+    /// operator, Appendix B's transpose-mm rewrite): executed by
+    /// `Matrix::tmatmult`, which streams the rows of `A` and `B` without
+    /// materializing `t(A)` unless both operands are CSR.
     MatMultTransLeft,
     /// Transpose-self multiply `t(X) %*% X` (fused physical operator).
     Tsmm,
-    /// Fused matrix-multiply chain `t(X) %*% (X %*% v)` (MapMMChain).
+    /// Fused matrix-multiply chain `t(X) %*% (X %*% v)` (MapMMChain):
+    /// executed as `X.tmatmult(&X.matmult(v))`, so `t(X)` is never
+    /// materialized; the intermediate `X %*% v` is.
     MmChain,
     /// Dense linear solve.
     Solve,

@@ -266,10 +266,10 @@ pub(crate) fn eval_op<S: OperandStore>(
             } else {
                 -1.0
             };
-            store.put_matrix(
-                out,
-                Matrix::Dense(reml_matrix::generate::seq_by(from, to, by)),
-            )
+            let rows = reml_matrix::generate::seq_len(from, to, by)?;
+            reserve_generated(store, rows, 1, 1.0)?;
+            let seq = reml_matrix::generate::seq_by(from, to, by)?;
+            store.put_matrix(out, Matrix::Dense(seq))
         }
         OpCode::DataGenRand => {
             let rows = store.scalar_num(&args[0])? as usize;
@@ -297,12 +297,12 @@ pub(crate) fn eval_op<S: OperandStore>(
             store.put_matrix(out, m)
         }
         OpCode::MatMultTransLeft => {
-            let m = with_matrices(store, args, |a, b| a.transpose().matmult(b))?;
+            let m = with_matrices(store, args, |a, b| a.tmatmult(b))?;
             store.put_matrix(out, m)
         }
         OpCode::MmChain => {
             // t(X) %*% (X %*% v): operands [X, v].
-            let m = with_matrices(store, args, |x, v| x.transpose().matmult(&x.matmult(v)?))?;
+            let m = with_matrices(store, args, |x, v| x.tmatmult(&x.matmult(v)?))?;
             store.put_matrix(out, m)
         }
         OpCode::Solve => {

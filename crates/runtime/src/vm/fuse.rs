@@ -74,7 +74,7 @@ fn as_cp(instr: &Instruction) -> Option<&CpInstruction> {
 /// is a single-shape temporary consumed *only* by `next`'s matrix
 /// positions (a scalar-position or later reference in the same list shows
 /// up as an extra use and vetoes the link).
-fn links(prev: &CpInstruction, next: &CpInstruction, use_counts: &HashMap<String, usize>) -> bool {
+fn links(prev: &CpInstruction, next: &CpInstruction, use_counts: &HashMap<&str, usize>) -> bool {
     let Some(out) = prev.output.as_deref() else {
         return false;
     };
@@ -89,10 +89,7 @@ fn links(prev: &CpInstruction, next: &CpInstruction, use_counts: &HashMap<String
 }
 
 /// Plan fusion over one straight-line instruction list.
-pub(crate) fn plan_fusion(
-    instrs: &[Instruction],
-    use_counts: &HashMap<String, usize>,
-) -> Vec<Group> {
+pub(crate) fn plan_fusion(instrs: &[Instruction], use_counts: &HashMap<&str, usize>) -> Vec<Group> {
     let mut groups = Vec::new();
     let mut i = 0;
     while i < instrs.len() {
@@ -123,7 +120,7 @@ pub(crate) fn plan_fusion(
 /// Count every read of each variable within one straight-line
 /// instruction list: CP operands (excluding `rmvar`, which is a no-op on
 /// absent variables) and MR-job inputs/outputs. Writes do not count.
-pub(crate) fn use_counts_for(instrs: &[Instruction]) -> HashMap<String, usize> {
+pub(crate) fn use_counts_for(instrs: &[Instruction]) -> HashMap<&str, usize> {
     let mut counts = HashMap::new();
     for instr in instrs {
         count_instruction(instr, &mut counts);
@@ -131,7 +128,7 @@ pub(crate) fn use_counts_for(instrs: &[Instruction]) -> HashMap<String, usize> {
     counts
 }
 
-fn count_instruction(instr: &Instruction, counts: &mut HashMap<String, usize>) {
+fn count_instruction<'a>(instr: &'a Instruction, counts: &mut HashMap<&'a str, usize>) {
     match instr {
         Instruction::Cp(cp) => {
             if cp.opcode == OpCode::RmVar {
@@ -161,8 +158,8 @@ fn count_instruction(instr: &Instruction, counts: &mut HashMap<String, usize>) {
     }
 }
 
-fn bump(counts: &mut HashMap<String, usize>, name: &str) {
-    *counts.entry(name.to_string()).or_insert(0) += 1;
+fn bump<'a>(counts: &mut HashMap<&'a str, usize>, name: &'a str) {
+    *counts.entry(name).or_insert(0) += 1;
 }
 
 #[cfg(test)]

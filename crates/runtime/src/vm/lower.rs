@@ -446,12 +446,13 @@ pub(crate) fn cp_flops(cp: &CpInstruction) -> Option<f64> {
 }
 
 /// Compile-time operand + output size estimate of a CP instruction (the
-/// quantities `memest` budgets against), `None` if any size is unknown.
+/// quantities `memest` budgets against), `None` if any size is unknown or
+/// the sum overflows.
 pub(crate) fn predicted_sum(cp: &CpInstruction) -> Option<u64> {
     let mut predicted = Some(0u64);
     for mc in cp.operand_mcs.iter().chain(std::iter::once(&cp.output_mc)) {
         predicted = match (predicted, mc.estimated_size_bytes()) {
-            (Some(acc), Some(b)) => Some(acc + b),
+            (Some(acc), Some(b)) => acc.checked_add(b),
             _ => None,
         };
     }

@@ -505,7 +505,7 @@ impl<'a> SimState<'a> {
                 }
                 StatementBlockKind::For { var, body, .. } => {
                     self.env
-                        .insert(var.clone(), reml_compiler::build::VarInfo::scalar());
+                        .insert(var.as_str().into(), reml_compiler::build::VarInfo::scalar());
                     for _ in 0..self.loop_iterations(block.id)? {
                         self.sim_blocks(body)?;
                     }

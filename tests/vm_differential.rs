@@ -601,3 +601,33 @@ fn unbounded_for_loop_is_a_typed_error_not_a_hang() {
     let err = failing_script("s = 0\nfor (i in 1:1e15) { s = s + i }\nprint(s)");
     assert!(matches!(err, ExecError::RunawayLoop(_)), "{err:?}");
 }
+
+#[test]
+fn hostile_seq_is_a_typed_error_not_an_abort_or_a_hang() {
+    // `seq(1, 1/0)` used to grow a vector until the allocator aborted the
+    // process; `seq(1e20, 2e20)` never advanced (`v + 1 == v`). The time
+    // box turns a regression into a failure instead of a hung test run.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        for args in [
+            "1, 1/0",
+            "(0/0), 1",
+            "1, 10, (0/0)",
+            "1e20, 2e20",
+            "1, 1e12",
+        ] {
+            let err = failing_script(&format!("s = seq({args})\nprint(sum(s))"));
+            let _ = done_tx.send((args, err));
+        }
+    });
+    for _ in 0..5 {
+        let (args, err) = done_rx
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("every seq fails within the time box");
+        assert!(
+            matches!(err, ExecError::Matrix(MatrixError::InvalidArgument(_))),
+            "seq({args}): {err:?}"
+        );
+    }
+    worker.join().expect("the seq worker finishes cleanly");
+}
