@@ -6,10 +6,11 @@ use crate::error::MatrixError;
 use crate::ops::{AggOp, BinaryOp, UnaryOp};
 use crate::MatrixCharacteristics;
 
-/// Elementwise map producing `out[i] = f(i)`; chunk-parallel above the
-/// cell threshold (each cell depends only on its own index, so the
-/// parallel split is trivially bit-identical to the sequential map).
-fn elementwise_map(len: usize, f: impl Fn(usize) -> f64 + Sync) -> Vec<f64> {
+/// Elementwise map over `len` cells: `fill(i, out)` writes cells
+/// `i..i + out.len()`. Chunk-parallel above the cell threshold (each cell
+/// depends only on its own index, so the parallel split is trivially
+/// bit-identical to the sequential map).
+fn elementwise_map(len: usize, fill: impl Fn(usize, &mut [f64]) + Sync) -> Vec<f64> {
     let mut out = vec![0.0; len];
     if crate::par_worthwhile(
         len,
@@ -17,18 +18,101 @@ fn elementwise_map(len: usize, f: impl Fn(usize) -> f64 + Sync) -> Vec<f64> {
         rayon::current_num_threads(),
     ) {
         let chunk = len.div_ceil(rayon::current_num_threads());
-        out.par_chunks_mut(chunk).enumerate().for_each(|(ci, c)| {
-            let base = ci * chunk;
-            for (j, v) in c.iter_mut().enumerate() {
-                *v = f(base + j);
-            }
-        });
+        out.par_chunks_mut(chunk)
+            .enumerate()
+            .for_each(|(ci, c)| fill(ci * chunk, c));
     } else {
-        for (i, v) in out.iter_mut().enumerate() {
-            *v = f(i);
-        }
+        fill(0, &mut out);
     }
     out
+}
+
+/// `f(x)` for every cell of `src`.
+fn map_cells(src: &[f64], f: impl Fn(f64) -> f64 + Sync) -> Vec<f64> {
+    elementwise_map(src.len(), |i, out| {
+        for (o, &x) in out.iter_mut().zip(&src[i..]) {
+            *o = f(x);
+        }
+    })
+}
+
+/// Evaluate `$body` with `$f` bound to `op` as a `Fn(f64, f64) -> f64`
+/// closure, dispatching on `op` once per call instead of once per cell: a
+/// dedicated closure for `+ - * /`, so that the cell loops in `$body` are
+/// monomorphized for them and vectorize, and `op.apply` for the rest.
+/// Every cell still gets the single IEEE operation `op.apply` performs.
+macro_rules! with_op {
+    ($op:expr, |$f:ident| $body:expr) => {
+        match $op {
+            BinaryOp::Add => {
+                let $f = |a: f64, b: f64| a + b;
+                $body
+            }
+            BinaryOp::Sub => {
+                let $f = |a: f64, b: f64| a - b;
+                $body
+            }
+            BinaryOp::Mul => {
+                let $f = |a: f64, b: f64| a * b;
+                $body
+            }
+            BinaryOp::Div => {
+                let $f = |a: f64, b: f64| a / b;
+                $body
+            }
+            op => {
+                let $f = move |a: f64, b: f64| op.apply(a, b);
+                $body
+            }
+        }
+    };
+}
+
+/// How an elementwise binary op reads its right operand for output cell
+/// `(r, c)` under DML matrix-vector semantics; the output has the left
+/// operand's shape.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Broadcast {
+    /// Equal shapes: cell `(r, c)`.
+    Cell,
+    /// A column vector broadcast across columns: cell `(r, 0)`.
+    Col,
+    /// A row vector broadcast across rows: cell `(0, c)`.
+    Row,
+}
+
+impl Broadcast {
+    /// The rule for `left ∘ right` with these `(rows, cols)` shapes, tried
+    /// in this order.
+    pub(crate) fn of(
+        left: (usize, usize),
+        right: (usize, usize),
+    ) -> Result<Broadcast, MatrixError> {
+        if left == right {
+            Ok(Broadcast::Cell)
+        } else if right.1 == 1 && right.0 == left.0 {
+            Ok(Broadcast::Col)
+        } else if right.0 == 1 && right.1 == left.1 {
+            Ok(Broadcast::Row)
+        } else {
+            Err(MatrixError::ShapeMismatch {
+                op: "binary",
+                left,
+                right,
+            })
+        }
+    }
+
+    /// Offset, in the right operand's row-major data of `cols` columns, of
+    /// the cell that output cell `(r, c)` reads.
+    #[inline]
+    pub(crate) fn index(self, r: usize, c: usize, cols: usize) -> usize {
+        match self {
+            Broadcast::Cell => r * cols + c,
+            Broadcast::Col => r,
+            Broadcast::Row => c,
+        }
+    }
 }
 
 /// Rows of the left operand one `matmult` register tile covers.
@@ -423,48 +507,33 @@ impl DenseMatrix {
     /// Elementwise binary operation against an equally-shaped matrix, or a
     /// broadcast column/row vector (DML matrix-vector semantics).
     pub fn binary(&self, op: BinaryOp, other: &DenseMatrix) -> Result<DenseMatrix, MatrixError> {
-        if self.rows == other.rows && self.cols == other.cols {
-            let data = elementwise_map(self.data.len(), |i| op.apply(self.data[i], other.data[i]));
-            return Ok(DenseMatrix {
-                rows: self.rows,
-                cols: self.cols,
-                data,
-            });
-        }
-        // Broadcast a column vector across columns.
-        if other.cols == 1 && other.rows == self.rows {
-            let mut data = Vec::with_capacity(self.data.len());
-            for r in 0..self.rows {
-                let b = other.data[r];
-                data.extend(self.row(r).iter().map(|&a| op.apply(a, b)));
+        let bc = Broadcast::of((self.rows, self.cols), (other.rows, other.cols))?;
+        let (a, b) = (&self.data, &other.data);
+        let data = with_op!(op, |f| match bc {
+            Broadcast::Cell => elementwise_map(a.len(), |i, out| {
+                for (o, (&x, &y)) in out.iter_mut().zip(a[i..].iter().zip(&b[i..])) {
+                    *o = f(x, y);
+                }
+            }),
+            Broadcast::Col => {
+                let mut data = Vec::with_capacity(a.len());
+                for (r, &y) in b.iter().enumerate() {
+                    data.extend(self.row(r).iter().map(|&x| f(x, y)));
+                }
+                data
             }
-            return Ok(DenseMatrix {
-                rows: self.rows,
-                cols: self.cols,
-                data,
-            });
-        }
-        // Broadcast a row vector across rows.
-        if other.rows == 1 && other.cols == self.cols {
-            let mut data = Vec::with_capacity(self.data.len());
-            for r in 0..self.rows {
-                data.extend(
-                    self.row(r)
-                        .iter()
-                        .zip(&other.data)
-                        .map(|(&a, &b)| op.apply(a, b)),
-                );
+            Broadcast::Row => {
+                let mut data = Vec::with_capacity(a.len());
+                for r in 0..self.rows {
+                    data.extend(self.row(r).iter().zip(b).map(|(&x, &y)| f(x, y)));
+                }
+                data
             }
-            return Ok(DenseMatrix {
-                rows: self.rows,
-                cols: self.cols,
-                data,
-            });
-        }
-        Err(MatrixError::ShapeMismatch {
-            op: "binary",
-            left: (self.rows, self.cols),
-            right: (other.rows, other.cols),
+        });
+        Ok(DenseMatrix {
+            rows: self.rows,
+            cols: self.cols,
+            data,
         })
     }
 
@@ -473,7 +542,7 @@ impl DenseMatrix {
         DenseMatrix {
             rows: self.rows,
             cols: self.cols,
-            data: elementwise_map(self.data.len(), |i| op.apply(self.data[i], scalar)),
+            data: with_op!(op, |f| map_cells(&self.data, |x| f(x, scalar))),
         }
     }
 
@@ -482,7 +551,7 @@ impl DenseMatrix {
         DenseMatrix {
             rows: self.rows,
             cols: self.cols,
-            data: elementwise_map(self.data.len(), |i| op.apply(scalar, self.data[i])),
+            data: with_op!(op, |f| map_cells(&self.data, |x| f(scalar, x))),
         }
     }
 
@@ -491,7 +560,7 @@ impl DenseMatrix {
         DenseMatrix {
             rows: self.rows,
             cols: self.cols,
-            data: elementwise_map(self.data.len(), |i| op.apply(self.data[i])),
+            data: map_cells(&self.data, |x| op.apply(x)),
         }
     }
 

@@ -1,7 +1,9 @@
 //! The runtime matrix value: dense or sparse with automatic format
 //! selection, plus scalar interop.
 
-use crate::dense::DenseMatrix;
+use std::borrow::Cow;
+
+use crate::dense::{Broadcast, DenseMatrix};
 use crate::error::MatrixError;
 use crate::ops::{AggOp, BinaryOp, UnaryOp};
 use crate::sparse::SparseMatrix;
@@ -105,13 +107,15 @@ impl Matrix {
     }
 
     /// Actual in-memory footprint in bytes under the crate's accounting
-    /// constants.
+    /// constants; a dense block's is `rows × cols × 8`, read off its
+    /// dimensions without counting its non-zeros.
     pub fn size_bytes(&self) -> u64 {
-        let mc = self.characteristics();
         match self {
-            Matrix::Dense(_) => mc.dense_size_bytes().unwrap_or(0),
-            Matrix::Sparse(_) => mc.sparse_size_bytes().unwrap_or(0),
+            Matrix::Dense(d) => MatrixCharacteristics::dims_only(d.rows() as u64, d.cols() as u64)
+                .dense_size_bytes(),
+            Matrix::Sparse(s) => s.characteristics().sparse_size_bytes(),
         }
+        .unwrap_or(0)
     }
 
     /// Cell accessor.
@@ -188,41 +192,66 @@ impl Matrix {
     }
 
     /// Elementwise binary against another matrix (with vector broadcast).
+    ///
+    /// Every result holds the cells, and takes the format, that densifying
+    /// both operands would give. A CSR ⊙ dense `Mul` stays CSR and touches
+    /// only the stored entries when the CSR operand
+    /// [`prefers_sparse`](Matrix::prefers_sparse) at its own nnz and every
+    /// dense value is finite (`0 · inf` is NaN); any other op with a CSR
+    /// operand fills the output against `+0.0` and patches the cells that
+    /// read a stored entry (DESIGN.md, "Element-wise formats").
     pub fn binary(&self, op: BinaryOp, other: &Matrix) -> Result<Matrix, MatrixError> {
-        // Sparse * sparse intersection fast path.
-        if let (Matrix::Sparse(a), Matrix::Sparse(b)) = (self, other) {
-            if op == BinaryOp::Mul && a.rows() == b.rows() && a.cols() == b.cols() {
-                return Ok(Matrix::from_sparse_auto(a.mul_sparse(b)?));
+        let bc = Broadcast::of((self.rows(), self.cols()), (other.rows(), other.cols()))?;
+        let mul = op == BinaryOp::Mul;
+        let out = match (self, other) {
+            (Matrix::Dense(a), Matrix::Dense(b)) => a.binary(op, b)?,
+            (Matrix::Sparse(a), Matrix::Sparse(b)) => {
+                if mul
+                    && bc == Broadcast::Cell
+                    && (csr_exact(a) || csr_exact(b))
+                    && a.all_finite()
+                    && b.all_finite()
+                {
+                    return Ok(Matrix::from_sparse_auto(a.mul_sparse(b)?));
+                }
+                a.binary_dense(op, &b.to_dense(), bc, false)?
             }
-        }
-        let out = self.to_dense().binary(op, &other.to_dense())?;
+            (Matrix::Sparse(s), Matrix::Dense(d)) | (Matrix::Dense(d), Matrix::Sparse(s)) => {
+                let csr_right = other.is_sparse();
+                if mul
+                    && (bc == Broadcast::Cell || !csr_right)
+                    && csr_exact(s)
+                    && d.data().iter().all(|v| v.is_finite())
+                {
+                    return Ok(Matrix::from_sparse_auto(s.mul_dense(d, bc)?));
+                }
+                s.binary_dense(op, d, bc, csr_right)?
+            }
+        };
         Ok(Matrix::from_dense_auto(out))
     }
 
     /// Elementwise binary with a scalar on the right.
     pub fn binary_scalar(&self, op: BinaryOp, scalar: f64) -> Matrix {
         match self {
-            Matrix::Dense(d) => Matrix::from_dense_auto(d.binary_scalar(op, scalar)),
-            Matrix::Sparse(s) => match s.binary_scalar(op, scalar) {
-                Ok(sp) => Matrix::from_sparse_auto(sp),
-                Err(d) => Matrix::from_dense_auto(d),
-            },
+            Matrix::Sparse(s) if csr_exact(s) => from_kernel(s.binary_scalar(op, scalar)),
+            _ => Matrix::from_dense_auto(self.dense_view().binary_scalar(op, scalar)),
         }
     }
 
     /// Elementwise binary with a scalar on the left.
     pub fn scalar_binary(&self, op: BinaryOp, scalar: f64) -> Matrix {
-        Matrix::from_dense_auto(self.to_dense().scalar_binary(op, scalar))
+        match self {
+            Matrix::Sparse(s) if csr_exact(s) => from_kernel(s.scalar_binary(op, scalar)),
+            _ => Matrix::from_dense_auto(self.dense_view().scalar_binary(op, scalar)),
+        }
     }
 
     /// Elementwise unary.
     pub fn unary(&self, op: UnaryOp) -> Matrix {
         match self {
-            Matrix::Dense(d) => Matrix::from_dense_auto(d.unary(op)),
-            Matrix::Sparse(s) => match s.unary(op) {
-                Ok(sp) => Matrix::from_sparse_auto(sp),
-                Err(d) => Matrix::from_dense_auto(d),
-            },
+            Matrix::Sparse(s) if csr_exact(s) => from_kernel(s.unary(op)),
+            _ => Matrix::from_dense_auto(self.dense_view().unary(op)),
         }
     }
 
@@ -247,12 +276,21 @@ impl Matrix {
         Ok(())
     }
 
+    /// The block as a dense matrix: borrowed when it is one, converted
+    /// when CSR.
+    fn dense_view(&self) -> Cow<'_, DenseMatrix> {
+        match self {
+            Matrix::Dense(d) => Cow::Borrowed(d),
+            Matrix::Sparse(s) => Cow::Owned(s.to_dense()),
+        }
+    }
+
     /// Horizontal concatenation.
     pub fn cbind(&self, other: &Matrix) -> Result<Matrix, MatrixError> {
         self.debug_check_sparse()?;
         other.debug_check_sparse()?;
         Ok(Matrix::from_dense_auto(
-            self.to_dense().cbind(&other.to_dense())?,
+            self.dense_view().cbind(&other.dense_view())?,
         ))
     }
 
@@ -261,28 +299,48 @@ impl Matrix {
         self.debug_check_sparse()?;
         other.debug_check_sparse()?;
         Ok(Matrix::from_dense_auto(
-            self.to_dense().rbind(&other.to_dense())?,
+            self.dense_view().rbind(&other.dense_view())?,
         ))
     }
 
     /// Right indexing with inclusive 0-based bounds.
     pub fn slice(&self, r0: usize, r1: usize, c0: usize, c1: usize) -> Result<Matrix, MatrixError> {
-        Ok(Matrix::from_dense_auto(
-            self.to_dense().slice(r0, r1, c0, c1)?,
-        ))
+        Ok(match self {
+            Matrix::Dense(d) => Matrix::from_dense_auto(d.slice(r0, r1, c0, c1)?),
+            // A slice has at least one cell, so `from_sparse_auto` picks
+            // the format `from_dense_auto` would.
+            Matrix::Sparse(s) => Matrix::from_sparse_auto(s.slice(r0, r1, c0, c1)?),
+        })
     }
 
     /// `diag` (extract or expand).
     pub fn diag(&self) -> Matrix {
-        Matrix::from_dense_auto(self.to_dense().diag())
+        Matrix::from_dense_auto(self.dense_view().diag())
     }
 
     /// `solve(A, b)` — dense LU with partial pivoting.
     pub fn solve(&self, b: &Matrix) -> Result<Matrix, MatrixError> {
         Ok(Matrix::Dense(crate::solve::solve(
-            &self.to_dense(),
-            &b.to_dense(),
+            &self.dense_view(),
+            &b.dense_view(),
         )?))
+    }
+}
+
+/// Whether CSR kernels on `s` return exactly what the densified kernels
+/// would: `s` is in the format automatic selection picks for it. An
+/// element-wise op whose non-zeros can only be a subset of `s`'s then ends
+/// CSR on both paths, because [`Matrix::prefers_sparse`] is monotone in
+/// nnz, so the `-0.0`s the densified path computes are dropped as well.
+fn csr_exact(s: &SparseMatrix) -> bool {
+    Matrix::prefers_sparse(s.rows(), s.cols(), s.nnz())
+}
+
+/// The result of a CSR kernel that either stayed sparse or densified.
+fn from_kernel(out: Result<SparseMatrix, DenseMatrix>) -> Matrix {
+    match out {
+        Ok(s) => Matrix::from_sparse_auto(s),
+        Err(d) => Matrix::from_dense_auto(d),
     }
 }
 

@@ -64,10 +64,11 @@ impl BinaryOp {
         self.apply(0.0, 0.0) == 0.0
     }
 
-    /// Whether `op(x, 0) == 0` for all `x` on the right being zero — i.e.
-    /// multiplication-like operations where a sparse *right* operand keeps
-    /// the output sparse regardless of the left. Only `Mul` and `And`
-    /// qualify.
+    /// Whether a zero on the right makes the result zero, `op(x, 0) == 0`
+    /// — multiplication-like operations where a sparse *right* operand
+    /// keeps the output sparse regardless of the left. Only `Mul` and `And`
+    /// qualify, and `Mul` only for finite `x`: `±inf · 0` and `NaN · 0` are
+    /// NaN. Sparsity bounds built on this assume finite data.
     pub fn is_right_zero_annihilating(self) -> bool {
         matches!(self, BinaryOp::Mul | BinaryOp::And)
     }

@@ -1,6 +1,6 @@
 //! CSR sparse matrix block and its kernels.
 
-use crate::dense::DenseMatrix;
+use crate::dense::{Broadcast, DenseMatrix};
 use crate::error::MatrixError;
 use crate::ops::{AggOp, BinaryOp, UnaryOp};
 use crate::MatrixCharacteristics;
@@ -373,12 +373,8 @@ impl SparseMatrix {
     /// densify (e.g. `exp`).
     pub fn unary(&self, op: UnaryOp) -> Result<SparseMatrix, DenseMatrix> {
         if op.is_zero_preserving() {
-            let mut out = self.clone();
-            for v in &mut out.values {
-                *v = op.apply(*v);
-            }
-            // Applying the op may introduce zeros (e.g. round(0.4)); compact.
-            Ok(out.compact())
+            // Applying the op may introduce zeros (e.g. round(0.4)).
+            Ok(self.map_values(|v| op.apply(v)))
         } else {
             Err(self.to_dense().unary(op))
         }
@@ -387,6 +383,8 @@ impl SparseMatrix {
     /// Elementwise multiply with an equally-shaped sparse matrix
     /// (intersection of the non-zero patterns).
     pub fn mul_sparse(&self, other: &SparseMatrix) -> Result<SparseMatrix, MatrixError> {
+        self.debug_check()?;
+        other.debug_check()?;
         if self.rows != other.rows || self.cols != other.cols {
             return Err(MatrixError::ShapeMismatch {
                 op: "mul",
@@ -415,18 +413,147 @@ impl SparseMatrix {
         SparseMatrix::from_triplets(self.rows, self.cols, triplets)
     }
 
+    /// Elementwise `self * dense` over the stored entries only, kept in
+    /// CSR; `dense` is read under `bc` (`self` being the left operand or,
+    /// under [`Broadcast::Cell`], either). Equal to the densified product
+    /// wherever `0 · dense` is zero, i.e. when every value of `dense` is
+    /// finite — the caller's gate. One factor is then finite, so the
+    /// product, a NaN included, does not depend on the operand order.
+    pub(crate) fn mul_dense(
+        &self,
+        dense: &DenseMatrix,
+        bc: Broadcast,
+    ) -> Result<SparseMatrix, MatrixError> {
+        self.debug_check()?;
+        let mut out = self.clone();
+        for (r, w) in self.row_ptr.windows(2).enumerate() {
+            let entries = out.values[w[0]..w[1]]
+                .iter_mut()
+                .zip(&self.col_idx[w[0]..w[1]]);
+            for (v, &c) in entries {
+                *v *= dense.data()[bc.index(r, c, dense.cols())];
+            }
+        }
+        Ok(out.compact())
+    }
+
+    /// Elementwise `self op dense` (`dense op self` when `csr_right`)
+    /// under `bc`, the rule by which the right operand is read, without
+    /// densifying `self`: every output cell is filled as `op` against
+    /// `+0.0`, then the cells that read a stored entry are recomputed.
+    /// Cell for cell what `self.to_dense()` in its place computes.
+    pub(crate) fn binary_dense(
+        &self,
+        op: BinaryOp,
+        dense: &DenseMatrix,
+        bc: Broadcast,
+        csr_right: bool,
+    ) -> Result<DenseMatrix, MatrixError> {
+        self.debug_check()?;
+        let mut out = match (csr_right, bc) {
+            (true, Broadcast::Cell) => dense.binary_scalar(op, 0.0),
+            // `self` is the broadcast vector: a zero one is small.
+            (true, _) => dense.binary(op, &DenseMatrix::zeros(self.rows, self.cols))?,
+            (false, Broadcast::Cell) => dense.scalar_binary(op, 0.0),
+            (false, _) => {
+                // `dense` is a vector broadcast over `self`'s shape.
+                let fill = dense.scalar_binary(op, 0.0);
+                let mut data = Vec::with_capacity(self.rows * self.cols);
+                for r in 0..self.rows {
+                    data.extend((0..self.cols).map(|c| fill.data()[bc.index(r, c, fill.cols())]));
+                }
+                DenseMatrix::from_vec(self.rows, self.cols, data)?
+            }
+        };
+        let (m, n) = (out.rows(), out.cols());
+        for r in 0..self.rows {
+            for (c, v) in self.row_iter(r) {
+                // A stored entry feeds one cell or, when `self` is a
+                // column (row) vector on the right, a whole row (column).
+                match (csr_right, bc) {
+                    (false, _) => {
+                        let x = dense.data()[bc.index(r, c, dense.cols())];
+                        out.set(r, c, op.apply(v, x));
+                    }
+                    (true, Broadcast::Cell) => out.set(r, c, op.apply(dense.get(r, c), v)),
+                    (true, Broadcast::Col) => {
+                        (0..n).for_each(|j| out.set(r, j, op.apply(dense.get(r, j), v)))
+                    }
+                    (true, Broadcast::Row) => {
+                        (0..m).for_each(|i| out.set(i, c, op.apply(dense.get(i, c), v)))
+                    }
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// Whether every stored value is finite.
+    pub(crate) fn all_finite(&self) -> bool {
+        self.values.iter().all(|v| v.is_finite())
+    }
+
     /// Elementwise binary with a scalar; zero-preserving results stay
     /// sparse (`X * 2`), otherwise the result densifies (`X + 1`).
     pub fn binary_scalar(&self, op: BinaryOp, scalar: f64) -> Result<SparseMatrix, DenseMatrix> {
         if op.apply(0.0, scalar) == 0.0 {
-            let mut out = self.clone();
-            for v in &mut out.values {
-                *v = op.apply(*v, scalar);
-            }
-            Ok(out.compact())
+            Ok(self.map_values(|v| op.apply(v, scalar)))
         } else {
             Err(self.to_dense().binary_scalar(op, scalar))
         }
+    }
+
+    /// Elementwise binary with a scalar on the left (`scalar op self`):
+    /// sparse when `op(scalar, 0) == 0` (`2 * X`), else densified.
+    pub fn scalar_binary(&self, op: BinaryOp, scalar: f64) -> Result<SparseMatrix, DenseMatrix> {
+        if op.apply(scalar, 0.0) == 0.0 {
+            Ok(self.map_values(|v| op.apply(scalar, v)))
+        } else {
+            Err(self.to_dense().scalar_binary(op, scalar))
+        }
+    }
+
+    /// `f` applied to every stored value, computed zeros dropped.
+    fn map_values(&self, f: impl Fn(f64) -> f64) -> SparseMatrix {
+        let mut out = self.clone();
+        for v in &mut out.values {
+            *v = f(*v);
+        }
+        out.compact()
+    }
+
+    /// Right indexing `X[r0:r1, c0:c1]` with inclusive 0-based bounds:
+    /// the row range's entries whose columns fall in range.
+    pub fn slice(
+        &self,
+        r0: usize,
+        r1: usize,
+        c0: usize,
+        c1: usize,
+    ) -> Result<SparseMatrix, MatrixError> {
+        self.debug_check()?;
+        if r1 >= self.rows || c1 >= self.cols || r0 > r1 || c0 > c1 {
+            return Err(MatrixError::IndexOutOfBounds {
+                index: (r1, c1),
+                shape: (self.rows, self.cols),
+            });
+        }
+        let mut row_ptr = Vec::with_capacity(r1 - r0 + 2);
+        row_ptr.push(0);
+        let (mut col_idx, mut values) = (Vec::new(), Vec::new());
+        for r in r0..=r1 {
+            let (cols, vals) = self.row_in(r, c0..c1 + 1);
+            col_idx.extend(cols.iter().map(|c| c - c0));
+            values.extend_from_slice(vals);
+            row_ptr.push(values.len());
+        }
+        Ok(SparseMatrix {
+            rows: r1 - r0 + 1,
+            cols: c1 - c0 + 1,
+            row_ptr,
+            col_idx,
+            values,
+        })
     }
 
     /// Aggregation over the sparse representation without densifying.
@@ -484,7 +611,43 @@ impl SparseMatrix {
                 }
                 DenseMatrix::from_vec(1, self.cols, data).expect("colSums shape")
             }
-            AggOp::RowMaxs | AggOp::ColMaxs => self.to_dense().aggregate(op),
+            // A row or column with an implicit zero starts from +0.0, else
+            // from -inf, and folds its stored values: as the dense fold,
+            // since `f64::max` skips NaN and stored values are never ±0.
+            AggOp::RowMaxs => {
+                let data = (0..self.rows)
+                    .map(|r| {
+                        let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
+                        let init = if hi - lo < self.cols {
+                            0.0
+                        } else {
+                            f64::NEG_INFINITY
+                        };
+                        self.values[lo..hi].iter().copied().fold(init, f64::max)
+                    })
+                    .collect();
+                DenseMatrix::from_vec(self.rows, 1, data).expect("rowMaxs shape")
+            }
+            AggOp::ColMaxs => {
+                let mut stored = vec![0; self.cols];
+                for &c in &self.col_idx {
+                    stored[c] += 1;
+                }
+                let mut data: Vec<f64> = stored
+                    .iter()
+                    .map(|&n| {
+                        if n < self.rows {
+                            0.0
+                        } else {
+                            f64::NEG_INFINITY
+                        }
+                    })
+                    .collect();
+                for (&c, &v) in self.col_idx.iter().zip(&self.values) {
+                    data[c] = data[c].max(v);
+                }
+                DenseMatrix::from_vec(1, self.cols, data).expect("colMaxs shape")
+            }
         }
     }
 
@@ -670,6 +833,19 @@ mod tests {
             s.tmatmult_dense(&d),
             s.dense_matmult(&d),
             s.dense_tmatmult(&d),
+            s.binary_dense(BinaryOp::Add, &d, Broadcast::Cell, false),
+            s.binary_dense(BinaryOp::Sub, &d, Broadcast::Cell, true),
+        ] {
+            assert!(
+                matches!(result, Err(MatrixError::CorruptSparseBlock(_))),
+                "{result:?}"
+            );
+        }
+        for result in [
+            s.mul_dense(&d, Broadcast::Cell),
+            s.mul_sparse(&ok),
+            ok.mul_sparse(&s),
+            s.slice(0, 2, 0, 2),
         ] {
             assert!(
                 matches!(result, Err(MatrixError::CorruptSparseBlock(_))),

@@ -94,11 +94,7 @@ pub(crate) trait OperandStore {
     /// Bind a computed (dirty) matrix, subject to the OOM limit.
     fn put_matrix(&mut self, out: Option<&Self::Out>, m: Matrix) -> Result<(), ExecError> {
         if let Some(out) = out {
-            // `size_bytes` counts a dense matrix's non-zeros: only pay
-            // for it when there is a limit to hold it against.
-            if self.oom_limit().is_some() {
-                self.reserve(Some(m.size_bytes()))?;
-            }
+            self.reserve(Some(m.size_bytes()))?;
             self.bind_matrix(out, m, true);
         }
         Ok(())

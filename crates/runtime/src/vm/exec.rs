@@ -619,10 +619,10 @@ impl VmExecutor {
         for step in steps {
             match step.kind {
                 FusedOpKind::MM(op) => {
-                    // Both-dense elementwise; the sparse×sparse multiply
-                    // fast path cannot trigger because externals are gated
-                    // dense, and `to_dense` of a sparse intermediate is
-                    // exactly `buf` under the +0.0 invariant.
+                    // Both-dense elementwise: `Matrix::binary` returns what
+                    // densifying its operands would, whatever their format,
+                    // and `to_dense` of a sparse intermediate is exactly
+                    // `buf` under the +0.0 invariant.
                     match (step.mats[0], step.mats[1]) {
                         (FusedMatIn::Slot(a), FusedMatIn::Slot(b)) => {
                             let (a, b) = (ext(a), ext(b));
@@ -674,8 +674,14 @@ impl VmExecutor {
                     }
                 }
                 FusedOpKind::SM(op) => {
-                    // scalar_binary always densifies first; under the
-                    // +0.0 invariant `buf` already equals that dense view.
+                    // On a CSR intermediate with `op(s, +0.0) == 0`,
+                    // scalar_binary maps the stored values and stays CSR;
+                    // otherwise it densifies, and under the +0.0 invariant
+                    // `buf` already equals that dense view. The dense loop
+                    // mirrors both: in the CSR case the result's nnz is at
+                    // most the input's, so it prefers CSR too and
+                    // `post_dense` flushes zeros exactly as CSR compaction
+                    // drops them.
                     let s = step.scalar.expect("SM has a scalar");
                     if let FusedMatIn::Slot(a) = step.mats[0] {
                         let a = ext(a);

@@ -12,7 +12,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use reml::matrix::{BinaryOp, MatrixError};
+use reml::matrix::{BinaryOp, DenseMatrix, MatrixError};
 use reml::prelude::*;
 use reml::runtime::executor::{ExecError, NoRecompile};
 use reml::runtime::instructions::{CpInstruction, Instruction, OpCode, TEMP_PREFIX};
@@ -323,6 +323,93 @@ fn small_pool_vm_identical() {
     let model_tree = tree.hdfs.peek("model").unwrap();
     let model_vm = vm.hdfs.peek("model").unwrap();
     assert_eq!(matrix_bits(model_tree), matrix_bits(model_vm));
+}
+
+/// `a op b` cell by cell over the densified operands, `b` of `a`'s shape or
+/// a column vector, in the format the runtime picks for those cells.
+fn densified(op: BinaryOp, a: &Matrix, b: &Matrix) -> Matrix {
+    let (a, b) = (a.to_dense(), b.to_dense());
+    let mut out = DenseMatrix::zeros(a.rows(), a.cols());
+    for r in 0..a.rows() {
+        for c in 0..a.cols() {
+            let y = if b.cols() == a.cols() {
+                b.get(r, c)
+            } else {
+                b.get(r, 0)
+            };
+            out.set(r, c, op.apply(a.get(r, c), y));
+        }
+    }
+    Matrix::from_dense_auto(out)
+}
+
+/// The CSR element-wise kernels against the densified reference: GLM's
+/// `X * w` on a CSR `X`, once with finite weights (the product stays CSR)
+/// and once with an `inf`, a NaN and a `-0.0` among them (`0 · inf` is
+/// NaN, so it takes the fill-and-patch path), and MLogreg's `P - Y` with
+/// dense `P` and CSR `Y`.
+#[test]
+fn csr_elementwise_matches_densified_reference() {
+    let data = generate_dataset(300, 20, 0.05, LabelKind::Classes(4), 22);
+    let x = data.x.clone();
+    assert!(x.is_sparse());
+    let n = x.rows();
+    let mut w = reml::matrix::generate::rand_dense(n, 1, -1.0, 1.0, 5);
+    let w_finite = Matrix::Dense(w.clone());
+    w.set(3, 0, f64::INFINITY);
+    w.set(7, 0, f64::NAN);
+    w.set(11, 0, -0.0);
+    let w = Matrix::Dense(w);
+    let mut onehot = DenseMatrix::zeros(n, 4);
+    for r in 0..n {
+        onehot.set(r, (data.y.get(r, 0) as usize - 1) % 4, 1.0);
+    }
+    let y = Matrix::from_dense_auto(onehot);
+    assert!(y.is_sparse());
+    let p = Matrix::Dense(reml::matrix::generate::rand_dense(n, 4, 0.0, 1.0, 6));
+
+    let mut cfg = CompileConfig::new(ClusterConfig::paper_cluster(), 4 * 1024, 1024);
+    let mut hdfs = HdfsStore::new();
+    for (name, m) in [
+        ("X", &x),
+        ("W", &w),
+        ("WF", &w_finite),
+        ("P", &p),
+        ("Y", &y),
+    ] {
+        cfg.params
+            .insert(name.to_string(), ScalarValue::Str(name.to_string()));
+        cfg.inputs.insert(name.to_string(), m.characteristics());
+        hdfs.stage(name, m.clone());
+    }
+    for out in ["xw", "xwf", "d"] {
+        cfg.params
+            .insert(out.to_string(), ScalarValue::Str(out.to_string()));
+    }
+    let source = r#"
+        X = read($X)
+        w = read($W)
+        wf = read($WF)
+        P = read($P)
+        Y = read($Y)
+        write(X * w, $xw)
+        write(X * wf, $xwf)
+        write(P - Y, $d)
+        G = t(X) %*% (P - Y)
+        print("G=" + sum(G))
+    "#;
+    let compiled = compile_source(source, &cfg).expect("script compiles");
+    let runs = differential_program("CsrElementwise", &compiled.runtime, &hdfs, false);
+    let cases = [
+        ("xw", densified(BinaryOp::Mul, &x, &w)),
+        ("xwf", densified(BinaryOp::Mul, &x, &w_finite)),
+        ("d", densified(BinaryOp::Sub, &p, &y)),
+    ];
+    for (path, want) in &cases {
+        assert_eq!(runs[0].hdfs[*path], matrix_bits(want), "{path}");
+    }
+    assert!(cases[0].1.to_dense().data().iter().any(|v| v.is_nan()));
+    assert!(runs[0].hdfs["xwf"].0, "X * finite w stays CSR");
 }
 
 /// A hand-written CP instruction claiming compile-time size `mc` for
