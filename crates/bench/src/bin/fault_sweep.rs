@@ -53,7 +53,7 @@ fn main() {
             }
         }
         let canonical = canonical.expect("canonical schedule ran");
-        values.push(("rework[s]".to_string(), canonical.fault_rework_s));
+        values.push(("rework[s]".to_string(), canonical.fault_rework_s()));
         values.push(("faults".to_string(), canonical.faults_injected as f64));
         values.push(("recoveries".to_string(), canonical.recoveries as f64));
         values.push(("retries".to_string(), canonical.task_retries as f64));

@@ -3,8 +3,8 @@
 //!
 //! Sweeps 5 scripts × {XS, S, M} × {benign, canonical fault schedule}.
 //! Each run optimizes the workload, simulates it at the chosen
-//! configuration, attributes the makespan over the causal event DAG
-//! (`reml_insight`), builds the per-node utilization timeline, and
+//! configuration, attributes the makespan over the simulator's time
+//! ledger (`reml_insight`), builds the per-node utilization timeline, and
 //! renders the optimizer's decision ledger.
 //!
 //! Artifacts: `results/insight_report.json` (deterministic — derived

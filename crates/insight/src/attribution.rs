@@ -1,14 +1,17 @@
-//! Critical-path extraction and makespan attribution over the causal DAG.
+//! Makespan attribution over the simulator's ledger.
 //!
-//! The simulator charges every simulated second through one causal node
+//! The simulator charges every simulated second through one ledger node
 //! (see `reml_sim::causal`), so the makespan decomposes exactly into the
-//! taxonomy buckets; the *critical path* is the longest duration-weighted
-//! path through the happens-before DAG. Because the simulator executes
-//! on a serial virtual clock its DAG is a chain and the critical path
-//! equals the makespan — the invariant chain
-//! `critical_path ≤ makespan ≤ serial_sum` is what a scheduler-parallel
-//! simulator would have to keep honest, and [`AppAttribution::
-//! check_invariants`] enforces it on every run.
+//! taxonomy buckets. Its clock is serial and the ledger a chain, so the
+//! critical path is the chain itself: [`CausalTrace::charged_s`].
+//! [`AppAttribution::check_invariants`] still checks
+//! `critical_path ≤ makespan ≤ serial_sum` on every run, which pins the
+//! ledger's durations to the measured makespan and to the serialized
+//! work behind it.
+//!
+//! This engine sums *simulated* seconds per bucket; `reml_trace`'s
+//! attribution computes *wall-clock* self time over a span forest. The
+//! two share no logic and stay separate.
 
 use reml_sim::{AppOutcome, Bucket, CausalTrace};
 use serde::Value;
@@ -18,7 +21,7 @@ use serde::Value;
 pub struct AppAttribution {
     /// Measured end-to-end time, seconds.
     pub makespan_s: f64,
-    /// Longest duration-weighted path through the causal DAG, seconds.
+    /// Duration of the causal chain (the critical path), seconds.
     pub critical_path_s: f64,
     /// Total serialized work (durations × parallel widths), seconds.
     pub serial_sum_s: f64,
@@ -99,42 +102,17 @@ impl serde::Serialize for AppAttribution {
     }
 }
 
-/// Longest duration-weighted path through the DAG, seconds. Nodes are
-/// topologically ordered by id (dependencies always point backwards).
-pub fn critical_path_s(trace: &CausalTrace) -> f64 {
-    let mut dist = vec![0.0f64; trace.len()];
-    let mut best = 0.0f64;
-    for node in &trace.nodes {
-        let pred = node
-            .deps
-            .iter()
-            .map(|&d| dist[d as usize])
-            .fold(0.0f64, f64::max);
-        let d = pred + node.duration_s();
-        dist[node.id as usize] = d;
-        best = best.max(d);
-    }
-    best
-}
-
 /// Attribute a causal trace against a measured makespan. Whatever the
 /// bucket sums fail to explain (at most float dust for the simulator's
-/// chain DAG) lands in [`Bucket::IdleResidual`].
+/// chain) lands in [`Bucket::IdleResidual`].
 pub fn attribute_trace(trace: &CausalTrace, makespan_s: f64) -> AppAttribution {
+    // `Bucket::ALL` lists the buckets in declaration order.
     let mut sums: Vec<f64> = vec![0.0; Bucket::ALL.len()];
     for node in &trace.nodes {
-        let idx = Bucket::ALL
-            .iter()
-            .position(|b| *b == node.bucket)
-            .expect("bucket in taxonomy");
-        sums[idx] += node.duration_s();
+        sums[node.bucket as usize] += node.duration_s();
     }
-    let residual_idx = Bucket::ALL
-        .iter()
-        .position(|b| *b == Bucket::IdleResidual)
-        .expect("residual in taxonomy");
     let explained: f64 = sums.iter().sum();
-    sums[residual_idx] += (makespan_s - explained).max(0.0);
+    sums[Bucket::IdleResidual as usize] += (makespan_s - explained).max(0.0);
     let coverage = if makespan_s <= 0.0 {
         1.0
     } else {
@@ -142,7 +120,7 @@ pub fn attribute_trace(trace: &CausalTrace, makespan_s: f64) -> AppAttribution {
     };
     AppAttribution {
         makespan_s,
-        critical_path_s: critical_path_s(trace),
+        critical_path_s: trace.charged_s(),
         serial_sum_s: trace.serial_sum_s(),
         buckets: Bucket::ALL.iter().copied().zip(sums).collect(),
         coverage,
@@ -157,37 +135,19 @@ pub fn attribute_app(outcome: &AppOutcome) -> AppAttribution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reml_sim::CausalKind;
+    use reml_sim::{CausalKind, Comp};
 
     fn chain() -> CausalTrace {
         let mut t = CausalTrace::new();
-        t.push(
-            CausalKind::Cp,
-            "a",
-            Some(0),
-            Bucket::Compute,
-            0.0,
-            2.0,
-            2.0,
-            1,
-        );
-        t.push(
-            CausalKind::MrJob,
-            "mr.job",
-            Some(1),
-            Bucket::Io,
-            2.0,
-            5.0,
-            12.0,
-            4,
-        );
-        t.push(
+        t.enter_block(0);
+        t.charge(Comp::Compute, Bucket::Compute, CausalKind::Cp, "a", 2.0, 1);
+        t.enter_block(1);
+        t.charge(Comp::Io, Bucket::Io, CausalKind::MrJob, "mr.job", 3.0, 4);
+        t.charge(
+            Comp::Latency,
+            Bucket::StragglerWait,
             CausalKind::Fault,
             "fault.straggler",
-            Some(1),
-            Bucket::StragglerWait,
-            5.0,
-            6.0,
             1.0,
             1,
         );
@@ -227,18 +187,5 @@ mod tests {
         let empty = attribute_trace(&CausalTrace::new(), 0.0);
         empty.check_invariants().unwrap();
         assert_eq!(empty.coverage, 1.0);
-    }
-
-    #[test]
-    fn diamond_dag_critical_path_takes_the_longer_arm() {
-        // Hand-build a diamond: a → {b, c} → d, durations 1, 5, 2, 1.
-        let mut t = CausalTrace::new();
-        t.push(CausalKind::Cp, "a", None, Bucket::Compute, 0.0, 1.0, 1.0, 1);
-        t.push(CausalKind::Cp, "b", None, Bucket::Compute, 1.0, 6.0, 5.0, 1);
-        t.push(CausalKind::Cp, "c", None, Bucket::Io, 1.0, 3.0, 2.0, 1);
-        t.push(CausalKind::Cp, "d", None, Bucket::Compute, 6.0, 7.0, 1.0, 1);
-        t.nodes[2].deps = vec![0];
-        t.nodes[3].deps = vec![1, 2];
-        assert!((critical_path_s(&t) - 7.0).abs() < 1e-12);
     }
 }

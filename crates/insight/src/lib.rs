@@ -1,14 +1,14 @@
 //! # reml-insight — where did the time go, and why this configuration?
 //!
-//! The observability layer over the simulator's causal event DAG
-//! ([`reml_sim::CausalTrace`]) and the optimizer's decision ledger
+//! The observability layer over the simulator's ledger of simulated
+//! time ([`reml_sim::CausalTrace`]) and the optimizer's decision ledger
 //! ([`reml_optimizer::DecisionLedger`]):
 //!
-//! * [`attribution`] — extract the **critical path** of a simulated
-//!   application and attribute its makespan to the closed taxonomy
-//!   ([`reml_sim::Bucket`]): compute, IO, shuffle, scheduling delay,
-//!   queue wait, straggler wait, retry/rework, recompilation, eviction,
-//!   and the (near-zero) idle residual. The invariant
+//! * [`attribution`] — attribute the makespan of a simulated
+//!   application to the closed taxonomy ([`reml_sim::Bucket`]): compute,
+//!   IO, shuffle, scheduling delay, queue wait, straggler wait,
+//!   retry/rework, recompilation, eviction, and the (near-zero) idle
+//!   residual. The invariant
 //!   `critical_path ≤ makespan ≤ serial_sum` is checked on every
 //!   attribution.
 //! * [`timeline`] — per-node / per-container utilization timelines
@@ -26,6 +26,6 @@ pub mod attribution;
 pub mod explain;
 pub mod timeline;
 
-pub use attribution::{attribute_app, attribute_trace, critical_path_s, AppAttribution};
+pub use attribution::{attribute_app, attribute_trace, AppAttribution};
 pub use explain::{explain, explain_with_what_if, BindingResource, Explanation, Marginal};
 pub use timeline::{build_timeline, timeline_records, LaneState, Segment, Timeline};

@@ -232,7 +232,7 @@ pub fn timeline_records(timeline: &Timeline) -> Vec<TraceRecord> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reml_sim::Bucket;
+    use reml_sim::{Bucket, Comp};
 
     fn cluster() -> ClusterConfig {
         ClusterConfig::paper_cluster()
@@ -242,53 +242,45 @@ mod tests {
         let mut t = CausalTrace::new();
         // AM alloc (scheduling), CP compute, a 24-task MR job, a
         // preemption rework, a requeue wait.
-        t.push(
+        t.charge(
+            Comp::Latency,
+            Bucket::SchedulingDelay,
             CausalKind::Container,
             "am.alloc",
-            None,
-            Bucket::SchedulingDelay,
-            0.0,
-            1.0,
             1.0,
             1,
         );
-        t.push(
+        t.enter_block(0);
+        t.charge(
+            Comp::Compute,
+            Bucket::Compute,
             CausalKind::Cp,
             "MatMult",
-            Some(0),
-            Bucket::Compute,
-            1.0,
-            3.0,
             2.0,
             1,
         );
-        t.push(
+        t.enter_block(1);
+        t.charge(
+            Comp::Compute,
+            Bucket::Compute,
             CausalKind::MrJob,
             "mr.job",
-            Some(1),
-            Bucket::Compute,
-            3.0,
-            7.0,
-            96.0,
+            4.0,
             24,
         );
-        t.push(
+        t.charge(
+            Comp::Io,
+            Bucket::RetryRework,
             CausalKind::Fault,
             "fault.preempt.rework",
-            Some(1),
-            Bucket::RetryRework,
-            7.0,
-            8.0,
             1.0,
             1,
         );
-        t.push(
+        t.charge(
+            Comp::Latency,
+            Bucket::SchedulingDelay,
             CausalKind::Fault,
             "fault.preempt.requeue",
-            Some(1),
-            Bucket::SchedulingDelay,
-            8.0,
-            9.0,
             1.0,
             1,
         );

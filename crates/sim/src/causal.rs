@@ -1,14 +1,17 @@
-//! Causal event DAG emitted by the simulator.
+//! The ledger of simulated time.
 //!
-//! Every second the simulator charges to an [`super::AppOutcome`]
-//! component is also recorded here as a node in a happens-before DAG on
-//! the virtual clock: the node knows *what* consumed the time (a CP
+//! [`CausalTrace::charge`] is the only place the simulator's clock
+//! advances. Each charge adds its seconds to one [`Comp`] total and
+//! appends one [`CausalNode`] that knows *what* consumed the time (a CP
 //! instruction, an MR job, a fault, a migration), *which* taxonomy
 //! bucket it belongs to, and *how much serialized work* it stands for
 //! (an MR node's duration is its elapsed time; its `serial_s` is
-//! duration × task parallelism). `reml_insight` consumes this trace to
-//! extract the critical path and attribute the makespan — the closed
-//! taxonomy below is the contract between the two crates.
+//! duration × task parallelism). The clock is serial, so the nodes form
+//! a chain without explicit edges: each starts at the clock reading its
+//! predecessor's charge left. Every view of the run's time — `AppOutcome::elapsed_s`, the
+//! per-component split, `AppOutcome::fault_rework_s` and the
+//! `reml_insight` attribution and timelines — is read from this one
+//! ledger; the closed taxonomy below is the contract between the crates.
 
 /// The closed attribution taxonomy: every simulated second lands in
 /// exactly one bucket. `IdleResidual` is never emitted by the simulator
@@ -87,26 +90,26 @@ pub enum CausalKind {
     Migration,
 }
 
-impl CausalKind {
-    /// Stable snake_case name.
-    pub fn name(self) -> &'static str {
-        match self {
-            CausalKind::Container => "container",
-            CausalKind::Cp => "cp",
-            CausalKind::MrJob => "mr_job",
-            CausalKind::Recompilation => "recompilation",
-            CausalKind::Fault => "fault",
-            CausalKind::Migration => "migration",
-        }
-    }
+/// Cost component a charge lands in: the IO / compute / latency /
+/// shuffle split of the analytic cost model, plus the buffer-pool
+/// eviction time the simulator adds on top of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Comp {
+    /// HDFS, broadcast and migration-export IO.
+    Io,
+    /// CPU work.
+    Compute,
+    /// Job, task and container latency.
+    Latency,
+    /// MR shuffle transfer.
+    Shuffle,
+    /// Buffer-pool eviction writes and restore reads.
+    Eviction,
 }
 
-/// One node of the causal DAG: a contiguous span of simulated time with
-/// happens-before edges to its predecessors.
+/// One ledger entry: a contiguous span of simulated time.
 #[derive(Debug, Clone)]
 pub struct CausalNode {
-    /// Dense id (index into [`CausalTrace::nodes`]).
-    pub id: u32,
     /// Actor kind.
     pub kind: CausalKind,
     /// Short label (opcode tag, fault tag, ...).
@@ -124,8 +127,6 @@ pub struct CausalNode {
     pub serial_s: f64,
     /// Parallel width (concurrently running tasks), ≥ 1.
     pub width: u64,
-    /// Happens-before predecessors (node ids).
-    pub deps: Vec<u32>,
 }
 
 impl CausalNode {
@@ -135,14 +136,18 @@ impl CausalNode {
     }
 }
 
-/// The causal trace of one simulated application. The simulator executes
-/// serially on the virtual clock, so nodes form a chain in emission
-/// order — each node's happens-before set is its predecessor — and node
-/// durations partition the makespan.
+/// The ledger of one simulated application. The simulator's clock is
+/// serial, so nodes form a chain in emission order, each starting at the
+/// clock reading its predecessor left, and their durations partition the
+/// makespan (up to rounding).
 #[derive(Debug, Clone, Default)]
 pub struct CausalTrace {
     /// Nodes in virtual-clock order.
     pub nodes: Vec<CausalNode>,
+    /// Charged seconds per [`Comp`], in declaration order.
+    totals: [f64; 5],
+    /// Statement block that new nodes are attributed to.
+    block: Option<usize>,
 }
 
 impl CausalTrace {
@@ -151,34 +156,68 @@ impl CausalTrace {
         Self::default()
     }
 
-    /// Append a node chained after the current tail; returns its id.
-    #[allow(clippy::too_many_arguments)]
-    pub fn push(
+    /// Attribute subsequent nodes to statement block `id`.
+    pub fn enter_block(&mut self, id: usize) {
+        self.block = Some(id);
+    }
+
+    /// Simulated time so far: the component totals summed in [`Comp`]
+    /// order (the order fixes the clock's bits).
+    pub fn now(&self) -> f64 {
+        let [io, compute, latency, shuffle, eviction] = self.totals;
+        io + compute + latency + shuffle + eviction
+    }
+
+    /// Seconds charged to one component.
+    pub fn component_s(&self, comp: Comp) -> f64 {
+        self.totals[comp as usize]
+    }
+
+    /// Advance the clock by `secs` of `comp` and append the matching
+    /// node. Work running at parallel `width` lasts `secs` of elapsed
+    /// time and stands for `secs × width` of serialized work. Zero and
+    /// negative charges are dropped (no node).
+    pub fn charge(
         &mut self,
+        comp: Comp,
+        bucket: Bucket,
         kind: CausalKind,
         label: &str,
-        block: Option<usize>,
-        bucket: Bucket,
-        start_s: f64,
-        end_s: f64,
-        serial_s: f64,
+        secs: f64,
         width: u64,
-    ) -> u32 {
-        let id = self.nodes.len() as u32;
-        let deps = if id == 0 { Vec::new() } else { vec![id - 1] };
+    ) {
+        if secs <= 0.0 {
+            return;
+        }
+        let start_s = self.now();
+        self.totals[comp as usize] += secs;
+        let width = width.max(1);
         self.nodes.push(CausalNode {
-            id,
             kind,
             label: label.to_string(),
-            block,
+            block: self.block,
             bucket,
             start_s,
-            end_s,
-            serial_s,
-            width: width.max(1),
-            deps,
+            end_s: start_s + secs,
+            serial_s: secs * width as f64,
+            width,
         });
-        id
+    }
+
+    /// Append a zero-duration recompilation marker (the decision
+    /// overhead, when any, is charged separately).
+    pub fn mark_recompile(&mut self, label: &str) {
+        let now = self.now();
+        self.nodes.push(CausalNode {
+            kind: CausalKind::Recompilation,
+            label: label.to_string(),
+            block: self.block,
+            bucket: Bucket::Recompilation,
+            start_s: now,
+            end_s: now,
+            serial_s: 0.0,
+            width: 1,
+        });
     }
 
     /// Number of nodes.
@@ -210,36 +249,52 @@ mod tests {
     fn taxonomy_is_closed_and_named() {
         let names: std::collections::HashSet<&str> = Bucket::ALL.iter().map(|b| b.name()).collect();
         assert_eq!(names.len(), Bucket::ALL.len());
+        // Attribution indexes its per-bucket sums by `bucket as usize`.
+        assert!(Bucket::ALL
+            .iter()
+            .enumerate()
+            .all(|(i, b)| *b as usize == i));
     }
 
     #[test]
-    fn push_chains_nodes() {
+    fn charge_chains_nodes_and_keeps_component_totals() {
         let mut t = CausalTrace::new();
-        let a = t.push(
+        t.charge(Comp::Compute, Bucket::Compute, CausalKind::Cp, "x", 1.0, 1);
+        // Zero and negative charges add no node and move no clock.
+        t.charge(Comp::Io, Bucket::Io, CausalKind::Cp, "zero", 0.0, 1);
+        t.charge(Comp::Io, Bucket::Io, CausalKind::Cp, "neg", -2.0, 1);
+        t.enter_block(1);
+        t.charge(Comp::Io, Bucket::Io, CausalKind::MrJob, "y", 2.0, 4);
+        t.mark_recompile("recompile");
+        t.charge(
+            Comp::Eviction,
+            Bucket::Eviction,
             CausalKind::Cp,
-            "x",
-            Some(0),
-            Bucket::Compute,
-            0.0,
-            1.0,
-            1.0,
-            1,
+            "z",
+            0.5,
+            0,
         );
-        let b = t.push(
-            CausalKind::MrJob,
-            "y",
-            Some(1),
-            Bucket::Io,
-            1.0,
-            3.0,
-            8.0,
-            4,
-        );
-        assert_eq!(a, 0);
-        assert_eq!(b, 1);
-        assert!(t.nodes[0].deps.is_empty());
-        assert_eq!(t.nodes[1].deps, vec![0]);
-        assert_eq!(t.charged_s(), 3.0);
-        assert_eq!(t.serial_sum_s(), 9.0);
+        assert_eq!(t.len(), 4);
+        let spans: Vec<(f64, f64)> = t.nodes.iter().map(|n| (n.start_s, n.end_s)).collect();
+        assert_eq!(spans, [(0.0, 1.0), (1.0, 3.0), (3.0, 3.0), (3.0, 3.5)]);
+        assert_eq!(t.nodes[0].block, None);
+        assert_eq!(t.nodes[1].block, Some(1));
+        assert_eq!(t.nodes[3].width, 1, "width is at least one");
+        assert_eq!(t.component_s(Comp::Io), 2.0);
+        assert_eq!(t.component_s(Comp::Latency), 0.0);
+        let sum: f64 = [
+            Comp::Io,
+            Comp::Compute,
+            Comp::Latency,
+            Comp::Shuffle,
+            Comp::Eviction,
+        ]
+        .map(|c| t.component_s(c))
+        .iter()
+        .sum();
+        assert_eq!(t.now(), sum);
+        assert_eq!(t.now(), 3.5);
+        assert_eq!(t.charged_s(), 3.5);
+        assert_eq!(t.serial_sum_s(), 9.5);
     }
 }

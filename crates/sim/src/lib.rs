@@ -34,7 +34,7 @@ pub use audit::{
     collect_observations, memory_soundness_audit, MemoryAuditReport, OpcodeAudit,
     ScriptObservations,
 };
-pub use causal::{Bucket, CausalKind, CausalNode, CausalTrace};
+pub use causal::{Bucket, CausalKind, CausalNode, CausalTrace, Comp};
 pub use fault::{
     trace_to_json, FaultInjector, FaultKind, FaultPlan, FaultSpec, FaultTrigger, RetryPolicy,
     TraceEvent, TracedEvent,

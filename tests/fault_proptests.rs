@@ -15,7 +15,9 @@ use proptest::prelude::*;
 use reml::compiler::MrHeapAssignment;
 use reml::prelude::*;
 use reml::scripts::{DataShape, Scenario};
-use reml::sim::{trace_to_json, AppOutcome, FaultSpec, FaultTrigger, RetryPolicy, ShadowPool};
+use reml::sim::{
+    trace_to_json, AppOutcome, Comp, FaultSpec, FaultTrigger, RetryPolicy, ShadowPool,
+};
 
 /// Decode `(trigger_sel, trigger_idx, kind_sel, param)` tuples into a
 /// plan: every fault kind and both trigger kinds are reachable.
@@ -102,14 +104,15 @@ proptest! {
         prop_assert_eq!(&a.events, &b.events);
         prop_assert_eq!(trace_to_json(&a.events), trace_to_json(&b.events));
         prop_assert_eq!(a.elapsed_s, b.elapsed_s);
-        prop_assert_eq!(a.io_s, b.io_s);
-        prop_assert_eq!(a.latency_s, b.latency_s);
+        for comp in [Comp::Io, Comp::Compute, Comp::Latency, Comp::Shuffle, Comp::Eviction] {
+            prop_assert_eq!(a.causal.component_s(comp), b.causal.component_s(comp));
+        }
         prop_assert_eq!(a.mr_jobs, b.mr_jobs);
         prop_assert_eq!(a.migrations, b.migrations);
         prop_assert_eq!(a.recoveries, b.recoveries);
         prop_assert_eq!(a.task_retries, b.task_retries);
         prop_assert_eq!(a.faults_injected, b.faults_injected);
-        prop_assert_eq!(a.fault_rework_s, b.fault_rework_s);
+        prop_assert_eq!(a.fault_rework_s(), b.fault_rework_s());
         prop_assert_eq!(a.final_resources, b.final_resources);
     }
 

@@ -23,7 +23,9 @@ use std::path::PathBuf;
 use reml::compiler::MrHeapAssignment;
 use reml::prelude::*;
 use reml::scripts::{DataShape, Scenario, ScriptSpec};
-use reml::sim::{trace_to_json, AppOutcome, FaultKind, FaultSpec, FaultTrigger, TraceEvent};
+use reml::sim::{
+    trace_to_json, AppOutcome, FaultKind, FaultSpec, FaultTrigger, RetryPolicy, TraceEvent,
+};
 
 /// Fixed-entry run: resources pinned to the YARN minimum so every
 /// scenario exercises recompilation, adaptation, and MR jobs the same
@@ -131,6 +133,8 @@ fn replay_is_byte_identical() {
     assert_eq!(a.events, b.events);
     assert_eq!(trace_to_json(&a.events), trace_to_json(&b.events));
     assert_eq!(a.elapsed_s, b.elapsed_s);
+    // The outcome's clock is the ledger's, bit for bit.
+    assert_eq!(a.elapsed_s.to_bits(), a.causal.now().to_bits());
     assert_eq!(a.mr_jobs, b.mr_jobs);
     assert_eq!(a.migrations, b.migrations);
     assert_eq!(a.recoveries, b.recoveries);
@@ -148,7 +152,7 @@ fn canonical_plan_injects_faults_and_charges_rework() {
     let clean = run_faulted(&script, Scenario::M, FaultPlan::none());
     let faulted = run_faulted(&script, Scenario::M, FaultPlan::canonical());
     assert!(faulted.faults_injected >= 3, "{}", faulted.faults_injected);
-    assert!(faulted.fault_rework_s > 0.0);
+    assert!(faulted.fault_rework_s() > 0.0);
     assert!(
         faulted.elapsed_s > clean.elapsed_s,
         "faulted {:.1}s vs clean {:.1}s",
@@ -156,7 +160,7 @@ fn canonical_plan_injects_faults_and_charges_rework() {
         clean.elapsed_s
     );
     assert_eq!(clean.faults_injected, 0);
-    assert_eq!(clean.fault_rework_s, 0.0);
+    assert_eq!(clean.fault_rework_s(), 0.0);
     // Every trace starts with app_start and ends with the outcome.
     assert!(matches!(
         faulted.events.first().map(|e| &e.event),
@@ -169,6 +173,68 @@ fn canonical_plan_injects_faults_and_charges_rework() {
     // Trace timestamps are monotone.
     for w in faulted.events.windows(2) {
         assert!(w[0].t_s <= w[1].t_s + 1e-9);
+    }
+}
+
+#[test]
+fn fault_rework_is_what_each_fault_event_reports() {
+    // One fault per run: the rework total derived from the ledger must be
+    // the seconds that fault's own event reports. A node loss also pays
+    // one requeue delay, which its event does not carry.
+    let requeue_s =
+        RetryPolicy::default().backoff_s + ClusterConfig::paper_cluster().container_alloc_latency_s;
+    let script = reml::scripts::linreg_ds();
+    let cases = [
+        (FaultTrigger::MrJob(0), FaultKind::Straggler { factor: 2.0 }),
+        (
+            FaultTrigger::MrJob(1),
+            FaultKind::ContainerPreemption { fraction: 0.25 },
+        ),
+        (FaultTrigger::MrJob(2), FaultKind::NodeLoss { node: 0 }),
+        (FaultTrigger::Recompilation(2), FaultKind::AmKill),
+        // A low watermark trips mid-block, after real work was charged.
+        (
+            FaultTrigger::Recompilation(1),
+            FaultKind::TaskOom {
+                watermark_frac: 0.05,
+            },
+        ),
+    ];
+    for (trigger, kind) in cases {
+        let name = kind.name();
+        let plan = FaultPlan {
+            faults: vec![FaultSpec { trigger, kind }],
+            retry: RetryPolicy::default(),
+        };
+        let out = run_faulted(&script, Scenario::M, plan);
+        assert_eq!(out.faults_injected, 1, "{name}");
+        let reported: f64 = out
+            .events
+            .iter()
+            .map(|e| match e.event {
+                TraceEvent::Straggler { slowdown_s, .. } => slowdown_s,
+                TraceEvent::Preemption {
+                    rework_s,
+                    backoff_s,
+                    ..
+                } => rework_s + backoff_s,
+                TraceEvent::NodeLoss { rework_s, .. } => rework_s + requeue_s,
+                TraceEvent::AmKill {
+                    restart_latency_s,
+                    rework_s,
+                    restore_s,
+                    ..
+                } => restore_s + rework_s + restart_latency_s,
+                TraceEvent::Oom { wasted_s, .. } => wasted_s,
+                _ => 0.0,
+            })
+            .sum();
+        assert!(reported > 0.0, "{name} fired and cost time");
+        let derived = out.fault_rework_s();
+        assert!(
+            (derived - reported).abs() <= 1e-12 * reported,
+            "{name}: ledger {derived} s vs event {reported} s"
+        );
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! * **Attribution invariants**: for any valid generated DML program
 //!   (see `common/dml_gen.rs`) under any random fault schedule, the
-//!   causal-DAG attribution must satisfy
+//!   ledger attribution must satisfy
 //!   `critical_path ≤ makespan ≤ serial_sum`, partition the makespan
 //!   into non-negative taxonomy buckets, and explain ≥ 97% of it — and
 //!   the utilization timeline built from the same trace must stay
@@ -98,11 +98,13 @@ proptest! {
             att.coverage,
             att.makespan_s
         );
-        // The simulator's virtual clock is serial, so its causal DAG is a
-        // chain: the critical path must explain (nearly) the whole
-        // charged time, not just bound it.
+        // The simulator's virtual clock is serial, so its ledger is a
+        // chain and the critical path is exactly the charged time.
+        prop_assert_eq!(
+            att.critical_path_s.to_bits(),
+            outcome.causal.charged_s().to_bits()
+        );
         let eps = 1e-6 * att.makespan_s.max(1.0);
-        prop_assert!(att.critical_path_s >= outcome.causal.charged_s() - eps);
 
         let tl = build_timeline(&outcome.causal, &cluster, outcome.elapsed_s);
         prop_assert!((0.0..=1.0).contains(&tl.cluster_utilization));
