@@ -10,7 +10,7 @@ use reml_runtime::ScalarValue;
 
 /// MR heap assignment: a default plus per-generic-block overrides — this
 /// is the `(r¹, …, rⁿ)` half of the paper's resource vector `R_P`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MrHeapAssignment {
     /// Default MR task heap, MB.
     pub default_mb: u64,

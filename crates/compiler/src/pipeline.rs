@@ -4,7 +4,7 @@
 //! points the resource optimizer (Algorithm 1) and the runtime adaptation
 //! loop (§4) use.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use reml_lang::ast::{BinOp, Expr};
 use reml_lang::blocks::{build_blocks, count_all_blocks, StatementBlock, StatementBlockKind};
@@ -16,7 +16,7 @@ use reml_runtime::Instruction;
 
 use crate::build::{merge_env_branches, BlockBuilder, Env, FoldRecord, VarInfo};
 use crate::config::{CompileConfig, CompileError, CompileStats};
-use crate::hop::{CseHit, VType};
+use crate::hop::{CseHit, HopDag, HopId, VType};
 use crate::inline::inline_functions;
 use crate::lower::lower_dag;
 use crate::memest::estimate_dag;
@@ -216,16 +216,7 @@ pub fn compile(
     analyzed: &AnalyzedProgram,
     config: &CompileConfig,
 ) -> Result<CompiledProgram, CompileError> {
-    // The whole program is the scope from the first top-level block with
-    // nothing bound; only a whole program carries its params and inputs.
-    let mut compiled = compile_scope(analyzed, config, 0, &Env::new())?;
-    compiled.runtime.params = config
-        .params
-        .iter()
-        .map(|(k, v)| (k.clone(), v.clone()))
-        .collect();
-    compiled.runtime.inputs = config.inputs.iter().map(|(k, v)| (k.clone(), *v)).collect();
-    Ok(compiled)
+    compile_memo(analyzed, config, None, Memo::Off)
 }
 
 /// Convenience: analyze + compile a source string.
@@ -248,16 +239,45 @@ pub fn compile_scope(
     start_top_idx: usize,
     entry_env: &Env,
 ) -> Result<CompiledProgram, CompileError> {
-    let mut walker = Walker::new(config, true);
-    let mut env = entry_env.clone();
-    let scope = &analyzed.blocks[start_top_idx.min(analyzed.blocks.len())..];
-    let blocks = walker.walk_blocks(scope, &mut env)?;
+    compile_memo(
+        analyzed,
+        config,
+        Some((start_top_idx, entry_env)),
+        Memo::Off,
+    )
+}
+
+/// [`compile`] (`scope: None`) or [`compile_scope`], serving the
+/// budget-independent half of the walk from `memo`.
+pub(crate) fn compile_memo(
+    analyzed: &AnalyzedProgram,
+    config: &CompileConfig,
+    scope: Option<(usize, &Env)>,
+    memo: Memo<'_>,
+) -> Result<CompiledProgram, CompileError> {
+    // The whole program is the scope from the first top-level block with
+    // nothing bound; only a whole program carries its params and inputs.
+    let (start, mut env) = scope.map_or((0, Env::new()), |(start, env)| (start, env.clone()));
+    let mut walker = Walker::new(config, true, memo);
+    let blocks = walker.walk_blocks(
+        &analyzed.blocks[start.min(analyzed.blocks.len())..],
+        &mut env,
+    )?;
+    let mut runtime = RuntimeProgram {
+        blocks,
+        params: Vec::new(),
+        inputs: Vec::new(),
+    };
+    if scope.is_none() {
+        runtime.params = config
+            .params
+            .iter()
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect();
+        runtime.inputs = config.inputs.iter().map(|(k, v)| (k.clone(), *v)).collect();
+    }
     Ok(CompiledProgram {
-        runtime: RuntimeProgram {
-            blocks,
-            params: Vec::new(),
-            inputs: Vec::new(),
-        },
+        runtime,
         stats: walker.stats,
         summaries: walker.summaries,
         entry_envs: walker.entry_envs,
@@ -278,6 +298,10 @@ pub fn top_level_index_of(analyzed: &AnalyzedProgram, id: BlockId) -> Option<usi
     analyzed.blocks.iter().position(|b| contains(b, id))
 }
 
+/// A single-block compile: the block's instructions, its summary, and
+/// the counters the compile charged.
+pub type SingleBlock = (Vec<Instruction>, BlockSummary, CompileStats);
+
 /// Recompile a single generic block under (possibly different) resources,
 /// starting from a recorded entry environment. Returns the block summary
 /// and instructions. This is the inner-loop operation of Algorithm 1
@@ -287,7 +311,7 @@ pub fn compile_single_block(
     config: &CompileConfig,
     block_id: BlockId,
     entry_env: &Env,
-) -> Result<(Vec<Instruction>, BlockSummary, CompileStats), CompileError> {
+) -> Result<SingleBlock, CompileError> {
     let mut env = entry_env.clone();
     compile_block_with_env(analyzed, config, block_id, &mut env)
 }
@@ -299,7 +323,7 @@ pub fn compile_block_with_env(
     config: &CompileConfig,
     block_id: BlockId,
     env: &mut Env,
-) -> Result<(Vec<Instruction>, BlockSummary, CompileStats), CompileError> {
+) -> Result<SingleBlock, CompileError> {
     let block = analyzed
         .find_block(block_id)
         .ok_or_else(|| CompileError::Internal(format!("no block {block_id:?}")))?;
@@ -308,16 +332,26 @@ pub fn compile_block_with_env(
             "block {block_id:?} is not generic"
         )));
     };
-    let mut walker = Walker::new(config, false);
+    let mut walker = Walker::new(config, false, Memo::Off);
     let rt = walker.compile_generic(block_id, statements, env)?;
-    let RtBlock::Generic { instructions, .. } = rt else {
-        unreachable!()
-    };
-    let summary = walker
-        .summaries
-        .pop()
-        .ok_or_else(|| CompileError::Internal("missing summary".into()))?;
-    Ok((instructions, summary, walker.stats))
+    walker.into_single_block(rt)
+}
+
+/// [`compile_single_block`] of a block `memo` holds: only its lowering
+/// runs. `None` when the memo never saw the block.
+pub(crate) fn relower_block(
+    config: &CompileConfig,
+    block_id: BlockId,
+    memo: &WalkMemo,
+) -> Option<Result<SingleBlock, CompileError>> {
+    let built = memo.generic.get(&block_id.0)?;
+    let _block = reml_trace::span!("compile.block", block = block_id.0);
+    let mut walker = Walker::new(config, false, Memo::Off);
+    Some(
+        walker
+            .lower_generic(block_id, built)
+            .and_then(|rt| walker.into_single_block(rt)),
+    )
 }
 
 /// Size-propagation-only pass over a block list from a given environment
@@ -328,7 +362,7 @@ pub fn propagate_blocks_env(
     blocks: &[StatementBlock],
     env: &mut Env,
 ) -> Result<(), CompileError> {
-    Walker::new(config, false).propagate_blocks(blocks, env)
+    Walker::new(config, false, Memo::Off).propagate_blocks(blocks, env)
 }
 
 /// Fold a predicate expression against an environment (simulator control
@@ -343,8 +377,64 @@ pub fn fold_predicate_with_env(
     Ok(konst)
 }
 
-struct Walker<'a> {
+/// The budget-independent half of a compile walk, keyed by statement
+/// block: everything the walk derives before `lower_dag` sees a memory
+/// budget. Nothing in it reads the heaps — DAG construction, rewrites and
+/// memory estimates see only the environment, params, inputs and the
+/// `table()` hint — so every walk of one scope under one base
+/// configuration reaches each block with the same environment and
+/// rebuilds exactly these values. A what-if session fills one memo with
+/// its probe compile and afterwards only re-lowers.
+#[derive(Debug, Default)]
+pub(crate) struct WalkMemo {
+    /// Each generic block's build.
+    generic: HashMap<usize, GenericBuild>,
+    /// Constant fold of each `if` predicate.
+    if_folds: HashMap<usize, Option<ScalarValue>>,
+    /// Each loop's relaxed body-entry environment and iteration hint.
+    loops: HashMap<usize, (Env, Option<u64>)>,
+    /// Each predicate's estimated DAG and root.
+    predicates: HashMap<(usize, PredSlot), (HopDag, HopId)>,
+}
+
+/// Which predicate of a control-flow block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum PredSlot {
+    /// `if`/`while` condition.
+    Cond,
+    /// `for` range start.
+    From,
+    /// `for` range end.
+    To,
+}
+
+/// One generic block's HOP DAG, built, rewritten and memory-estimated,
+/// with what building it reported.
+#[derive(Debug)]
+struct GenericBuild {
+    dag: HopDag,
+    /// Environment after the block (kept only in a memo).
+    env_after: Env,
+    records: Vec<RewriteRecord>,
+    folds: Vec<FoldRecord>,
+    /// Counters the build charges: all but `block_compilations`, which
+    /// lowering charges.
+    stats: CompileStats,
+}
+
+/// How a walk uses a [`WalkMemo`].
+pub(crate) enum Memo<'m> {
+    /// Build everything (plain compilation).
+    Off,
+    /// Build everything and record it.
+    Fill(&'m mut WalkMemo),
+    /// Serve what the memo holds; build the rest.
+    Use(&'m WalkMemo),
+}
+
+struct Walker<'a, 'm> {
     config: &'a CompileConfig,
+    memo: Memo<'m>,
     stats: CompileStats,
     summaries: Vec<BlockSummary>,
     entry_envs: BTreeMap<usize, Env>,
@@ -354,10 +444,11 @@ struct Walker<'a> {
     record: bool,
 }
 
-impl<'a> Walker<'a> {
-    fn new(config: &'a CompileConfig, record: bool) -> Self {
+impl<'a, 'm> Walker<'a, 'm> {
+    fn new(config: &'a CompileConfig, record: bool, memo: Memo<'m>) -> Self {
         Walker {
             config,
+            memo,
             stats: CompileStats::default(),
             summaries: Vec::new(),
             entry_envs: BTreeMap::new(),
@@ -365,6 +456,34 @@ impl<'a> Walker<'a> {
             audit: RewriteAudit::default(),
             record,
         }
+    }
+
+    /// The memo this walk serves from, if any.
+    fn recall(&self) -> Option<&'m WalkMemo> {
+        match self.memo {
+            Memo::Use(memo) => Some(memo),
+            _ => None,
+        }
+    }
+
+    /// The memo this walk records into, if any.
+    fn filling(&mut self) -> Option<&mut WalkMemo> {
+        match &mut self.memo {
+            Memo::Fill(memo) => Some(memo),
+            _ => None,
+        }
+    }
+
+    /// The instructions, summary and counters of a single-block walk.
+    fn into_single_block(mut self, rt: RtBlock) -> Result<SingleBlock, CompileError> {
+        let RtBlock::Generic { instructions, .. } = rt else {
+            unreachable!()
+        };
+        let summary = self
+            .summaries
+            .pop()
+            .ok_or_else(|| CompileError::Internal("missing summary".into()))?;
+        Ok((instructions, summary, self.stats))
     }
 
     fn walk_blocks(
@@ -387,7 +506,16 @@ impl<'a> Walker<'a> {
                     else_blocks,
                 } => {
                     // Try branch removal on a constant predicate.
-                    let konst = self.fold_predicate(pred, env)?;
+                    let konst = match self.recall().and_then(|m| m.if_folds.get(&block.id.0)) {
+                        Some(konst) => konst.clone(),
+                        None => {
+                            let konst = self.fold_predicate(pred, env)?;
+                            if let Some(memo) = self.filling() {
+                                memo.if_folds.insert(block.id.0, konst.clone());
+                            }
+                            konst
+                        }
+                    };
                     match konst.and_then(|v| v.as_bool()) {
                         Some(true) => {
                             self.stats.branches_removed += 1;
@@ -412,7 +540,8 @@ impl<'a> Walker<'a> {
                             out.extend(self.walk_blocks(else_blocks, env)?);
                         }
                         None => {
-                            let pred_rt = self.compile_predicate(block.id, pred, env)?;
+                            let pred_rt =
+                                self.compile_predicate(block.id, PredSlot::Cond, pred, env)?;
                             let mut then_env = env.clone();
                             let then_rt = self.walk_blocks(then_blocks, &mut then_env)?;
                             let mut else_env = env.clone();
@@ -431,11 +560,21 @@ impl<'a> Walker<'a> {
                     // Loop stabilization: tentative propagation pass, then
                     // relax differing variable facts, then final compile.
                     let env0 = env.clone();
-                    let mut env1 = env.clone();
-                    self.propagate_blocks(body, &mut env1)?;
-                    *env = relax_loop_env(&env0, &env1);
-                    let max_iter_hint = self.loop_bound_hint(pred, env);
-                    let pred_rt = self.compile_predicate(block.id, pred, env)?;
+                    let max_iter_hint = match self.recall().and_then(|m| m.loops.get(&block.id.0)) {
+                        Some((relaxed, hint)) => {
+                            env.clone_from(relaxed);
+                            *hint
+                        }
+                        None => {
+                            let mut env1 = env.clone();
+                            self.propagate_blocks(body, &mut env1)?;
+                            *env = relax_loop_env(&env0, &env1);
+                            let hint = self.loop_bound_hint(pred, env);
+                            self.remember_loop(block.id, env, hint);
+                            hint
+                        }
+                    };
+                    let pred_rt = self.compile_predicate(block.id, PredSlot::Cond, pred, env)?;
                     let body_rt = self.walk_blocks(body, env)?;
                     // Loop may execute zero times: merge pre/post.
                     *env = merge_env_branches(&env0, env);
@@ -452,26 +591,36 @@ impl<'a> Walker<'a> {
                     to,
                     body,
                 } => {
-                    let iterations_hint = match (
-                        self.fold_predicate(from, env)?.and_then(|v| v.as_f64()),
-                        self.fold_predicate(to, env)?.and_then(|v| v.as_f64()),
-                    ) {
-                        // A non-finite range has no count (the executors
-                        // refuse it); a huge finite one saturates.
-                        (Some(f), Some(t)) if t >= f && (t - f).is_finite() => {
-                            Some(((t - f) as u64).saturating_add(1))
-                        }
-                        _ => None,
+                    let recalled = self.recall().and_then(|m| m.loops.get(&block.id.0));
+                    let iterations_hint = match recalled {
+                        Some((_, hint)) => *hint,
+                        None => match (
+                            self.fold_predicate(from, env)?.and_then(|v| v.as_f64()),
+                            self.fold_predicate(to, env)?.and_then(|v| v.as_f64()),
+                        ) {
+                            // A non-finite range has no count (the executors
+                            // refuse it); a huge finite one saturates.
+                            (Some(f), Some(t)) if t >= f && (t - f).is_finite() => {
+                                Some(((t - f) as u64).saturating_add(1))
+                            }
+                            _ => None,
+                        },
                     };
-                    let from_rt = self.compile_predicate(block.id, from, env)?;
-                    let to_rt = self.compile_predicate(block.id, to, env)?;
+                    let from_rt = self.compile_predicate(block.id, PredSlot::From, from, env)?;
+                    let to_rt = self.compile_predicate(block.id, PredSlot::To, to, env)?;
                     let env0 = env.clone();
-                    // Loop variable: scalar with unknown value.
-                    env.insert(var.as_str().into(), VarInfo::scalar());
-                    let mut env1 = env.clone();
-                    self.propagate_blocks(body, &mut env1)?;
-                    *env = relax_loop_env(env, &env1);
-                    env.insert(var.as_str().into(), VarInfo::scalar());
+                    match recalled {
+                        Some((relaxed, _)) => env.clone_from(relaxed),
+                        None => {
+                            // Loop variable: scalar with unknown value.
+                            env.insert(var.as_str().into(), VarInfo::scalar());
+                            let mut env1 = env.clone();
+                            self.propagate_blocks(body, &mut env1)?;
+                            *env = relax_loop_env(env, &env1);
+                            env.insert(var.as_str().into(), VarInfo::scalar());
+                            self.remember_loop(block.id, env, iterations_hint);
+                        }
+                    }
                     let body_rt = self.walk_blocks(body, env)?;
                     *env = merge_env_branches(&env0, env);
                     env.insert(var.as_str().into(), VarInfo::scalar());
@@ -541,40 +690,83 @@ impl<'a> Walker<'a> {
         env: &mut Env,
     ) -> Result<RtBlock, CompileError> {
         let _block = reml_trace::span!("compile.block", block = id.0);
+        let mut fresh = None;
+        let built: &GenericBuild = match self.recall().and_then(|m| m.generic.get(&id.0)) {
+            Some(built) => {
+                env.clone_from(&built.env_after);
+                built
+            }
+            None => fresh.insert(self.build_generic(statements, env)?),
+        };
+        let rt = self.lower_generic(id, built)?;
+        if let (Some(memo), Some(mut built)) = (self.filling(), fresh) {
+            built.env_after = env.clone();
+            memo.generic.insert(id.0, built);
+        }
+        Ok(rt)
+    }
+
+    /// Build, rewrite and memory-estimate a generic block's DAG,
+    /// advancing `env` past the block.
+    fn build_generic(
+        &self,
+        statements: &[reml_lang::ast::Statement],
+        env: &mut Env,
+    ) -> Result<GenericBuild, CompileError> {
         let builder = BlockBuilder::new(self.config);
         let built = {
             let _s = reml_trace::span!("compile.hop_build");
             builder.build_statements(statements, env)?
         };
         let mut dag = built.dag;
-        self.stats.dags_built += 1;
-        self.stats.cse_eliminated += dag.cse_hits;
-        self.stats.constants_folded += built.constants_folded;
+        let cse_eliminated = dag.cse_hits;
         let (rw, records) = if self.config.enable_rewrites {
             let _s = reml_trace::span!("compile.rewrites");
             apply_rewrites_logged(&mut dag)
         } else {
             (RewriteStats::default(), Vec::new())
         };
-        self.stats.rewrites_applied += rw.total();
-        if self.record {
-            self.audit.blocks.insert(
-                id.0,
-                BlockAudit {
-                    records,
-                    folds: built.fold_log,
-                    cse: dag.cse_log.clone(),
-                },
-            );
-        }
         {
             let _s = reml_trace::span!("compile.memest");
             estimate_dag(&mut dag);
         }
+        Ok(GenericBuild {
+            dag,
+            env_after: Env::new(),
+            records,
+            folds: built.fold_log,
+            stats: CompileStats {
+                dags_built: 1,
+                cse_eliminated,
+                constants_folded: built.constants_folded,
+                rewrites_applied: rw.total(),
+                ..CompileStats::default()
+            },
+        })
+    }
+
+    /// Charge a built block's counters and audit, and lower its DAG under
+    /// this walk's budgets.
+    fn lower_generic(
+        &mut self,
+        id: BlockId,
+        built: &GenericBuild,
+    ) -> Result<RtBlock, CompileError> {
+        self.stats.absorb(&built.stats);
+        if self.record {
+            self.audit.blocks.insert(
+                id.0,
+                BlockAudit {
+                    records: built.records.clone(),
+                    folds: built.folds.clone(),
+                    cse: built.dag.cse_log.clone(),
+                },
+            );
+        }
         let lowered = {
             let _s = reml_trace::span!("compile.lower");
             lower_dag(
-                &dag,
+                &built.dag,
                 self.config.cp_budget_mb(),
                 self.config.mr_budget_mb(id.0),
                 &[],
@@ -586,7 +778,7 @@ impl<'a> Walker<'a> {
             "compile.block_done",
             block = id.0,
             mr_jobs = mr_jobs,
-            rewrites = rw.total(),
+            rewrites = built.stats.rewrites_applied,
             recompile = lowered.requires_recompile
         );
         self.summaries.push(BlockSummary {
@@ -594,8 +786,8 @@ impl<'a> Walker<'a> {
             mr_jobs,
             requires_recompile: lowered.requires_recompile,
             all_mr_unknown,
-            mem_estimates_mb: lowered.mem_estimates_mb.clone(),
-            decision_estimates_mb: lowered.decision_estimates_mb.clone(),
+            mem_estimates_mb: lowered.mem_estimates_mb,
+            decision_estimates_mb: lowered.decision_estimates_mb,
         });
         Ok(RtBlock::Generic {
             source: id,
@@ -615,32 +807,52 @@ impl<'a> Walker<'a> {
     fn compile_predicate(
         &mut self,
         block: BlockId,
+        slot: PredSlot,
         pred: &Expr,
         env: &Env,
     ) -> Result<Predicate, CompileError> {
-        let builder = BlockBuilder::new(self.config);
-        let (built, root, _) = builder.build_predicate(pred, env)?;
-        let mut dag = built.dag;
-        estimate_dag(&mut dag);
+        let key = (block.0, slot);
+        let mut fresh = None;
+        let (dag, root) = match self.recall().and_then(|m| m.predicates.get(&key)) {
+            Some((dag, root)) => (dag, *root),
+            None => {
+                let builder = BlockBuilder::new(self.config);
+                let (built, root, _) = builder.build_predicate(pred, env)?;
+                let mut dag = built.dag;
+                estimate_dag(&mut dag);
+                let (dag, root) = fresh.insert((dag, root));
+                (&*dag, *root)
+            }
+        };
         let result_var = format!("__pred{}", block.0);
         let lowered = lower_dag(
-            &dag,
+            dag,
             self.config.cp_budget_mb(),
             self.config.mr_budget_mb(block.0),
             &[(root, result_var.clone())],
         )?;
         self.predicate_estimates
             .extend(lowered.decision_estimates_mb);
+        if let (Some(memo), Some(fresh)) = (self.filling(), fresh) {
+            memo.predicates.insert(key, fresh);
+        }
         Ok(Predicate {
             instructions: lowered.instructions,
             result_var,
         })
     }
 
+    /// Record a loop's relaxed body-entry environment and hint.
+    fn remember_loop(&mut self, id: BlockId, relaxed: &Env, hint: Option<u64>) {
+        if let Some(memo) = self.filling() {
+            memo.loops.insert(id.0, (relaxed.clone(), hint));
+        }
+    }
+
     /// Derive an iteration bound from predicates shaped like
     /// `... & var < bound` (the scripts' `iter < maxiterations` pattern).
     fn loop_bound_hint(&self, pred: &Expr, env: &Env) -> Option<u64> {
-        fn scan(this: &Walker<'_>, e: &Expr, env: &Env) -> Option<u64> {
+        fn scan(this: &Walker<'_, '_>, e: &Expr, env: &Env) -> Option<u64> {
             match e {
                 Expr::Binary {
                     op: BinOp::And,

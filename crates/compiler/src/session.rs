@@ -19,6 +19,12 @@
 //! collapses to a handful of distinct compilations; all other grid
 //! points are cache hits.
 //!
+//! The distinct compilations are cheap too: the probe compile records
+//! every block's built, rewritten and memory-estimated HOP DAG (and the
+//! rest of the walk's budget-independent work) in a walk memo, so a cache
+//! miss only re-lowers. With caching off, every request compiles from
+//! scratch.
+//!
 //! Sessions are `Sync`: the parallel optimizer shares one session across
 //! its worker threads, so a plan compiled for one grid point is reused
 //! by every other worker whose budgets land in the same intervals.
@@ -35,7 +41,8 @@ use reml_runtime::Instruction;
 use crate::build::Env;
 use crate::config::{CompileConfig, CompileError, MrHeapAssignment};
 use crate::pipeline::{
-    compile, compile_scope, compile_single_block, AnalyzedProgram, BlockSummary, CompiledProgram,
+    compile_memo, compile_single_block, relower_block, AnalyzedProgram, BlockSummary,
+    CompiledProgram, Memo, WalkMemo,
 };
 
 /// Tag bit marking a raw-heap (fingerprint-less) key component, used for
@@ -97,6 +104,9 @@ pub struct WhatIfSession<'a> {
     caching: bool,
     min_heap_mb: u64,
     probe: Arc<PlanHandle>,
+    /// The probe walk's budget-independent half (empty unless caching):
+    /// every later compile only re-lowers it.
+    memo: WalkMemo,
     /// Sorted, deduplicated decision thresholds per generic block.
     block_thresholds: BTreeMap<usize, Vec<f64>>,
     /// Union of all block thresholds plus predicate-lowering thresholds.
@@ -126,10 +136,17 @@ impl<'a> WhatIfSession<'a> {
         let base = base.clone();
         let scope = scope.map(|(start, env)| (start, env.clone()));
         let probe_cfg = with_resources(&base, min_heap_mb, MrHeapAssignment::uniform(min_heap_mb));
-        let probe_compiled = match &scope {
-            None => compile(analyzed, &probe_cfg)?,
-            Some((start, env)) => compile_scope(analyzed, &probe_cfg, *start, env)?,
-        };
+        let mut memo = WalkMemo::default();
+        let probe_compiled = compile_memo(
+            analyzed,
+            &probe_cfg,
+            scope.as_ref().map(|(start, env)| (*start, env)),
+            if caching {
+                Memo::Fill(&mut memo)
+            } else {
+                Memo::Off
+            },
+        )?;
 
         let mut block_thresholds: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
         for s in &probe_compiled.summaries {
@@ -167,6 +184,7 @@ impl<'a> WhatIfSession<'a> {
             caching,
             min_heap_mb,
             probe: probe.clone(),
+            memo,
             block_thresholds,
             program_thresholds,
             plans: Mutex::new(HashMap::new()),
@@ -277,10 +295,23 @@ impl<'a> WhatIfSession<'a> {
         }
     }
 
-    fn compile_cfg(&self, cfg: &CompileConfig) -> Result<CompiledProgram, CompileError> {
-        match &self.scope {
-            None => compile(self.analyzed, cfg),
-            Some((start, env)) => compile_scope(self.analyzed, cfg, *start, env),
+    /// Compile the session's scope under `cfg`: a plain compile, or with
+    /// `memo`, only the lowering of every block the probe saw.
+    fn compile_cfg(
+        &self,
+        cfg: &CompileConfig,
+        memo: Memo<'_>,
+    ) -> Result<CompiledProgram, CompileError> {
+        let scope = self.scope.as_ref().map(|(start, env)| (*start, env));
+        compile_memo(self.analyzed, cfg, scope, memo)
+    }
+
+    /// How a what-if compile uses the probe's memo: only while caching.
+    fn memo(&self) -> Memo<'_> {
+        if self.caching {
+            Memo::Use(&self.memo)
+        } else {
+            Memo::Off
         }
     }
 
@@ -330,7 +361,7 @@ impl<'a> WhatIfSession<'a> {
     ) -> Result<Arc<PlanHandle>, CompileError> {
         self.plan_misses.fetch_add(1, Ordering::Relaxed);
         let cfg = with_resources(&self.base, cp_heap_mb, mr_heap.clone());
-        let compiled = self.compile_cfg(&cfg)?;
+        let compiled = self.compile_cfg(&cfg, self.memo())?;
         self.compilations
             .fetch_add(compiled.stats.block_compilations, Ordering::Relaxed);
         Ok(Arc::new(PlanHandle {
@@ -351,7 +382,7 @@ impl<'a> WhatIfSession<'a> {
         mr_heap: &MrHeapAssignment,
     ) -> Result<Arc<PlanHandle>, CompileError> {
         let cfg = with_resources(&self.base, cp_heap_mb, mr_heap.clone());
-        let compiled = self.compile_cfg(&cfg)?;
+        let compiled = self.compile_cfg(&cfg, Memo::Off)?;
         Ok(Arc::new(PlanHandle {
             generic_instructions: Arc::new(collect_generic_instructions(&compiled)),
             compiled: Arc::new(compiled),
@@ -391,8 +422,15 @@ impl<'a> WhatIfSession<'a> {
             MrHeapAssignment::uniform(self.min_heap_mb),
         );
         cfg.mr_heap.set_block(block_id, mr_heap_mb);
-        let (instructions, summary, stats) =
-            compile_single_block(self.analyzed, &cfg, reml_lang::BlockId(block_id), entry_env)?;
+        let id = reml_lang::BlockId(block_id);
+        let relowered = self
+            .caching
+            .then(|| relower_block(&cfg, id, &self.memo))
+            .flatten();
+        let (instructions, summary, stats) = match relowered {
+            Some(relowered) => relowered?,
+            None => compile_single_block(self.analyzed, &cfg, id, entry_env)?,
+        };
         self.compilations
             .fetch_add(stats.block_compilations, Ordering::Relaxed);
         let block = Arc::new(CompiledBlock {

@@ -117,13 +117,30 @@ impl CostModel {
         cp_heap_mb: u64,
         mr_heap_mb: &dyn Fn(usize) -> u64,
     ) -> CostBreakdown {
+        self.cost_program_states(program, cp_heap_mb, mr_heap_mb, &mut VarStates::new())
+    }
+
+    /// [`CostModel::cost_program`] from a given state map, which the scan
+    /// leaves as the program ends (its [`VarStates::peak`] included).
+    pub fn cost_program_states(
+        &self,
+        program: &RuntimeProgram,
+        cp_heap_mb: u64,
+        mr_heap_mb: &dyn Fn(usize) -> u64,
+        states: &mut VarStates,
+    ) -> CostBreakdown {
         reml_trace::count("cost.program_invocations", 1);
-        let mut states = VarStates::new();
         let mut total = CostBreakdown::default();
         for block in &program.blocks {
-            total.add(&self.cost_block(block, cp_heap_mb, mr_heap_mb, &mut states));
+            total.add(&self.cost_block(block, cp_heap_mb, mr_heap_mb, states));
         }
         total
+    }
+
+    /// The CP memory budget a plan scan evicts against, bytes. The CP
+    /// heap reaches the cost only through this budget's eviction checks.
+    pub fn cp_budget_bytes(&self, cp_heap_mb: u64) -> u64 {
+        self.cluster.budget_mb_for_heap(cp_heap_mb) * 1024 * 1024
     }
 
     /// Cost a single block subtree with a fresh state map (the
@@ -192,11 +209,13 @@ impl CostModel {
                 total.add(&then_cost.scale(BRANCH_WEIGHT));
                 total.add(&else_cost.scale(BRANCH_WEIGHT));
                 // Keep the heavier branch's states (conservative).
-                *states = if then_cost.total_s() >= else_cost.total_s() {
-                    then_states
+                let (mut kept, dropped) = if then_cost.total_s() >= else_cost.total_s() {
+                    (then_states, else_states)
                 } else {
-                    else_states
+                    (else_states, then_states)
                 };
+                kept.absorb_peak(&dropped);
+                *states = kept;
                 total
             }
             RtBlock::While {
@@ -357,8 +376,7 @@ impl CostModel {
         }
         // Partial eviction accounting: overflow beyond the CP budget is
         // written out (and re-read on next use via the OnHdfs state).
-        let budget_bytes = self.cluster.budget_mb_for_heap(cp_heap_mb) * 1024 * 1024;
-        let evicted = states.enforce_budget(budget_bytes);
+        let evicted = states.enforce_budget(self.cp_budget_bytes(cp_heap_mb));
         if evicted > 0 {
             c.io_s += evicted as f64 / MBF / self.cluster.hdfs_write_mbs;
         }
@@ -800,6 +818,47 @@ mod tests {
         let c_heavy = m.cost_block_fresh(&heavy, 1_000_000, &|_| 512);
         // Weighted at 0.5.
         assert!((c_branch.total_s() - 0.5 * c_heavy.total_s()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn if_merge_keeps_the_dropped_arms_peak() {
+        // The scan continues from the costlier arm (one MR job, nothing
+        // resident), but the cheaper arm held two matrices at once: a
+        // budget below that pair evicts, so the merged peak must count it.
+        let m = model();
+        let v = dense(1000, 1000);
+        let job = MrJobInstruction {
+            hdfs_inputs: vec![("X".into(), v)],
+            broadcast_inputs: vec![],
+            mappers: vec![],
+            reducers: vec![],
+            outputs: vec![],
+            shuffle: vec![],
+        };
+        let arm = |source, instructions| RtBlock::Generic {
+            source: BlockId(source),
+            instructions,
+            requires_recompile: false,
+        };
+        let branch = RtBlock::If {
+            source: BlockId(0),
+            pred: Predicate {
+                instructions: vec![],
+                result_var: "__p".into(),
+            },
+            then_blocks: vec![arm(1, vec![Instruction::MrJob(job)])],
+            else_blocks: vec![arm(
+                2,
+                vec![cp(
+                    OpCode::UnaryM(reml_matrix::UnaryOp::Abs),
+                    vec![(Operand::var("X"), v)],
+                    Some(("Y", v)),
+                )],
+            )],
+        };
+        let mut states = VarStates::new();
+        m.cost_block(&branch, 1_000_000, &|_| 512, &mut states);
+        assert_eq!(states.peak(), 2 * v.estimated_size_bytes().unwrap());
     }
 
     #[test]

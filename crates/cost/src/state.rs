@@ -33,10 +33,16 @@ impl VarState {
 /// account for buffer-pool evictions (§5: "buffer pool evictions (only
 /// partially considered by our cost model)"). Variables with unknown
 /// sizes are not tracked.
+///
+/// The map also records its *peak*: the largest resident total any
+/// [`VarStates::enforce_budget`] check compared while more than one
+/// variable was resident. A scan whose peak fits its budget evicted
+/// nothing, and so runs identically under every budget ≥ that peak.
 #[derive(Debug, Clone, Default)]
 pub struct VarStates {
     states: HashMap<String, VarState>,
     resident: Vec<(String, u64)>,
+    peak: u64,
 }
 
 impl VarStates {
@@ -80,13 +86,32 @@ impl VarStates {
     /// caller charges). The most recent entry is never evicted (it is the
     /// pinned output of the current instruction).
     pub fn enforce_budget(&mut self, budget_bytes: u64) -> u64 {
+        if self.resident.len() < 2 {
+            return 0;
+        }
+        let mut total = self.resident_bytes();
+        self.peak = self.peak.max(total);
         let mut evicted = 0u64;
-        while self.resident_bytes() > budget_bytes && self.resident.len() > 1 {
+        while total > budget_bytes && self.resident.len() > 1 {
             let (name, bytes) = self.resident.remove(0);
             self.states.insert(name, VarState::OnHdfs);
+            total -= bytes;
             evicted += bytes;
         }
         evicted
+    }
+
+    /// Largest resident total a budget check has compared with more than
+    /// one variable resident, bytes (0 before any such check).
+    pub fn peak(&self) -> u64 {
+        self.peak
+    }
+
+    /// Continue from one arm of a two-armed branch: `self` is the arm
+    /// the scan keeps, `other` the arm it drops, whose checks happened
+    /// under the same budget — so the peak is the larger of the two.
+    pub fn absorb_peak(&mut self, other: &VarStates) {
+        self.peak = self.peak.max(other.peak);
     }
 
     /// Known variables (diagnostics).
@@ -128,6 +153,43 @@ mod tests {
         // Newest entry is never evicted even when over budget.
         let evicted2 = s.enforce_budget(100);
         assert_eq!(evicted2, 0);
+    }
+
+    #[test]
+    fn peak_ignores_checks_with_at_most_one_resident() {
+        let mut s = VarStates::new();
+        s.note_resident("x", 900);
+        assert_eq!(s.enforce_budget(100), 0);
+        assert_eq!(s.peak(), 0, "a lone resident is never compared");
+        s.note_resident("y", 300);
+        assert_eq!(s.enforce_budget(10_000), 0);
+        assert_eq!(s.peak(), 1200);
+        // Evicting x leaves y alone: later checks do not move the peak.
+        assert_eq!(s.enforce_budget(1000), 900);
+        s.note_resident("y", 5000);
+        s.enforce_budget(0);
+        assert_eq!(s.peak(), 1200);
+    }
+
+    #[test]
+    fn branch_merge_keeps_the_larger_arms_peak() {
+        let mut entry = VarStates::new();
+        entry.note_resident("x", 100);
+        let mut small = entry.clone();
+        small.note_resident("s", 50);
+        small.enforce_budget(u64::MAX);
+        let mut big = entry.clone();
+        big.note_resident("b", 700);
+        big.enforce_budget(u64::MAX);
+        assert_eq!((small.peak(), big.peak()), (150, 800));
+        // Whichever arm the scan keeps, it keeps the larger peak.
+        let mut kept_small = small.clone();
+        kept_small.absorb_peak(&big);
+        assert_eq!(kept_small.peak(), 800);
+        assert_eq!(kept_small.resident_bytes(), 150);
+        let mut kept_big = big.clone();
+        kept_big.absorb_peak(&small);
+        assert_eq!(kept_big.peak(), 800);
     }
 
     #[test]

@@ -6,32 +6,38 @@
 //! walk_point` runs them in that order for one CP grid point, on
 //! whichever of the `workers` threads claimed it. All
 //! compilation goes through the [`WhatIfSession`]'s breakpoint-keyed
-//! caches, and per-block costing is memoized here keyed by
-//! `(block, r_c, rⁱ)` (the cost model reads the actual heap sizes, not
-//! just the plan, so the raw heaps stay in the key).
+//! caches, and costing is memoized here (see [`CostMemo`]).
 
+use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use reml_compiler::session::WhatIfSession;
+use reml_compiler::session::{PlanHandle, WhatIfSession};
 use reml_compiler::{CompileError, MrHeapAssignment};
-use reml_cost::VarStates;
+use reml_cost::{CostBreakdown, VarStates};
 use reml_runtime::Instruction;
 
 use crate::optimizer::ResourceOptimizer;
 use crate::resources::ResourceConfig;
 
-/// Memoized per-block costing. `runs` counts actual cost-model
-/// executions (the paper's "# Cost."); hits return the stored value
-/// without running the model.
+/// Plan costing that reuses scans across CP budgets. The CP heap reaches
+/// a scan only through its eviction checks, so a scan that evicted
+/// nothing — its [`VarStates::peak`] fits the budget — gives the same
+/// bits under every budget ≥ that peak. `reusable` keeps such scans keyed
+/// by plan identity and MR heap(s), and serves them to any `r_c` whose
+/// budget covers the peak; reuse is off when the plan cache is.
+///
+/// `runs` counts every costing requested, reused or run (the paper's
+/// "# Cost."). A walk requests each `(block, r_c, rⁱ)` once: the grids
+/// hold distinct points and the enumeration skips the baseline's `rⁱ`.
 pub(crate) struct CostMemo {
     enabled: bool,
-    /// (block id, cp heap, mr heap) → cost in f64 bits.
-    map: Mutex<HashMap<(usize, u64, u64), u64>>,
+    /// Eviction-free scans, reusable at any budget ≥ their peak.
+    reusable: Mutex<HashMap<ScanKey, Reusable>>,
     runs: AtomicU64,
-    hits: AtomicU64,
     /// Wall time inside actual cost-model executions, microseconds (the
     /// "cost" column of the Table 3 phase split). Shared atomics so all
     /// walking threads accumulate into the same totals.
@@ -46,6 +52,36 @@ pub(crate) struct CostMemo {
     verified: Mutex<std::collections::HashSet<PlanReq>>,
 }
 
+/// Everything a plan scan depends on but the CP budget: the scanned plan
+/// (by the address of the shared allocation holding it) and its MR
+/// heap(s).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum ScanKey {
+    /// One generic block's instructions under MR heap `ri`.
+    Block { plan: usize, block: usize, ri: u64 },
+    /// A whole program under an MR heap assignment.
+    Program {
+        plan: usize,
+        mr_heap: MrHeapAssignment,
+    },
+}
+
+/// A scan that evicted nothing.
+struct Reusable {
+    /// Its peak resident bytes: the least budget it replays under.
+    peak: u64,
+    /// Its cost in f64 bits.
+    bits: u64,
+    /// The scanned plan, held so its address names it while the entry
+    /// lives.
+    _plan: Arc<dyn Any + Send + Sync>,
+}
+
+/// The address a shared plan is keyed by.
+fn plan_address<P>(plan: &Arc<P>) -> usize {
+    Arc::as_ptr(plan) as *const () as usize
+}
+
 /// A concrete plan request: `(r_c, default rⁱ, per-block overrides)`.
 #[cfg(debug_assertions)]
 type PlanReq = (u64, u64, Vec<(usize, u64)>);
@@ -54,9 +90,8 @@ impl CostMemo {
     pub(crate) fn new(enabled: bool) -> Self {
         CostMemo {
             enabled,
-            map: Mutex::new(HashMap::new()),
+            reusable: Mutex::new(HashMap::new()),
             runs: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
             cost_us: AtomicU64::new(0),
             stage_us: AtomicU64::new(0),
             #[cfg(debug_assertions)]
@@ -64,42 +99,88 @@ impl CostMemo {
         }
     }
 
-    /// Cost a block's instructions under `(rc, ri)`, memoized.
-    pub(crate) fn cost_block(
+    /// Cost a block's instructions under `(rc, ri)`, reusing an
+    /// eviction-free scan of the same instructions. `instructions` belong
+    /// to `plan`, the shared allocation a session cache handed out.
+    pub(crate) fn cost_block<P: Any + Send + Sync>(
         &self,
         opt: &ResourceOptimizer,
+        plan: &Arc<P>,
         instructions: &[Instruction],
         block_id: usize,
         rc: u64,
         ri: u64,
     ) -> f64 {
-        let key = (block_id, rc, ri);
+        let scan = ScanKey::Block {
+            plan: plan_address(plan),
+            block: block_id,
+            ri,
+        };
+        self.scan(opt, rc, scan, plan, |states| {
+            opt.cost_model
+                .cost_instructions(instructions, rc, ri, states)
+        })
+    }
+
+    /// Cost a whole program under `(rc, mr_heap)` (loops and branches
+    /// included), reusing an eviction-free scan of the same plan.
+    pub(crate) fn cost_program(
+        &self,
+        opt: &ResourceOptimizer,
+        plan: &Arc<PlanHandle>,
+        rc: u64,
+        mr_heap: &MrHeapAssignment,
+    ) -> f64 {
+        let scan = ScanKey::Program {
+            plan: plan_address(plan),
+            mr_heap: mr_heap.clone(),
+        };
+        self.scan(opt, rc, scan, plan, |states| {
+            opt.cost_model.cost_program_states(
+                &plan.compiled.runtime,
+                rc,
+                &|bid| mr_heap.for_block(bid),
+                states,
+            )
+        })
+    }
+
+    /// One counted costing at CP heap `rc`: served from an eviction-free
+    /// scan of the same `key` whose peak the budget covers, else `run`
+    /// from fresh states (and kept when it evicted nothing).
+    fn scan<P: Any + Send + Sync>(
+        &self,
+        opt: &ResourceOptimizer,
+        rc: u64,
+        key: ScanKey,
+        plan: &Arc<P>,
+        run: impl FnOnce(&mut VarStates) -> CostBreakdown,
+    ) -> f64 {
+        self.runs.fetch_add(1, Ordering::Relaxed);
+        let budget = opt.cost_model.cp_budget_bytes(rc);
         if self.enabled {
-            if let Some(bits) = self.map.lock().get(&key).copied() {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return f64::from_bits(bits);
+            if let Some(hit) = self.reusable.lock().get(&key) {
+                if budget >= hit.peak {
+                    return f64::from_bits(hit.bits);
+                }
             }
         }
         let t0 = Instant::now();
-        let cost = opt
-            .cost_model
-            .cost_instructions(instructions, rc, ri, &mut VarStates::new())
-            .total_s();
+        let mut states = VarStates::new();
+        let cost = run(&mut states).total_s();
         self.cost_us
             .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
-        self.runs.fetch_add(1, Ordering::Relaxed);
-        if self.enabled {
-            self.map.lock().insert(key, cost.to_bits());
+        if self.enabled && states.peak() <= budget {
+            self.reusable.lock().entry(key).or_insert_with(|| Reusable {
+                peak: states.peak(),
+                bits: cost.to_bits(),
+                _plan: plan.clone(),
+            });
         }
         cost
     }
 
-    /// Record an unmemoized cost-model run (whole-program costing).
-    pub(crate) fn count_direct(&self) {
-        self.runs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Actual cost-model executions so far.
+    /// Costings counted so far ("# Cost."), reused or run.
     pub(crate) fn runs(&self) -> u64 {
         self.runs.load(Ordering::Relaxed)
     }
@@ -150,7 +231,7 @@ fn debug_verify_plan(
     memo: &CostMemo,
     rc: u64,
     mr_heap: &MrHeapAssignment,
-    plan: &reml_compiler::session::PlanHandle,
+    plan: &PlanHandle,
 ) {
     let req: PlanReq = (
         rc,
@@ -240,7 +321,7 @@ pub(crate) fn stage_baseline(
             continue;
         }
         let instrs = &plan.generic_instructions[&bid];
-        let cost = memo.cost_block(opt, instrs, bid, rc, min);
+        let cost = memo.cost_block(opt, &plan.generic_instructions, instrs, bid, rc, min);
         blocks.push((bid, cost));
     }
     Ok(BaselineOut {
@@ -280,7 +361,7 @@ pub(crate) fn stage_enum_block(
         let Ok(block) = session.compile_block(block_id, rc, ri) else {
             continue;
         };
-        let cost = memo.cost_block(opt, &block.instructions, block_id, rc, ri);
+        let cost = memo.cost_block(opt, &block, &block.instructions, block_id, rc, ri);
         if cost < best.1 {
             best = (ri, cost);
         }
@@ -310,15 +391,7 @@ pub(crate) fn stage_agg(
     let plan = session.compile_plan(rc, &mr_heap)?;
     #[cfg(debug_assertions)]
     debug_verify_plan(session, memo, rc, &mr_heap, &plan);
-    let heap_of = mr_heap.clone();
-    let t0 = Instant::now();
-    let cost = opt
-        .cost_model
-        .cost_program(&plan.compiled.runtime, rc, &|bid| heap_of.for_block(bid))
-        .total_s();
-    memo.cost_us
-        .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
-    memo.count_direct();
+    let cost = memo.cost_program(opt, &plan, rc, &mr_heap);
     reml_trace::event!("optimize.point", rc = rc, cost = cost);
     Ok((
         ResourceConfig {
@@ -347,5 +420,152 @@ pub(crate) fn improves(
                 cost < *inc_cost
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use reml_cluster::ClusterConfig;
+    use reml_compiler::pipeline::analyze_program;
+    use reml_compiler::session::CompiledBlock;
+    use reml_cost::CostModel;
+    use reml_scripts::{DataShape, Scenario};
+
+    /// One scan the grid walk requests: a generic block of a whole-program
+    /// plan or a single-block recompile at `ri`, or a whole program under an
+    /// MR assignment.
+    enum Requested {
+        PlanBlock(Arc<PlanHandle>, usize, u64),
+        Block(Arc<CompiledBlock>, usize, u64),
+        Program(Arc<PlanHandle>, MrHeapAssignment),
+    }
+
+    /// Every plan the walk requests, re-costed through the memo at every
+    /// CP grid point from the largest budget down, must give the bits of a
+    /// fresh scan — including the points whose budget lies below the peak
+    /// an earlier, larger-budget scan of the same plan recorded, where
+    /// reuse would be wrong.
+    #[test]
+    fn reused_costs_equal_fresh_scans() {
+        let cluster = ClusterConfig::paper_cluster();
+        let opt = ResourceOptimizer::new(CostModel::new(cluster.clone()));
+        let (min, max) = (cluster.min_heap_mb(), cluster.max_heap_mb());
+        let (mut requests, mut reused, mut below_peak) = (0, 0, 0);
+        for ctor in [
+            reml_scripts::linreg_ds,
+            reml_scripts::linreg_cg,
+            reml_scripts::l2svm,
+            reml_scripts::glm,
+            reml_scripts::mlogreg,
+        ] {
+            let script = ctor();
+            let analyzed = analyze_program(&script.source).unwrap();
+            for scenario in [Scenario::S, Scenario::M] {
+                let shape = DataShape::paper_variants(scenario)[0];
+                let base = script.compile_config(
+                    shape,
+                    cluster.clone(),
+                    min,
+                    MrHeapAssignment::uniform(min),
+                );
+                let session = WhatIfSession::new(&analyzed, &base, None, true).unwrap();
+                let estimates: Vec<f64> = (session.probe().compiled.summaries.iter())
+                    .flat_map(|s| s.mem_estimates_mb.iter().copied())
+                    .collect();
+                let grid = opt.config.cp_grid.generate(min, max, &estimates);
+                let srm = opt.config.mr_grid.generate(min, max, &estimates);
+                // Each distinct scan once, by the key the memo files it under.
+                let mut scans = HashMap::new();
+                for &rc in &grid {
+                    let plan = session
+                        .compile_plan(rc, &MrHeapAssignment::uniform(min))
+                        .unwrap();
+                    let mut mr_heap = MrHeapAssignment::uniform(min);
+                    for &bid in plan.generic_instructions.keys() {
+                        let key = ScanKey::Block {
+                            plan: plan_address(&plan.generic_instructions),
+                            block: bid,
+                            ri: min,
+                        };
+                        scans.insert(key, Requested::PlanBlock(plan.clone(), bid, min));
+                        for &ri in &srm {
+                            let block = session.compile_block(bid, rc, ri).unwrap();
+                            let key = ScanKey::Block {
+                                plan: plan_address(&block),
+                                block: bid,
+                                ri,
+                            };
+                            scans.insert(key, Requested::Block(block, bid, ri));
+                        }
+                        mr_heap.set_block(bid, srm[bid % srm.len()]);
+                    }
+                    for mr_heap in [MrHeapAssignment::uniform(min), mr_heap] {
+                        let plan = session.compile_plan(rc, &mr_heap).unwrap();
+                        let key = ScanKey::Program {
+                            plan: plan_address(&plan),
+                            mr_heap: mr_heap.clone(),
+                        };
+                        scans.insert(key, Requested::Program(plan, mr_heap));
+                    }
+                }
+                let memo = CostMemo::new(true);
+                for (key, scan) in &scans {
+                    for &rc in grid.iter().rev() {
+                        let mut states = VarStates::new();
+                        let model = &opt.cost_model;
+                        let budget = model.cp_budget_bytes(rc);
+                        let entry = memo.reusable.lock().get(key).map(|e| e.peak);
+                        reused += usize::from(entry.is_some_and(|peak| budget >= peak));
+                        let (got, want) = match scan {
+                            Requested::PlanBlock(plan, bid, ri) => {
+                                let instrs = &plan.generic_instructions[bid];
+                                (
+                                    memo.cost_block(
+                                        &opt,
+                                        &plan.generic_instructions,
+                                        instrs,
+                                        *bid,
+                                        rc,
+                                        *ri,
+                                    ),
+                                    model.cost_instructions(instrs, rc, *ri, &mut states),
+                                )
+                            }
+                            Requested::Block(block, bid, ri) => (
+                                memo.cost_block(&opt, block, &block.instructions, *bid, rc, *ri),
+                                model.cost_instructions(&block.instructions, rc, *ri, &mut states),
+                            ),
+                            Requested::Program(plan, mr_heap) => (
+                                memo.cost_program(&opt, plan, rc, mr_heap),
+                                model.cost_program_states(
+                                    &plan.compiled.runtime,
+                                    rc,
+                                    &|bid| mr_heap.for_block(bid),
+                                    &mut states,
+                                ),
+                            ),
+                        };
+                        assert_eq!(
+                            got.to_bits(),
+                            want.total_s().to_bits(),
+                            "{} {}: rc={rc}",
+                            script.name,
+                            scenario.name()
+                        );
+                        requests += 1;
+                        below_peak += usize::from(states.peak() > budget);
+                    }
+                }
+            }
+        }
+        assert!(
+            below_peak > 100,
+            "{below_peak} of {requests} requests below a peak"
+        );
+        assert!(
+            reused > requests / 4,
+            "{reused} of {requests} requests reused"
+        );
     }
 }

@@ -487,7 +487,7 @@ impl<'a> SimState<'a> {
 
         // Dynamic recompilation: compile with actual sizes.
         let mut probe_env = self.env.clone();
-        let (instructions, ..) =
+        let (mut instructions, ..) =
             compile_block_with_env(self.analyzed, &self.current_cfg(), id, &mut probe_env)?;
         self.outcome.recompilations += 1;
         self.outcome.causal.mark_recompile("recompile");
@@ -497,15 +497,21 @@ impl<'a> SimState<'a> {
         // at this block before.
         let has_mr = instructions.iter().any(Instruction::is_mr);
         reml_trace::event!("sim.recompile", block = id.0, has_mr = has_mr);
+        let resources = self.resources.clone();
         if self.reopt && has_mr && self.marked.contains(&id.0) && !self.adapted.contains(&id.0) {
             self.adapted.insert(id.0);
             self.adapt(id)?;
         }
 
-        // (Re)compile at the possibly-updated resources and execute.
+        // Execute — recompiled first if adaptation changed the resources;
+        // otherwise the compile above is the one a second would repeat.
         let env_snapshot = oom_watermark.map(|_| self.env.clone());
-        let (instructions, ..) =
-            compile_block_with_env(self.analyzed, &self.current_cfg(), id, &mut self.env)?;
+        if self.resources == resources {
+            self.env = probe_env;
+        } else {
+            (instructions, ..) =
+                compile_block_with_env(self.analyzed, &self.current_cfg(), id, &mut self.env)?;
+        }
         let mr_heap = self.resources.mr_heap.for_block(id.0);
         let mut temps: Vec<String> = Vec::new();
         let attempt_start = self.outcome.causal.now();
