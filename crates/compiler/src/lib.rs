@@ -45,4 +45,4 @@ pub use hop::{Hop, HopDag, HopId, HopOp, VType};
 pub use pipeline::{
     analyze_program, compile, compile_source, AnalyzedProgram, BlockSummary, CompiledProgram,
 };
-pub use session::{CompiledBlock, PlanHandle, SessionStats, WhatIfSession};
+pub use session::{CompiledBlock, SessionStats, WhatIfSession};

@@ -228,27 +228,12 @@ pub fn compile_source(
     compile(&analyzed, config)
 }
 
-/// Compile a *scope* of the program: the top-level blocks from
-/// `start_top_idx` to the end, starting from a given variable
-/// environment. This is the §4.2 re-optimization scope — "expand the
-/// scope from the current position to the outer loop or top level in the
-/// current call context to the end of this context".
-pub fn compile_scope(
-    analyzed: &AnalyzedProgram,
-    config: &CompileConfig,
-    start_top_idx: usize,
-    entry_env: &Env,
-) -> Result<CompiledProgram, CompileError> {
-    compile_memo(
-        analyzed,
-        config,
-        Some((start_top_idx, entry_env)),
-        Memo::Off,
-    )
-}
-
-/// [`compile`] (`scope: None`) or [`compile_scope`], serving the
-/// budget-independent half of the walk from `memo`.
+/// Compile the whole program (`scope: None`) or a *scope* of it — the
+/// top-level blocks from a start index to the end, from a given variable
+/// environment: the §4.2 re-optimization scope, "expand the scope from the
+/// current position to the outer loop or top level in the current call
+/// context to the end of this context". With [`Memo::Off`] this is the
+/// memo-free oracle walk; a what-if session fills and serves a memo.
 pub(crate) fn compile_memo(
     analyzed: &AnalyzedProgram,
     config: &CompileConfig,
@@ -303,21 +288,10 @@ pub fn top_level_index_of(analyzed: &AnalyzedProgram, id: BlockId) -> Option<usi
 pub type SingleBlock = (Vec<Instruction>, BlockSummary, CompileStats);
 
 /// Recompile a single generic block under (possibly different) resources,
-/// starting from a recorded entry environment. Returns the block summary
-/// and instructions. This is the inner-loop operation of Algorithm 1
-/// (line 11) and of runtime re-optimization.
-pub fn compile_single_block(
-    analyzed: &AnalyzedProgram,
-    config: &CompileConfig,
-    block_id: BlockId,
-    entry_env: &Env,
-) -> Result<SingleBlock, CompileError> {
-    let mut env = entry_env.clone();
-    compile_block_with_env(analyzed, config, block_id, &mut env)
-}
-
-/// Like [`compile_single_block`] but advances `env` past the block —
-/// the building block of the simulator's block-by-block interpretation.
+/// starting from a recorded entry environment, and advance `env` past the
+/// block. This is the inner-loop operation of Algorithm 1 (line 11), of
+/// runtime re-optimization, and of the simulator's block-by-block
+/// interpretation.
 pub fn compile_block_with_env(
     analyzed: &AnalyzedProgram,
     config: &CompileConfig,
@@ -337,21 +311,21 @@ pub fn compile_block_with_env(
     walker.into_single_block(rt)
 }
 
-/// [`compile_single_block`] of a block `memo` holds: only its lowering
-/// runs. `None` when the memo never saw the block.
+/// [`compile_block_with_env`] of a block `memo` holds: only its lowering
+/// runs.
 pub(crate) fn relower_block(
     config: &CompileConfig,
     block_id: BlockId,
     memo: &WalkMemo,
-) -> Option<Result<SingleBlock, CompileError>> {
-    let built = memo.generic.get(&block_id.0)?;
+) -> Result<SingleBlock, CompileError> {
+    let built = memo
+        .generic
+        .get(&block_id.0)
+        .ok_or_else(|| CompileError::Internal(format!("no memoized build of {block_id:?}")))?;
     let _block = reml_trace::span!("compile.block", block = block_id.0);
     let mut walker = Walker::new(config, false, Memo::Off);
-    Some(
-        walker
-            .lower_generic(block_id, built)
-            .and_then(|rt| walker.into_single_block(rt)),
-    )
+    let rt = walker.lower_generic(block_id, built)?;
+    walker.into_single_block(rt)
 }
 
 /// Size-propagation-only pass over a block list from a given environment
@@ -509,7 +483,7 @@ impl<'a, 'm> Walker<'a, 'm> {
                     let konst = match self.recall().and_then(|m| m.if_folds.get(&block.id.0)) {
                         Some(konst) => konst.clone(),
                         None => {
-                            let konst = self.fold_predicate(pred, env)?;
+                            let konst = fold_predicate_with_env(self.config, pred, env)?;
                             if let Some(memo) = self.filling() {
                                 memo.if_folds.insert(block.id.0, konst.clone());
                             }
@@ -595,8 +569,9 @@ impl<'a, 'm> Walker<'a, 'm> {
                     let iterations_hint = match recalled {
                         Some((_, hint)) => *hint,
                         None => match (
-                            self.fold_predicate(from, env)?.and_then(|v| v.as_f64()),
-                            self.fold_predicate(to, env)?.and_then(|v| v.as_f64()),
+                            fold_predicate_with_env(self.config, from, env)?
+                                .and_then(|v| v.as_f64()),
+                            fold_predicate_with_env(self.config, to, env)?.and_then(|v| v.as_f64()),
                         ) {
                             // A non-finite range has no count (the executors
                             // refuse it); a huge finite one saturates.
@@ -796,13 +771,6 @@ impl<'a, 'm> Walker<'a, 'm> {
         })
     }
 
-    /// Fold a predicate to a constant when possible (without emitting).
-    fn fold_predicate(&self, pred: &Expr, env: &Env) -> Result<Option<ScalarValue>, CompileError> {
-        let builder = BlockBuilder::new(self.config);
-        let (_, _, konst) = builder.build_predicate(pred, env)?;
-        Ok(konst)
-    }
-
     /// Compile a predicate expression into runtime form.
     fn compile_predicate(
         &mut self,
@@ -852,20 +820,19 @@ impl<'a, 'm> Walker<'a, 'm> {
     /// Derive an iteration bound from predicates shaped like
     /// `... & var < bound` (the scripts' `iter < maxiterations` pattern).
     fn loop_bound_hint(&self, pred: &Expr, env: &Env) -> Option<u64> {
-        fn scan(this: &Walker<'_, '_>, e: &Expr, env: &Env) -> Option<u64> {
+        fn scan(config: &CompileConfig, e: &Expr, env: &Env) -> Option<u64> {
             match e {
                 Expr::Binary {
                     op: BinOp::And,
                     lhs,
                     rhs,
                     ..
-                } => scan(this, lhs, env).or_else(|| scan(this, rhs, env)),
+                } => scan(config, lhs, env).or_else(|| scan(config, rhs, env)),
                 Expr::Binary {
                     op: BinOp::Lt | BinOp::LtEq,
                     rhs,
                     ..
-                } => this
-                    .fold_predicate(rhs, env)
+                } => fold_predicate_with_env(config, rhs, env)
                     .ok()
                     .flatten()
                     .and_then(|v| v.as_f64())
@@ -874,7 +841,7 @@ impl<'a, 'm> Walker<'a, 'm> {
                 _ => None,
             }
         }
-        scan(self, pred, env)
+        scan(self.config, pred, env)
     }
 }
 
@@ -1122,12 +1089,12 @@ mod tests {
         // Recompile with a huge CP heap: MR jobs disappear.
         let big = paper_cfg(48 * 1024, 512);
         let (instrs, summary, _) =
-            compile_single_block(&analyzed, &big, BlockId(block_id), entry).unwrap();
+            compile_block_with_env(&analyzed, &big, BlockId(block_id), &mut entry.clone()).unwrap();
         assert_eq!(summary.mr_jobs, 0);
         assert!(instrs.iter().all(|i| !i.is_mr()));
         // And with the small heap the MR jobs are back.
         let (instrs2, summary2, _) =
-            compile_single_block(&analyzed, &cfg, BlockId(block_id), entry).unwrap();
+            compile_block_with_env(&analyzed, &cfg, BlockId(block_id), &mut entry.clone()).unwrap();
         assert!(summary2.mr_jobs >= 1);
         assert!(instrs2.iter().any(Instruction::is_mr));
     }

@@ -22,8 +22,14 @@
 //! The distinct compilations are cheap too: the probe compile records
 //! every block's built, rewritten and memory-estimated HOP DAG (and the
 //! rest of the walk's budget-independent work) in a walk memo, so a cache
-//! miss only re-lowers. With caching off, every request compiles from
-//! scratch.
+//! miss only re-lowers. That re-lowering is the session's one memoized
+//! path. Its memo-free oracles walk from scratch, one per granularity: a
+//! whole program or scope under `Memo::Off`
+//! ([`WhatIfSession::compile_plan_uncached`], and every `compile_plan`
+//! with caching off), and a single block through
+//! [`compile_block_with_env`] (every `compile_block` with caching off).
+//! A plan is held once, as an `Arc<CompiledProgram>`: the cache, the
+//! probe and every caller share it.
 //!
 //! Sessions are `Sync`: the parallel optimizer shares one session across
 //! its worker threads, so a plan compiled for one grid point is reused
@@ -35,30 +41,19 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use reml_runtime::program::RtBlock;
+use reml_lang::BlockId;
 use reml_runtime::Instruction;
 
 use crate::build::Env;
 use crate::config::{CompileConfig, CompileError, MrHeapAssignment};
 use crate::pipeline::{
-    compile_memo, compile_single_block, relower_block, AnalyzedProgram, BlockSummary,
+    compile_block_with_env, compile_memo, relower_block, AnalyzedProgram, BlockSummary,
     CompiledProgram, Memo, WalkMemo,
 };
 
 /// Tag bit marking a raw-heap (fingerprint-less) key component, used for
 /// block ids the probe compilation did not see.
 const RAW_HEAP_TAG: u64 = 1 << 63;
-
-/// A cached whole-program compilation: the plan plus its per-block
-/// instruction vectors (keyed by statement-block id), pre-extracted so
-/// cost memoization does not re-walk the runtime program.
-#[derive(Debug, Clone)]
-pub struct PlanHandle {
-    /// The compiled program.
-    pub compiled: Arc<CompiledProgram>,
-    /// Instructions of every generic block, keyed by block id.
-    pub generic_instructions: Arc<BTreeMap<usize, Vec<Instruction>>>,
-}
 
 /// A cached single-block what-if recompilation.
 #[derive(Debug, Clone)]
@@ -103,7 +98,7 @@ pub struct WhatIfSession<'a> {
     scope: Option<(usize, Env)>,
     caching: bool,
     min_heap_mb: u64,
-    probe: Arc<PlanHandle>,
+    probe: Arc<CompiledProgram>,
     /// The probe walk's budget-independent half (empty unless caching):
     /// every later compile only re-lowers it.
     memo: WalkMemo,
@@ -111,7 +106,7 @@ pub struct WhatIfSession<'a> {
     block_thresholds: BTreeMap<usize, Vec<f64>>,
     /// Union of all block thresholds plus predicate-lowering thresholds.
     program_thresholds: Vec<f64>,
-    plans: Mutex<HashMap<PlanKey, Arc<PlanHandle>>>,
+    plans: Mutex<HashMap<PlanKey, Arc<CompiledProgram>>>,
     blocks: Mutex<HashMap<BlockKey, Arc<CompiledBlock>>>,
     plan_hits: AtomicU64,
     plan_misses: AtomicU64,
@@ -137,7 +132,7 @@ impl<'a> WhatIfSession<'a> {
         let scope = scope.map(|(start, env)| (start, env.clone()));
         let probe_cfg = with_resources(&base, min_heap_mb, MrHeapAssignment::uniform(min_heap_mb));
         let mut memo = WalkMemo::default();
-        let probe_compiled = compile_memo(
+        let probe = compile_memo(
             analyzed,
             &probe_cfg,
             scope.as_ref().map(|(start, env)| (*start, env)),
@@ -149,7 +144,7 @@ impl<'a> WhatIfSession<'a> {
         )?;
 
         let mut block_thresholds: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
-        for s in &probe_compiled.summaries {
+        for s in &probe.summaries {
             block_thresholds
                 .entry(s.block_id)
                 .or_default()
@@ -159,23 +154,15 @@ impl<'a> WhatIfSession<'a> {
             .values()
             .flatten()
             .copied()
-            .chain(
-                probe_compiled
-                    .predicate_decision_estimates_mb
-                    .iter()
-                    .copied(),
-            )
+            .chain(probe.predicate_decision_estimates_mb.iter().copied())
             .collect();
         for th in block_thresholds.values_mut() {
             sort_dedup(th);
         }
         sort_dedup(&mut program_thresholds);
 
-        let compilations = probe_compiled.stats.block_compilations;
-        let probe = Arc::new(PlanHandle {
-            generic_instructions: Arc::new(collect_generic_instructions(&probe_compiled)),
-            compiled: Arc::new(probe_compiled),
-        });
+        let compilations = probe.stats.block_compilations;
+        let probe = Arc::new(probe);
 
         let session = WhatIfSession {
             analyzed,
@@ -203,7 +190,7 @@ impl<'a> WhatIfSession<'a> {
     }
 
     /// The probe plan (compiled at minimal resources).
-    pub fn probe(&self) -> &Arc<PlanHandle> {
+    pub fn probe(&self) -> &Arc<CompiledProgram> {
         &self.probe
     }
 
@@ -225,7 +212,7 @@ impl<'a> WhatIfSession<'a> {
     /// The recorded entry environment of a generic block, if the probe
     /// compilation reached it.
     pub fn entry_env(&self, block_id: usize) -> Option<&Env> {
-        self.probe.compiled.entry_envs.get(&block_id)
+        self.probe.entry_envs.get(&block_id)
     }
 
     /// Register an additional program-level budget threshold (e.g. the
@@ -295,98 +282,77 @@ impl<'a> WhatIfSession<'a> {
         }
     }
 
-    /// Compile the session's scope under `cfg`: a plain compile, or with
-    /// `memo`, only the lowering of every block the probe saw.
-    fn compile_cfg(
+    /// Walk the session's scope under `(cp, mr)` heaps: from scratch with
+    /// [`Memo::Off`], or re-lowering every block the probe's memo holds.
+    fn walk(
         &self,
-        cfg: &CompileConfig,
+        cp_heap_mb: u64,
+        mr_heap: &MrHeapAssignment,
         memo: Memo<'_>,
-    ) -> Result<CompiledProgram, CompileError> {
+    ) -> Result<Arc<CompiledProgram>, CompileError> {
+        let cfg = with_resources(&self.base, cp_heap_mb, mr_heap.clone());
         let scope = self.scope.as_ref().map(|(start, env)| (*start, env));
-        compile_memo(self.analyzed, cfg, scope, memo)
-    }
-
-    /// How a what-if compile uses the probe's memo: only while caching.
-    fn memo(&self) -> Memo<'_> {
-        if self.caching {
-            Memo::Use(&self.memo)
-        } else {
-            Memo::Off
-        }
+        compile_memo(self.analyzed, &cfg, scope, memo).map(Arc::new)
     }
 
     /// What-if compile the whole program (or session scope) under the
     /// given resources, serving from the plan cache when the requested
-    /// budgets fingerprint-match an earlier compilation.
+    /// budgets fingerprint-match an earlier compilation. With caching off
+    /// every call walks from scratch.
     pub fn compile_plan(
         &self,
         cp_heap_mb: u64,
         mr_heap: &MrHeapAssignment,
-    ) -> Result<Arc<PlanHandle>, CompileError> {
-        if self.caching {
-            let t0 = Instant::now();
-            let key = self.plan_key(cp_heap_mb, mr_heap);
-            let hit = self.plans.lock().get(&key).cloned();
-            self.cache_us
-                .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
-            if let Some(hit) = hit {
-                self.plan_hits.fetch_add(1, Ordering::Relaxed);
-                self.avoided
-                    .fetch_add(hit.compiled.stats.block_compilations, Ordering::Relaxed);
-                reml_trace::count("session.plan_cache.hits", 1);
-                return Ok(hit);
-            }
-            reml_trace::count("session.plan_cache.misses", 1);
-            // The lock is released during compilation: a racing worker
-            // may compile the same key, but both compilations are
-            // deterministic and identical, so last-insert-wins is fine.
-            let handle = {
-                let _s = reml_trace::span!("session.compile_plan", cp_mb = cp_heap_mb);
-                self.compile_plan_fresh(cp_heap_mb, mr_heap)?
-            };
-            let t1 = Instant::now();
-            self.plans.lock().insert(key, handle.clone());
-            self.cache_us
-                .fetch_add(t1.elapsed().as_micros() as u64, Ordering::Relaxed);
-            Ok(handle)
-        } else {
-            self.compile_plan_fresh(cp_heap_mb, mr_heap)
+    ) -> Result<Arc<CompiledProgram>, CompileError> {
+        if !self.caching {
+            self.plan_misses.fetch_add(1, Ordering::Relaxed);
+            let plan = self.walk(cp_heap_mb, mr_heap, Memo::Off)?;
+            self.compilations
+                .fetch_add(plan.stats.block_compilations, Ordering::Relaxed);
+            return Ok(plan);
         }
-    }
-
-    fn compile_plan_fresh(
-        &self,
-        cp_heap_mb: u64,
-        mr_heap: &MrHeapAssignment,
-    ) -> Result<Arc<PlanHandle>, CompileError> {
+        let t0 = Instant::now();
+        let key = self.plan_key(cp_heap_mb, mr_heap);
+        let hit = self.plans.lock().get(&key).cloned();
+        self.cache_us
+            .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
+        if let Some(hit) = hit {
+            self.plan_hits.fetch_add(1, Ordering::Relaxed);
+            self.avoided
+                .fetch_add(hit.stats.block_compilations, Ordering::Relaxed);
+            reml_trace::count("session.plan_cache.hits", 1);
+            return Ok(hit);
+        }
+        reml_trace::count("session.plan_cache.misses", 1);
         self.plan_misses.fetch_add(1, Ordering::Relaxed);
-        let cfg = with_resources(&self.base, cp_heap_mb, mr_heap.clone());
-        let compiled = self.compile_cfg(&cfg, self.memo())?;
+        // The lock is released during compilation: a racing worker may
+        // compile the same key, but both compilations are deterministic
+        // and identical, so last-insert-wins is fine.
+        let plan = {
+            let _s = reml_trace::span!("session.compile_plan", cp_mb = cp_heap_mb);
+            self.walk(cp_heap_mb, mr_heap, Memo::Use(&self.memo))?
+        };
         self.compilations
-            .fetch_add(compiled.stats.block_compilations, Ordering::Relaxed);
-        Ok(Arc::new(PlanHandle {
-            generic_instructions: Arc::new(collect_generic_instructions(&compiled)),
-            compiled: Arc::new(compiled),
-        }))
+            .fetch_add(plan.stats.block_compilations, Ordering::Relaxed);
+        let t1 = Instant::now();
+        self.plans.lock().insert(key, plan.clone());
+        self.cache_us
+            .fetch_add(t1.elapsed().as_micros() as u64, Ordering::Relaxed);
+        Ok(plan)
     }
 
-    /// Compile the plan bypassing the cache, without touching the session
-    /// counters: the same artifact `compile_plan` would produce on a cache
-    /// miss, but invisible to the hit/miss accounting. This is the oracle
-    /// for debug-mode cache verification — a cached plan must be
-    /// byte-identical to this fresh compile, or the breakpoint
-    /// fingerprinting collided.
+    /// Compile the plan from scratch, without touching the session
+    /// counters: the memo-free oracle walk, invisible to the hit/miss
+    /// accounting. Debug-mode cache verification holds every cached plan
+    /// to it — a cached plan must be byte-identical to this fresh
+    /// compile, or the breakpoint fingerprinting collided or the memo
+    /// went stale.
     pub fn compile_plan_uncached(
         &self,
         cp_heap_mb: u64,
         mr_heap: &MrHeapAssignment,
-    ) -> Result<Arc<PlanHandle>, CompileError> {
-        let cfg = with_resources(&self.base, cp_heap_mb, mr_heap.clone());
-        let compiled = self.compile_cfg(&cfg, Memo::Off)?;
-        Ok(Arc::new(PlanHandle {
-            generic_instructions: Arc::new(collect_generic_instructions(&compiled)),
-            compiled: Arc::new(compiled),
-        }))
+    ) -> Result<Arc<CompiledProgram>, CompileError> {
+        self.walk(cp_heap_mb, mr_heap, Memo::Off)
     }
 
     /// What-if recompile a single generic block under `(cp, mr)` heaps,
@@ -422,14 +388,17 @@ impl<'a> WhatIfSession<'a> {
             MrHeapAssignment::uniform(self.min_heap_mb),
         );
         cfg.mr_heap.set_block(block_id, mr_heap_mb);
-        let id = reml_lang::BlockId(block_id);
-        let relowered = self
-            .caching
-            .then(|| relower_block(&cfg, id, &self.memo))
-            .flatten();
-        let (instructions, summary, stats) = match relowered {
-            Some(relowered) => relowered?,
-            None => compile_single_block(self.analyzed, &cfg, id, entry_env)?,
+        // The probe walk that recorded the entry environment also filled
+        // the memo, so with caching on the block is always memoized.
+        let (instructions, summary, stats) = if self.caching {
+            relower_block(&cfg, BlockId(block_id), &self.memo)?
+        } else {
+            compile_block_with_env(
+                self.analyzed,
+                &cfg,
+                BlockId(block_id),
+                &mut entry_env.clone(),
+            )?
         };
         self.compilations
             .fetch_add(stats.block_compilations, Ordering::Relaxed);
@@ -468,26 +437,6 @@ pub fn with_resources(
     cfg.cp_heap_mb = cp_heap_mb;
     cfg.mr_heap = mr_heap;
     cfg
-}
-
-/// Collect instructions of every generic block, keyed by block id.
-pub fn collect_generic_instructions(
-    compiled: &CompiledProgram,
-) -> BTreeMap<usize, Vec<Instruction>> {
-    let mut out = BTreeMap::new();
-    for top in &compiled.runtime.blocks {
-        top.visit_generic(&mut |b| {
-            if let RtBlock::Generic {
-                source,
-                instructions,
-                ..
-            } = b
-            {
-                out.insert(source.0, instructions.clone());
-            }
-        });
-    }
-    out
 }
 
 fn sort_dedup(values: &mut Vec<f64>) {
@@ -529,7 +478,7 @@ mod tests {
         let key_b = session.plan_key(4097, &mr);
         if key_a == key_b {
             let b = session.compile_plan(4097, &mr).unwrap();
-            assert!(Arc::ptr_eq(&a.compiled, &b.compiled));
+            assert!(Arc::ptr_eq(&a, &b));
             assert!(session.stats().plan_cache_hits >= 1);
         }
     }
@@ -543,7 +492,7 @@ mod tests {
         let plan = session
             .compile_plan(min, &MrHeapAssignment::uniform(min))
             .unwrap();
-        assert!(Arc::ptr_eq(&plan.compiled, &session.probe().compiled));
+        assert!(Arc::ptr_eq(&plan, session.probe()));
         assert_eq!(session.stats().block_compilations, before);
         assert!(session.stats().compilations_avoided > 0);
     }
@@ -562,6 +511,28 @@ mod tests {
     }
 
     #[test]
+    fn caching_off_compile_plan_is_the_uncached_walk() {
+        let (analyzed, cfg) = setup();
+        let session = WhatIfSession::new(&analyzed, &cfg, None, false).unwrap();
+        let mr = MrHeapAssignment::uniform(512);
+        for (i, heap) in [512u64, 4096, 32768].into_iter().enumerate() {
+            let plan = session.compile_plan(heap, &mr).unwrap();
+            let counted = session.stats();
+            assert_eq!(counted.plan_cache_misses, i as u64 + 1);
+            let fresh = session.compile_plan_uncached(heap, &mr).unwrap();
+            assert_eq!(session.stats(), counted, "the oracle walk counts nothing");
+            assert!(plan.runtime == fresh.runtime);
+            assert!(plan.rewrite_audit == fresh.rewrite_audit);
+            assert_eq!(
+                format!("{:?}", plan.summaries),
+                format!("{:?}", fresh.summaries)
+            );
+            assert!(plan.entry_envs == fresh.entry_envs);
+            assert_eq!(plan.stats, fresh.stats);
+        }
+    }
+
+    #[test]
     fn cached_and_fresh_plans_agree_across_the_grid() {
         let (analyzed, cfg) = setup();
         let cached = WhatIfSession::new(&analyzed, &cfg, None, true).unwrap();
@@ -571,8 +542,8 @@ mod tests {
             let a = cached.compile_plan(heap, &mr).unwrap();
             let b = fresh.compile_plan(heap, &mr).unwrap();
             assert_eq!(
-                format!("{:?}", a.compiled.runtime),
-                format!("{:?}", b.compiled.runtime),
+                format!("{:?}", a.runtime),
+                format!("{:?}", b.runtime),
                 "plans diverge at cp heap {heap}"
             );
         }
@@ -583,7 +554,7 @@ mod tests {
     fn block_recompilation_is_cached() {
         let (analyzed, cfg) = setup();
         let session = WhatIfSession::new(&analyzed, &cfg, None, true).unwrap();
-        let bid = session.probe().compiled.summaries[0].block_id;
+        let bid = session.probe().summaries[0].block_id;
         let before = session.stats().block_compilations;
         let a = session.compile_block(bid, 512, 4096).unwrap();
         let mid = session.stats().block_compilations;

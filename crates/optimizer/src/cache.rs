@@ -15,9 +15,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use reml_compiler::session::{PlanHandle, WhatIfSession};
-use reml_compiler::{CompileError, MrHeapAssignment};
+use reml_compiler::session::WhatIfSession;
+use reml_compiler::{CompileError, CompiledProgram, MrHeapAssignment};
 use reml_cost::{CostBreakdown, VarStates};
+use reml_runtime::program::RtBlock;
 use reml_runtime::Instruction;
 
 use crate::optimizer::ResourceOptimizer;
@@ -127,7 +128,7 @@ impl CostMemo {
     pub(crate) fn cost_program(
         &self,
         opt: &ResourceOptimizer,
-        plan: &Arc<PlanHandle>,
+        plan: &Arc<CompiledProgram>,
         rc: u64,
         mr_heap: &MrHeapAssignment,
     ) -> f64 {
@@ -137,7 +138,7 @@ impl CostMemo {
         };
         self.scan(opt, rc, scan, plan, |states| {
             opt.cost_model.cost_program_states(
-                &plan.compiled.runtime,
+                &plan.runtime,
                 rc,
                 &|bid| mr_heap.for_block(bid),
                 states,
@@ -231,7 +232,7 @@ fn debug_verify_plan(
     memo: &CostMemo,
     rc: u64,
     mr_heap: &MrHeapAssignment,
-    plan: &PlanHandle,
+    plan: &CompiledProgram,
 ) {
     let req: PlanReq = (
         rc,
@@ -242,7 +243,7 @@ fn debug_verify_plan(
         return;
     }
     let cfg = reml_compiler::session::with_resources(session.base(), rc, mr_heap.clone());
-    let report = reml_planlint::lint_compiled(session.analyzed(), &plan.compiled, &cfg);
+    let report = reml_planlint::lint_compiled(session.analyzed(), plan, &cfg);
     assert!(
         report.is_empty(),
         "plan lint failed at (rc={rc} MB, ri={} MB):\n{}",
@@ -253,18 +254,18 @@ fn debug_verify_plan(
         .compile_plan_uncached(rc, mr_heap)
         .expect("fresh what-if compile for cache verification");
     assert!(
-        fresh.compiled.runtime == plan.compiled.runtime,
+        fresh.runtime == plan.runtime,
         "cached plan diverges from a fresh compile at (rc={rc} MB, ri={} MB): \
          breakpoint fingerprint collision",
         mr_heap.default_mb
     );
     assert!(
-        fresh.compiled.rewrite_audit == plan.compiled.rewrite_audit,
+        fresh.rewrite_audit == plan.rewrite_audit,
         "cached plan's rewrite audit diverges from a fresh compile at (rc={rc} MB, \
          ri={} MB): the PL050 translation-validation evidence is stale",
         mr_heap.default_mb
     );
-    let fresh_report = reml_planlint::lint_compiled(session.analyzed(), &fresh.compiled, &cfg);
+    let fresh_report = reml_planlint::lint_compiled(session.analyzed(), &fresh, &cfg);
     assert!(
         report == fresh_report,
         "cached plan lints differently from a fresh compile at rc={rc} MB:\ncached:\n{}\nfresh:\n{}",
@@ -278,10 +279,9 @@ fn debug_verify_plan(
     reml_planlint::install_vm_verifier();
     for fuse in [false, true] {
         let vm = plan
-            .compiled
             .runtime
             .lower_vm(reml_runtime::vm::VmLowerOptions { fuse });
-        let vm_report = reml_planlint::lint_vm(&plan.compiled.runtime, &vm);
+        let vm_report = reml_planlint::lint_vm(&plan.runtime, &vm);
         assert!(
             vm_report.is_empty(),
             "bytecode lint failed at (rc={rc} MB, ri={} MB, fuse={fuse}):\n{}",
@@ -314,20 +314,38 @@ pub(crate) fn stage_baseline(
     let plan = session.compile_plan(rc, &MrHeapAssignment::uniform(min))?;
     #[cfg(debug_assertions)]
     debug_verify_plan(session, memo, rc, &MrHeapAssignment::uniform(min), &plan);
-    let (remaining, blocks_total) = opt.prune_blocks(&plan.compiled);
+    let (remaining, blocks_total) = opt.prune_blocks(&plan);
+    let instructions = generic_instructions(&plan);
     let mut blocks = Vec::with_capacity(remaining.len());
     for bid in remaining {
         if session.entry_env(bid).is_none() {
             continue;
         }
-        let instrs = &plan.generic_instructions[&bid];
-        let cost = memo.cost_block(opt, &plan.generic_instructions, instrs, bid, rc, min);
+        let cost = memo.cost_block(opt, &plan, instructions[&bid], bid, rc, min);
         blocks.push((bid, cost));
     }
     Ok(BaselineOut {
         blocks,
         blocks_total,
     })
+}
+
+/// Every generic block's instructions in `plan`, by block id, borrowed.
+fn generic_instructions(plan: &CompiledProgram) -> HashMap<usize, &[Instruction]> {
+    let mut out = HashMap::new();
+    for top in &plan.runtime.blocks {
+        top.visit_generic(&mut |b| {
+            if let RtBlock::Generic {
+                source,
+                instructions,
+                ..
+            } = b
+            {
+                out.insert(source.0, instructions.as_slice());
+            }
+        });
+    }
+    out
 }
 
 /// Enumeration stage: walk the MR grid for one block at a fixed `r_c`,
@@ -436,9 +454,9 @@ mod tests {
     /// plan or a single-block recompile at `ri`, or a whole program under an
     /// MR assignment.
     enum Requested {
-        PlanBlock(Arc<PlanHandle>, usize, u64),
+        PlanBlock(Arc<CompiledProgram>, usize, u64),
         Block(Arc<CompiledBlock>, usize, u64),
-        Program(Arc<PlanHandle>, MrHeapAssignment),
+        Program(Arc<CompiledProgram>, MrHeapAssignment),
     }
 
     /// Every plan the walk requests, re-costed through the memo at every
@@ -470,7 +488,7 @@ mod tests {
                     MrHeapAssignment::uniform(min),
                 );
                 let session = WhatIfSession::new(&analyzed, &base, None, true).unwrap();
-                let estimates: Vec<f64> = (session.probe().compiled.summaries.iter())
+                let estimates: Vec<f64> = (session.probe().summaries.iter())
                     .flat_map(|s| s.mem_estimates_mb.iter().copied())
                     .collect();
                 let grid = opt.config.cp_grid.generate(min, max, &estimates);
@@ -482,9 +500,9 @@ mod tests {
                         .compile_plan(rc, &MrHeapAssignment::uniform(min))
                         .unwrap();
                     let mut mr_heap = MrHeapAssignment::uniform(min);
-                    for &bid in plan.generic_instructions.keys() {
+                    for bid in plan.summaries.iter().map(|s| s.block_id) {
                         let key = ScanKey::Block {
-                            plan: plan_address(&plan.generic_instructions),
+                            plan: plan_address(&plan),
                             block: bid,
                             ri: min,
                         };
@@ -519,16 +537,9 @@ mod tests {
                         reused += usize::from(entry.is_some_and(|peak| budget >= peak));
                         let (got, want) = match scan {
                             Requested::PlanBlock(plan, bid, ri) => {
-                                let instrs = &plan.generic_instructions[bid];
+                                let instrs = generic_instructions(plan)[bid];
                                 (
-                                    memo.cost_block(
-                                        &opt,
-                                        &plan.generic_instructions,
-                                        instrs,
-                                        *bid,
-                                        rc,
-                                        *ri,
-                                    ),
+                                    memo.cost_block(&opt, plan, instrs, *bid, rc, *ri),
                                     model.cost_instructions(instrs, rc, *ri, &mut states),
                                 )
                             }
@@ -539,7 +550,7 @@ mod tests {
                             Requested::Program(plan, mr_heap) => (
                                 memo.cost_program(&opt, plan, rc, mr_heap),
                                 model.cost_program_states(
-                                    &plan.compiled.runtime,
+                                    &plan.runtime,
                                     rc,
                                     &|bid| mr_heap.for_block(bid),
                                     &mut states,

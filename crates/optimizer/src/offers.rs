@@ -60,7 +60,7 @@ pub fn choose_offer(
         let heap_of = offer.mr_heap.clone();
         let cost = optimizer
             .cost_model
-            .cost_program(&plan.compiled.runtime, offer.cp_heap_mb, &|bid| {
+            .cost_program(&plan.runtime, offer.cp_heap_mb, &|bid| {
                 heap_of.for_block(bid)
             })
             .total_s();

@@ -371,7 +371,6 @@ impl ResourceOptimizer {
         let mut session = WhatIfSession::new(analyzed, base, scope, self.config.plan_cache)?;
         let mem_estimates: Vec<f64> = session
             .probe()
-            .compiled
             .summaries
             .iter()
             .flat_map(|s| s.mem_estimates_mb.iter().copied())
@@ -504,15 +503,12 @@ impl ResourceOptimizer {
             min_heap,
             reml_compiler::MrHeapAssignment::uniform(min_heap),
         );
-        let sound_min = match reml_sizebound::analyze_with_min_budget(
-            analyzed,
-            &session.probe().compiled,
-            &probe_cfg,
-        ) {
-            Ok((_, min)) => min,
-            // Analysis failure must never fail optimization: no pruning.
-            Err(_) => 0.0,
-        };
+        let sound_min =
+            match reml_sizebound::analyze_with_min_budget(analyzed, session.probe(), &probe_cfg) {
+                Ok((_, min)) => min,
+                // Analysis failure must never fail optimization: no pruning.
+                Err(_) => 0.0,
+            };
         if sound_min <= 0.0 {
             return;
         }

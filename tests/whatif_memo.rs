@@ -1,16 +1,19 @@
 //! A what-if session builds each block's HOP DAG once (its probe compile)
 //! and afterwards only re-lowers it per grid point. This checks, in any
-//! build profile, that those re-lowered plans are exactly what a plain
-//! compile produces: `compile_plan` against `compile`/`compile_scope` and
-//! `compile_block` against `compile_single_block`, over the five paper
-//! scripts at XS–XL, every CP grid point and a spread of MR overrides.
+//! build profile, that those re-lowered plans are exactly what a memo-free
+//! walk produces: `compile_plan` against `compile` (or, for a scope,
+//! against a caching-off session's `compile_plan`) and `compile_block`
+//! against `compile_block_with_env` from the probe's entry environment,
+//! over the five paper scripts at XS–XL, every CP grid point and a spread
+//! of MR overrides.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use reml::compiler::build::Env;
 use reml::compiler::pipeline::{
-    analyze_program, compile, compile_scope, compile_single_block, env_from_runtime_state,
-    top_level_index_of, AnalyzedProgram, CompiledProgram,
+    analyze_program, compile, compile_block_with_env, env_from_runtime_state, top_level_index_of,
+    AnalyzedProgram, CompiledProgram,
 };
 use reml::compiler::session::{with_resources, WhatIfSession};
 use reml::compiler::{CompileConfig, MrHeapAssignment};
@@ -42,23 +45,23 @@ fn assert_same_plan(memo: &CompiledProgram, fresh: &CompiledProgram, at: &str) {
 
 /// Walk one session's CP grid with a spread of MR assignments, comparing
 /// every whole-program and single-block what-if compile with a fresh one.
-/// `fresh` compiles the session's scope under a configuration.
+/// `fresh` compiles the session's scope under `(r_c, MR heaps)`.
 fn check_session(
     analyzed: &AnalyzedProgram,
     base: &CompileConfig,
     scope: Option<(usize, &Env)>,
     label: &str,
-    fresh: &dyn Fn(&CompileConfig) -> CompiledProgram,
+    fresh: &dyn Fn(u64, &MrHeapAssignment) -> Arc<CompiledProgram>,
 ) -> usize {
     let session = WhatIfSession::new(analyzed, base, scope, true).unwrap();
     let cc = &base.cluster;
     let (min, max) = (cc.min_heap_mb(), cc.max_heap_mb());
-    let estimates: Vec<f64> = (session.probe().compiled.summaries.iter())
+    let estimates: Vec<f64> = (session.probe().summaries.iter())
         .flat_map(|s| s.mem_estimates_mb.iter().copied())
         .collect();
     let cp_grid = GridStrategy::default_hybrid().generate(min, max, &estimates);
     let mr_spread = [min, 2 * 1024, max];
-    let blocks: Vec<usize> = (session.probe().compiled.summaries.iter())
+    let blocks: Vec<usize> = (session.probe().summaries.iter())
         .map(|s| s.block_id)
         .collect();
     let mut compiles = 0;
@@ -76,8 +79,7 @@ fn check_session(
         for mr in &assignments {
             let at = format!("{label} rc={rc} mr={mr:?}");
             let plan = session.compile_plan(rc, mr).unwrap();
-            let cfg = with_resources(base, rc, mr.clone());
-            assert_same_plan(&plan.compiled, &fresh(&cfg), &at);
+            assert_same_plan(&plan, &fresh(rc, mr), &at);
             compiles += 1;
         }
         for &bid in &blocks {
@@ -87,7 +89,8 @@ fn check_session(
                 let mut cfg = with_resources(base, rc, MrHeapAssignment::uniform(min));
                 cfg.mr_heap.set_block(bid, ri);
                 let (instructions, summary, _) =
-                    compile_single_block(analyzed, &cfg, BlockId(bid), entry).unwrap();
+                    compile_block_with_env(analyzed, &cfg, BlockId(bid), &mut entry.clone())
+                        .unwrap();
                 let at = format!("{label} block {bid} rc={rc} ri={ri}");
                 assert!(block.instructions == instructions, "{at}: instructions");
                 assert_eq!(
@@ -113,8 +116,8 @@ fn memoized_what_if_plans_equal_fresh_compiles() {
             let base =
                 script.compile_config(shape, cluster.clone(), 512, MrHeapAssignment::uniform(512));
             let label = format!("{}/{}", script.name, scenario.name());
-            compiles += check_session(&analyzed, &base, None, &label, &|cfg| {
-                compile(&analyzed, cfg).unwrap()
+            compiles += check_session(&analyzed, &base, None, &label, &|rc, mr| {
+                Arc::new(compile(&analyzed, &with_resources(&base, rc, mr.clone())).unwrap())
             });
         }
     }
@@ -162,13 +165,10 @@ fn memoized_scoped_plans_equal_fresh_compiles() {
         .find(|b| matches!(b.kind, StatementBlockKind::While { .. }))
         .expect("mlogreg has a loop")
         .id;
-    let start = top_level_index_of(&analyzed, loop_block).unwrap();
-    let compiles = check_session(
-        &analyzed,
-        &base,
-        Some((start, &env)),
-        "MLogreg/M scoped",
-        &|cfg| compile_scope(&analyzed, cfg, start, &env).unwrap(),
-    );
+    let scope = Some((top_level_index_of(&analyzed, loop_block).unwrap(), &env));
+    let oracle = WhatIfSession::new(&analyzed, &base, scope, false).unwrap();
+    let compiles = check_session(&analyzed, &base, scope, "MLogreg/M scoped", &|rc, mr| {
+        oracle.compile_plan(rc, mr).unwrap()
+    });
     assert!(compiles > 100, "only {compiles} what-if compiles checked");
 }
