@@ -53,7 +53,8 @@ pub struct PaperRun {
     pub params: &'static [(&'static str, f64)],
 }
 
-/// The five paper scripts at their `profile_report` execution shapes.
+/// The five paper scripts at the execution shapes `reml-bench`'s
+/// `profile_report`, `planlint` and `sizebound_audit` entries use.
 pub fn paper_runs() -> Vec<PaperRun> {
     vec![
         PaperRun {

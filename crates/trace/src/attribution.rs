@@ -3,9 +3,9 @@
 //! Rebuilds the span forest (per thread, in seq order) and charges each
 //! span its **self time** — duration minus the time covered by child
 //! spans — grouped by span name. This is the engine behind
-//! `profile_report`'s Table-3-analogue: the coverage ratio says how much
-//! of the measured wall time is explained by some named phase rather
-//! than unattributed root-span self time.
+//! `reml-bench profile_report`'s Table-3-analogue: the coverage ratio
+//! says how much of the measured wall time is explained by some named
+//! phase rather than unattributed root-span self time.
 
 use std::collections::HashMap;
 

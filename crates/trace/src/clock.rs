@@ -4,7 +4,8 @@
 //! [`Clock`]. Two implementations matter in practice:
 //!
 //! * [`WallClock`] — monotonic wall time anchored at recorder creation;
-//!   what `profile_report` uses so span durations are real elapsed time.
+//!   what `reml-bench profile_report` uses so span durations are real
+//!   elapsed time.
 //! * [`SimTime`] — a shared register the simulator advances with its own
 //!   virtual clock (`SimState::now()`); runs become bit-reproducible
 //!   because no real time leaks into the trace.

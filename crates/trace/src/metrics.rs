@@ -3,8 +3,9 @@
 //! The registry absorbs the counters that used to live in ad-hoc structs
 //! (`OptimizerStats`, `ExecStats`, `BufferPoolStats`, `YarnState`): each
 //! subsystem publishes under a documented name (see the metric-name
-//! catalog in DESIGN.md "Observability") so tools — `profile_report`,
-//! tests, future dashboards — read one namespace instead of five structs.
+//! catalog in DESIGN.md "Observability") so tools — `reml-bench
+//! profile_report`, tests, future dashboards — read one namespace instead
+//! of five structs.
 //!
 //! Handles are `Arc`-shared atomics: after the one map lookup the hot
 //! path is a single `fetch_add`. All methods are safe to call from any
