@@ -693,3 +693,86 @@ fn internal_rules_catch_pool_corruptions() {
         "expected PL041 on forged cp_count"
     );
 }
+
+/// Every kind of code list — a generic block's code, an `if`/`while`
+/// predicate, the `then` and `else` arms, a `for` loop's `from`/`to`
+/// bounds and a loop body — is reached by the PL040 slot check, and each
+/// diagnostic names the list the way the verifier prints paths. A `for`
+/// loop's out-of-range variable is reported at the loop block itself.
+#[test]
+fn pl040_reaches_every_code_list_with_its_path() {
+    let src = "s = sum(rand(rows=3, cols=3));\n\
+               if (s > 1) { s = s + 1; } else { s = s - 1; }\n\
+               while (s < 100) { s = s * 2; }\n\
+               for (i in (s - 1):(s + 1)) { s = s + i; }\n\
+               print(s);";
+    let analyzed = analyze_program(src).expect("valid DML");
+    let cfg = reml_compiler::CompileConfig::new(ClusterConfig::paper_cluster(), 1024, 1024);
+    let compiled = compile(&analyzed, &cfg).expect("compiles");
+    let mut vm = compiled.runtime.lower_vm(VmLowerOptions { fuse: true });
+    assert!(lint_vm_program(&vm).is_empty(), "baseline must lint clean");
+
+    // Aim the first slot operand of every list, and the loop variable,
+    // out of range.
+    fn corrupt(blocks: &mut [VmBlock], oob: u32) {
+        let hit = |code: &mut Vec<VmInstr>| {
+            if let Some(instr) = code.iter_mut().find(|i| first_slot(i).is_some()) {
+                let p = first_slot(instr).expect("found above");
+                instr.args[p] = Arg::Slot(oob);
+            }
+        };
+        for b in blocks {
+            match b {
+                VmBlock::Generic { code, .. } => hit(code),
+                VmBlock::If {
+                    pred,
+                    then_blocks,
+                    else_blocks,
+                } => {
+                    hit(&mut pred.code);
+                    corrupt(then_blocks, oob);
+                    corrupt(else_blocks, oob);
+                }
+                VmBlock::While { pred, body } => {
+                    hit(&mut pred.code);
+                    corrupt(body, oob);
+                }
+                VmBlock::For {
+                    var,
+                    from,
+                    to,
+                    body,
+                } => {
+                    *var = oob;
+                    hit(&mut from.code);
+                    hit(&mut to.code);
+                    corrupt(body, oob);
+                }
+            }
+        }
+    }
+    corrupt(&mut vm.blocks, vm.symbols.len() as u32);
+    let mut paths: Vec<String> = lint_vm_program(&vm)
+        .into_iter()
+        .filter(|d| d.rule == "PL040")
+        .map(|d| d.path)
+        .collect();
+    paths.sort();
+    paths.dedup();
+    assert_eq!(
+        paths,
+        [
+            "vm/b0/instr 1",
+            "vm/b1/else/b0/instr 0",
+            "vm/b1/pred/instr 0",
+            "vm/b1/then/b0/instr 0",
+            "vm/b2/body/b0/instr 0",
+            "vm/b2/pred/instr 0",
+            "vm/b3",
+            "vm/b3/body/b0/instr 0",
+            "vm/b3/from/instr 0",
+            "vm/b3/to/instr 0",
+            "vm/b4/instr 0",
+        ]
+    );
+}
