@@ -472,43 +472,7 @@ impl<'a> BlockBuilder<'a> {
                 MatrixCharacteristics::scalar(),
             ));
         }
-        let bop = map_binop(op)?;
-        match (lt == VType::Matrix, rt == VType::Matrix) {
-            (true, true) => {
-                let (lmc, rmc) = (self.dag.hop(l).mc, self.dag.hop(r).mc);
-                let mc = binary_mm_mc(bop, &lmc, &rmc);
-                Ok(self
-                    .dag
-                    .add(HopOp::BinaryMM(bop), vec![l, r], VType::Matrix, mc))
-            }
-            (true, false) => {
-                let mc = binary_scalar_mc(bop, &self.dag.hop(l).mc, false, self.const_num(r));
-                Ok(self
-                    .dag
-                    .add(HopOp::BinaryMS(bop), vec![l, r], VType::Matrix, mc))
-            }
-            (false, true) => {
-                let mc = binary_scalar_mc(bop, &self.dag.hop(r).mc, true, self.const_num(l));
-                Ok(self
-                    .dag
-                    .add(HopOp::BinarySM(bop), vec![l, r], VType::Matrix, mc))
-            }
-            (false, false) => {
-                // Scalar-scalar: constant fold when both sides known.
-                if let (Some(a), Some(b)) = (self.const_value(l), self.const_value(r)) {
-                    if let Some(folded) = fold_scalar(bop, &a, &b) {
-                        self.log_fold(FoldKind::Binary(bop), vec![a, b], folded.clone());
-                        return Ok(self.literal(folded));
-                    }
-                }
-                Ok(self.dag.add(
-                    HopOp::BinarySS(bop),
-                    vec![l, r],
-                    VType::Scalar,
-                    MatrixCharacteristics::scalar(),
-                ))
-            }
-        }
+        Ok(self.build_binary_direct(map_binop(op)?, l, r))
     }
 
     fn const_value(&self, id: HopId) -> Option<ScalarValue> {
@@ -689,7 +653,7 @@ impl<'a> BlockBuilder<'a> {
                     } else {
                         BinaryOp::Max
                     };
-                    return self.build_binary_direct(bop, l, r);
+                    return Ok(self.build_binary_direct(bop, l, r));
                 }
                 let m = self.build_expr(&args[0], env)?;
                 let agg = if name == "min" {
@@ -812,7 +776,7 @@ impl<'a> BlockBuilder<'a> {
                         )))
                     }
                 };
-                self.build_binary_direct(bop, l, r)
+                Ok(self.build_binary_direct(bop, l, r))
             }
             "append" | "cbind" => {
                 let a = self.build_expr(&args[0], env)?;
@@ -913,45 +877,38 @@ impl<'a> BlockBuilder<'a> {
     }
 
     /// Binary over already-built operands with a concrete kernel op.
-    fn build_binary_direct(
-        &mut self,
-        bop: BinaryOp,
-        l: HopId,
-        r: HopId,
-    ) -> Result<HopId, CompileError> {
+    fn build_binary_direct(&mut self, bop: BinaryOp, l: HopId, r: HopId) -> HopId {
         let (lt, rt) = (self.dag.hop(l).vtype, self.dag.hop(r).vtype);
         match (lt == VType::Matrix, rt == VType::Matrix) {
             (true, true) => {
                 let mc = binary_mm_mc(bop, &self.dag.hop(l).mc, &self.dag.hop(r).mc);
-                Ok(self
-                    .dag
-                    .add(HopOp::BinaryMM(bop), vec![l, r], VType::Matrix, mc))
+                self.dag
+                    .add(HopOp::BinaryMM(bop), vec![l, r], VType::Matrix, mc)
             }
             (true, false) => {
                 let mc = binary_scalar_mc(bop, &self.dag.hop(l).mc, false, self.const_num(r));
-                Ok(self
-                    .dag
-                    .add(HopOp::BinaryMS(bop), vec![l, r], VType::Matrix, mc))
+                self.dag
+                    .add(HopOp::BinaryMS(bop), vec![l, r], VType::Matrix, mc)
             }
             (false, true) => {
                 let mc = binary_scalar_mc(bop, &self.dag.hop(r).mc, true, self.const_num(l));
-                Ok(self
-                    .dag
-                    .add(HopOp::BinarySM(bop), vec![l, r], VType::Matrix, mc))
+                self.dag
+                    .add(HopOp::BinarySM(bop), vec![l, r], VType::Matrix, mc)
             }
             (false, false) => {
+                // Scalar-scalar: constant fold when both sides known.
                 if let (Some(a), Some(b)) = (self.const_value(l), self.const_value(r)) {
                     if let Some(folded) = fold_scalar(bop, &a, &b) {
                         self.log_fold(FoldKind::Binary(bop), vec![a, b], folded.clone());
-                        return Ok(self.literal(folded));
+                        return self.literal(folded);
                     }
                 }
-                Ok(self.dag.add(
+                self.dag.add(
                     HopOp::BinarySS(bop),
                     vec![l, r],
                     VType::Scalar,
                     MatrixCharacteristics::scalar(),
-                ))
+                )
             }
         }
     }

@@ -7,7 +7,9 @@
 use std::collections::{BTreeMap, HashMap};
 
 use reml_lang::ast::{BinOp, Expr};
-use reml_lang::blocks::{build_blocks, count_all_blocks, StatementBlock, StatementBlockKind};
+use reml_lang::blocks::{
+    build_blocks, count_all_blocks, find_block, StatementBlock, StatementBlockKind,
+};
 use reml_lang::{validate, BlockId};
 use reml_matrix::MatrixCharacteristics;
 use reml_runtime::program::{Predicate, RtBlock, RuntimeProgram};
@@ -40,37 +42,6 @@ impl AnalyzedProgram {
     /// Total block count (Table 1's `#Blocks`).
     pub fn num_blocks(&self) -> usize {
         count_all_blocks(&self.blocks)
-    }
-
-    /// Find a statement block by id anywhere in the hierarchy.
-    pub fn find_block(&self, id: BlockId) -> Option<&StatementBlock> {
-        fn find(blocks: &[StatementBlock], id: BlockId) -> Option<&StatementBlock> {
-            for b in blocks {
-                if b.id == id {
-                    return Some(b);
-                }
-                match &b.kind {
-                    StatementBlockKind::If {
-                        then_blocks,
-                        else_blocks,
-                        ..
-                    } => {
-                        if let Some(f) = find(then_blocks, id).or_else(|| find(else_blocks, id)) {
-                            return Some(f);
-                        }
-                    }
-                    StatementBlockKind::While { body, .. }
-                    | StatementBlockKind::For { body, .. } => {
-                        if let Some(f) = find(body, id) {
-                            return Some(f);
-                        }
-                    }
-                    StatementBlockKind::Generic { .. } => {}
-                }
-            }
-            None
-        }
-        find(&self.blocks, id)
     }
 }
 
@@ -274,13 +245,10 @@ pub(crate) fn compile_memo(
 /// Index of the top-level block containing (or equal to) `id`, for scope
 /// expansion. Returns `None` when the id is unknown.
 pub fn top_level_index_of(analyzed: &AnalyzedProgram, id: BlockId) -> Option<usize> {
-    fn contains(block: &StatementBlock, id: BlockId) -> bool {
-        if block.id == id {
-            return true;
-        }
-        block.children().into_iter().any(|c| contains(c, id))
-    }
-    analyzed.blocks.iter().position(|b| contains(b, id))
+    analyzed
+        .blocks
+        .iter()
+        .position(|b| find_block([b], id).is_some())
 }
 
 /// A single-block compile: the block's instructions, its summary, and
@@ -298,8 +266,7 @@ pub fn compile_block_with_env(
     block_id: BlockId,
     env: &mut Env,
 ) -> Result<SingleBlock, CompileError> {
-    let block = analyzed
-        .find_block(block_id)
+    let block = find_block(&analyzed.blocks, block_id)
         .ok_or_else(|| CompileError::Internal(format!("no block {block_id:?}")))?;
     let StatementBlockKind::Generic { statements } = &block.kind else {
         return Err(CompileError::Internal(format!(
@@ -1138,7 +1105,7 @@ mod tests {
         let analyzed = analyze_program(src).unwrap();
         assert!(analyzed.num_lines >= 7);
         assert!(analyzed.num_blocks() >= 5);
-        assert!(analyzed.find_block(BlockId(0)).is_some());
-        assert!(analyzed.find_block(BlockId(99)).is_none());
+        assert!(find_block(&analyzed.blocks, BlockId(0)).is_some());
+        assert!(find_block(&analyzed.blocks, BlockId(99)).is_none());
     }
 }

@@ -351,7 +351,7 @@ impl CostModel {
                     &cp.operand_mcs,
                     &cp.output_mc,
                 );
-                cal.predict_seconds(pf, predicted_cp_bytes(cp), analytic_s)
+                cal.predict_seconds(pf, cp.predicted_bytes(), analytic_s)
             }
             None => analytic_s,
         };
@@ -495,20 +495,6 @@ impl CostModel {
         }
         c
     }
-}
-
-/// Compile-time operand+output byte prediction for a CP instruction —
-/// the same None-propagating fold the executors use for `MemObservation`
-/// rows, so calibrated time predictions see the quantities the fit saw.
-fn predicted_cp_bytes(cp: &CpInstruction) -> Option<u64> {
-    let mut predicted = Some(0u64);
-    for mc in cp.operand_mcs.iter().chain(std::iter::once(&cp.output_mc)) {
-        predicted = match (predicted, mc.estimated_size_bytes()) {
-            (Some(acc), Some(b)) => Some(acc + b),
-            _ => None,
-        };
-    }
-    predicted
 }
 
 #[cfg(test)]

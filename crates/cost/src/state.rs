@@ -75,9 +75,12 @@ impl VarStates {
         self.resident.retain(|(n, _)| n != name);
     }
 
-    /// Total tracked resident bytes.
+    /// Total tracked resident bytes, saturating at `u64::MAX` (an operand
+    /// with more than 2⁶¹ cells already saturates its own size).
     pub fn resident_bytes(&self) -> u64 {
-        self.resident.iter().map(|(_, b)| *b).sum()
+        self.resident
+            .iter()
+            .fold(0u64, |acc, (_, b)| acc.saturating_add(*b))
     }
 
     /// Evict oldest residents until the set fits `budget_bytes`.
@@ -95,8 +98,8 @@ impl VarStates {
         while total > budget_bytes && self.resident.len() > 1 {
             let (name, bytes) = self.resident.remove(0);
             self.states.insert(name, VarState::OnHdfs);
-            total -= bytes;
-            evicted += bytes;
+            total = total.saturating_sub(bytes);
+            evicted = evicted.saturating_add(bytes);
         }
         evicted
     }

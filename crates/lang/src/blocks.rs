@@ -74,26 +74,27 @@ impl StatementBlock {
         matches!(self.kind, StatementBlockKind::Generic { .. })
     }
 
-    /// Child blocks (empty for generic blocks).
-    pub fn children(&self) -> Vec<&StatementBlock> {
-        match &self.kind {
-            StatementBlockKind::Generic { .. } => Vec::new(),
+    /// Child blocks in pre-order (`then` before `else`; none for generic
+    /// blocks).
+    pub fn children(&self) -> impl Iterator<Item = &StatementBlock> {
+        let (first, second): (&[StatementBlock], &[StatementBlock]) = match &self.kind {
+            StatementBlockKind::Generic { .. } => (&[], &[]),
             StatementBlockKind::If {
                 then_blocks,
                 else_blocks,
                 ..
-            } => then_blocks.iter().chain(else_blocks.iter()).collect(),
+            } => (then_blocks, else_blocks),
             StatementBlockKind::While { body, .. } | StatementBlockKind::For { body, .. } => {
-                body.iter().collect()
+                (body, &[])
             }
-        }
+        };
+        first.iter().chain(second)
     }
 
     /// Total number of blocks in this subtree (this block + descendants).
     pub fn count_blocks(&self) -> usize {
         1 + self
             .children()
-            .into_iter()
             .map(StatementBlock::count_blocks)
             .sum::<usize>()
     }
@@ -108,6 +109,21 @@ pub fn build_blocks(program: &Program) -> Vec<StatementBlock> {
 /// Count all blocks in a hierarchy (the paper's `#Blocks`, Table 1).
 pub fn count_all_blocks(blocks: &[StatementBlock]) -> usize {
     blocks.iter().map(StatementBlock::count_blocks).sum()
+}
+
+/// Find a block by id anywhere in a hierarchy (`&[StatementBlock]`, one
+/// block's `children()`, or any other list of blocks).
+pub fn find_block<'a>(
+    blocks: impl IntoIterator<Item = &'a StatementBlock>,
+    id: BlockId,
+) -> Option<&'a StatementBlock> {
+    blocks.into_iter().find_map(|b| {
+        if b.id == id {
+            Some(b)
+        } else {
+            find_block(b.children(), id)
+        }
+    })
 }
 
 /// Union of the variables any of the given blocks (or their nested
@@ -381,6 +397,20 @@ mod tests {
             _ => panic!(),
         }
         assert_eq!(b[2].id, BlockId(3));
+    }
+
+    #[test]
+    fn find_block_reaches_every_nested_block() {
+        let src = "a = 1\nif (a > 0) { a = 2 } else { for (i in 1:3) { a = a + i } }\nb = a";
+        let b = blocks_of(src);
+        let n = count_all_blocks(&b);
+        for id in 0..n {
+            assert_eq!(find_block(&b, BlockId(id)).map(|f| f.id), Some(BlockId(id)));
+        }
+        assert!(find_block(&b, BlockId(n)).is_none());
+        // The for block sits in the else arm, after the then arm's block.
+        let ids: Vec<usize> = b[1].children().map(|c| c.id.0).collect();
+        assert_eq!(ids, [2, 3]);
     }
 
     #[test]

@@ -76,8 +76,8 @@
 use reml_compiler::build::Env;
 use reml_compiler::pipeline::{AnalyzedProgram, BlockAudit, CompiledProgram};
 use reml_compiler::{CompileConfig, CompileError, HopDag};
-use reml_lang::blocks::StatementBlock;
-use reml_lang::StatementBlockKind;
+use reml_lang::blocks::{find_block, StatementBlock};
+use reml_lang::{BlockId, StatementBlockKind};
 use reml_runtime::instructions::Instruction;
 use reml_runtime::program::RtBlock;
 
@@ -325,31 +325,6 @@ pub fn rule_severity(rule: &str) -> Severity {
         .unwrap_or_else(|| panic!("unknown lint rule {rule}"))
 }
 
-/// Find a statement block by id anywhere in the hierarchy.
-pub fn find_block(blocks: &[StatementBlock], id: usize) -> Option<&StatementBlock> {
-    for b in blocks {
-        if b.id.0 == id {
-            return Some(b);
-        }
-        if let Some(found) = find_block_children(b, id) {
-            return Some(found);
-        }
-    }
-    None
-}
-
-fn find_block_children(block: &StatementBlock, id: usize) -> Option<&StatementBlock> {
-    for child in block.children() {
-        if child.id.0 == id {
-            return Some(child);
-        }
-        if let Some(found) = find_block_children(child, id) {
-            return Some(found);
-        }
-    }
-    None
-}
-
 /// Rebuild the canonical HOP DAG of a generic block from its recorded
 /// entry environment: DAG construction, rewrites, and memory estimation
 /// never read the resource configuration, so this reproduces exactly the
@@ -458,20 +433,25 @@ pub fn lint_compiled(
     let _s = reml_trace::span!("planlint.lint_compiled");
     let mut diags = rt_rules::lint_runtime(analyzed, compiled);
 
-    let mut generics: Vec<&RtBlock> = Vec::new();
-    for b in &compiled.runtime.blocks {
-        b.visit_generic(&mut |g| generics.push(g));
-    }
-    for g in generics {
-        let RtBlock::Generic {
-            source,
-            instructions,
-            ..
-        } = g
-        else {
-            continue;
+    compiled.runtime.walk(&mut |b| {
+        let bid = b.source().0;
+        // MR jobs inside predicates (rare — predicates are
+        // scalar-dominated, but lowering is budget-driven and may emit
+        // them).
+        for (_, pred) in b.predicates() {
+            for (i, instr) in pred.instructions.iter().enumerate() {
+                if let Instruction::MrJob(job) = instr {
+                    diags.extend(lop_rules::lint_mr_job(
+                        job,
+                        config.mr_budget_mb(bid),
+                        &format!("block {bid}/pred instr {i}"),
+                    ));
+                }
+            }
+        }
+        let RtBlock::Generic { instructions, .. } = b else {
+            return;
         };
-        let bid = source.0;
         let path = format!("block {bid}");
         let Some(entry_env) = compiled.entry_envs.get(&bid) else {
             diags.push(Diagnostic::new(
@@ -479,11 +459,11 @@ pub fn lint_compiled(
                 &path,
                 "no entry environment recorded for generic block",
             ));
-            continue;
+            return;
         };
-        let Some(block) = find_block(&analyzed.blocks, bid) else {
+        let Some(block) = find_block(&analyzed.blocks, BlockId(bid)) else {
             // PL024 already reports the missing source mapping.
-            continue;
+            return;
         };
         let staged = match rebuild_block_dag_staged(config, block, entry_env) {
             Ok(staged) => staged,
@@ -493,7 +473,7 @@ pub fn lint_compiled(
                     &path,
                     format!("DAG rebuild from entry environment failed: {e}"),
                 ));
-                continue;
+                return;
             }
         };
         match compiled.rewrite_audit.blocks.get(&bid) {
@@ -529,80 +509,13 @@ pub fn lint_compiled(
                 ));
             }
         }
-    }
-
-    // MR jobs inside predicates (rare — predicates are scalar-dominated,
-    // but lowering is budget-driven and may emit them).
-    let mut pred_jobs: Vec<(usize, usize, &reml_runtime::instructions::MrJobInstruction)> =
-        Vec::new();
-    for b in &compiled.runtime.blocks {
-        collect_predicate_jobs(b, &mut pred_jobs);
-    }
-    for (bid, i, job) in pred_jobs {
-        diags.extend(lop_rules::lint_mr_job(
-            job,
-            config.mr_budget_mb(bid),
-            &format!("block {bid}/pred instr {i}"),
-        ));
-    }
+    });
 
     diags.extend(rw_rules::validate_program_rewrites(
         analyzed, compiled, config,
     ));
 
     LintReport::from_diagnostics(diags)
-}
-
-fn collect_predicate_jobs<'a>(
-    block: &'a RtBlock,
-    out: &mut Vec<(
-        usize,
-        usize,
-        &'a reml_runtime::instructions::MrJobInstruction,
-    )>,
-) {
-    let mut scan = |bid: usize, pred: &'a reml_runtime::program::Predicate| {
-        for (i, instr) in pred.instructions.iter().enumerate() {
-            if let Instruction::MrJob(job) = instr {
-                out.push((bid, i, job));
-            }
-        }
-    };
-    match block {
-        RtBlock::Generic { .. } => {}
-        RtBlock::If {
-            source,
-            pred,
-            then_blocks,
-            else_blocks,
-        } => {
-            scan(source.0, pred);
-            for b in then_blocks.iter().chain(else_blocks) {
-                collect_predicate_jobs(b, out);
-            }
-        }
-        RtBlock::While {
-            source, pred, body, ..
-        } => {
-            scan(source.0, pred);
-            for b in body {
-                collect_predicate_jobs(b, out);
-            }
-        }
-        RtBlock::For {
-            source,
-            from,
-            to,
-            body,
-            ..
-        } => {
-            scan(source.0, from);
-            scan(source.0, to);
-            for b in body {
-                collect_predicate_jobs(b, out);
-            }
-        }
-    }
 }
 
 /// Mirror of the lowering's MR-capability predicate (`lower.rs`): the

@@ -4,21 +4,21 @@
 use std::collections::BTreeSet;
 
 use reml_compiler::pipeline::{AnalyzedProgram, CompiledProgram};
-use reml_lang::blocks::{StatementBlock, StatementBlockKind};
+use reml_lang::blocks::{find_block, BlockId, StatementBlock, StatementBlockKind};
 use reml_runtime::instructions::{Instruction, OpCode};
 use reml_runtime::program::{Predicate, RtBlock};
 use reml_runtime::Operand;
 
-use crate::{find_block, is_temp_name, Diagnostic};
+use crate::{is_temp_name, Diagnostic};
 
 /// Run the runtime-layer rules over a compiled program.
 pub fn lint_runtime(analyzed: &AnalyzedProgram, compiled: &CompiledProgram) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
 
-    for b in &compiled.runtime.blocks {
+    compiled.runtime.walk(&mut |b| {
         check_source_mapping(b, analyzed, &mut diags);
         check_predicates(b, &mut diags);
-    }
+    });
     check_live_sets(analyzed, compiled, &mut diags);
     check_summaries(compiled, &mut diags);
     check_definite_assignment(compiled, &mut diags);
@@ -30,7 +30,7 @@ pub fn lint_runtime(analyzed: &AnalyzedProgram, compiled: &CompiledProgram) -> V
 /// same control kind.
 fn check_source_mapping(block: &RtBlock, analyzed: &AnalyzedProgram, diags: &mut Vec<Diagnostic>) {
     let bid = block.source().0;
-    match find_block(&analyzed.blocks, bid) {
+    match find_block(&analyzed.blocks, BlockId(bid)) {
         None => diags.push(Diagnostic::new(
             "PL024",
             format!("block {bid}"),
@@ -56,30 +56,13 @@ fn check_source_mapping(block: &RtBlock, analyzed: &AnalyzedProgram, diags: &mut
             }
         }
     }
-    match block {
-        RtBlock::Generic { .. } => {}
-        RtBlock::If {
-            then_blocks,
-            else_blocks,
-            ..
-        } => {
-            for b in then_blocks.iter().chain(else_blocks) {
-                check_source_mapping(b, analyzed, diags);
-            }
-        }
-        RtBlock::While { body, .. } | RtBlock::For { body, .. } => {
-            for b in body {
-                check_source_mapping(b, analyzed, diags);
-            }
-        }
-    }
 }
 
 /// PL022: a non-empty compiled predicate must bind its `result_var`.
 fn check_predicates(block: &RtBlock, diags: &mut Vec<Diagnostic>) {
-    let mut check = |bid: usize, which: &str, pred: &Predicate| {
+    for (which, pred) in block.predicates() {
         if pred.instructions.is_empty() {
-            return;
+            continue;
         }
         let binds = pred.instructions.iter().any(|i| match i {
             Instruction::Cp(cp) => cp.output.as_deref() == Some(pred.result_var.as_str()),
@@ -88,47 +71,12 @@ fn check_predicates(block: &RtBlock, diags: &mut Vec<Diagnostic>) {
         if !binds {
             diags.push(Diagnostic::new(
                 "PL022",
-                format!("block {bid}/{which}"),
+                format!("block {}/{which}", block.source().0),
                 format!(
                     "no predicate instruction binds result variable {}",
                     pred.result_var
                 ),
             ));
-        }
-    };
-    match block {
-        RtBlock::Generic { .. } => {}
-        RtBlock::If {
-            source,
-            pred,
-            then_blocks,
-            else_blocks,
-        } => {
-            check(source.0, "pred", pred);
-            for b in then_blocks.iter().chain(else_blocks) {
-                check_predicates(b, diags);
-            }
-        }
-        RtBlock::While {
-            source, pred, body, ..
-        } => {
-            check(source.0, "pred", pred);
-            for b in body {
-                check_predicates(b, diags);
-            }
-        }
-        RtBlock::For {
-            source,
-            from,
-            to,
-            body,
-            ..
-        } => {
-            check(source.0, "from", from);
-            check(source.0, "to", to);
-            for b in body {
-                check_predicates(b, diags);
-            }
         }
     }
 }
@@ -142,25 +90,21 @@ fn check_live_sets(
     compiled: &CompiledProgram,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let mut generics: Vec<&RtBlock> = Vec::new();
-    for b in &compiled.runtime.blocks {
-        b.visit_generic(&mut |g| generics.push(g));
-    }
-    for g in generics {
+    compiled.runtime.walk(&mut |b| {
         let RtBlock::Generic {
             source,
             instructions,
             ..
-        } = g
+        } = b
         else {
-            continue;
+            return;
         };
         let bid = source.0;
-        let Some(block) = find_block(&analyzed.blocks, bid) else {
-            continue; // PL024 reports the missing mapping
+        let Some(block) = find_block(&analyzed.blocks, BlockId(bid)) else {
+            return; // PL024 reports the missing mapping
         };
         check_block_live_sets(bid, block, instructions, diags);
-    }
+    });
 }
 
 fn check_block_live_sets(
@@ -245,18 +189,14 @@ fn check_block_live_sets(
 /// PL023 (warning): the per-block compile summaries must describe the
 /// plan that was actually emitted.
 fn check_summaries(compiled: &CompiledProgram, diags: &mut Vec<Diagnostic>) {
-    let mut generics: Vec<&RtBlock> = Vec::new();
-    for b in &compiled.runtime.blocks {
-        b.visit_generic(&mut |g| generics.push(g));
-    }
-    for g in generics {
+    compiled.runtime.walk(&mut |b| {
         let RtBlock::Generic {
             source,
             instructions,
             requires_recompile,
-        } = g
+        } = b
         else {
-            continue;
+            return;
         };
         let bid = source.0;
         // Loop bodies are summarized once per compile; the last summary
@@ -267,7 +207,7 @@ fn check_summaries(compiled: &CompiledProgram, diags: &mut Vec<Diagnostic>) {
                 format!("block {bid}"),
                 "no compile summary recorded for generic block",
             ));
-            continue;
+            return;
         };
         let mr_jobs = instructions.iter().filter(|i| i.is_mr()).count();
         if summary.mr_jobs != mr_jobs {
@@ -290,7 +230,7 @@ fn check_summaries(compiled: &CompiledProgram, diags: &mut Vec<Diagnostic>) {
                 ),
             ));
         }
-    }
+    });
 }
 
 /// PL020: definite assignment of lowering temporaries (`_mVar`/`__pred`)

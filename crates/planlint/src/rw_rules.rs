@@ -42,7 +42,8 @@ use reml_compiler::pipeline::{AnalyzedProgram, BlockAudit, CompiledProgram};
 use reml_compiler::rewrites::{RewriteRecord, RewriteRule};
 use reml_compiler::{CompileConfig, Hop, HopDag, HopId, HopOp, VType};
 use reml_lang::ast::{BinOp, Expr, UnOp};
-use reml_lang::StatementBlockKind;
+use reml_lang::blocks::find_block;
+use reml_lang::{BlockId, StatementBlockKind};
 use reml_matrix::{AggOp, BinaryOp, UnaryOp};
 use reml_runtime::ScalarValue;
 
@@ -1318,7 +1319,7 @@ pub fn validate_program_rewrites(
     }
     for (i, br) in audit.branches.iter().enumerate() {
         let path = format!("branch {i}");
-        let Some(block) = crate::find_block(&analyzed.blocks, br.block_id) else {
+        let Some(block) = find_block(&analyzed.blocks, BlockId(br.block_id)) else {
             diags.push(Diagnostic::new(
                 "PL055",
                 &path,

@@ -100,59 +100,56 @@ impl<'a> Pools<'a> {
 pub fn lint_vm_program(program: &VmProgram) -> Vec<Diagnostic> {
     let t = Pools::of_program(program);
     let mut diags = Vec::new();
-    check_blocks_refs(&t, &program.blocks, "vm", &mut diags);
+    walk_code(&program.blocks, "vm", &mut |path, code, pred| {
+        if let Some(pred) = pred {
+            check_pred_refs(&t, pred, path, &mut diags);
+        }
+        for (k, instr) in code.iter().enumerate() {
+            check_instr_refs(&t, instr, &format!("{path}/instr {k}"), &mut diags);
+        }
+        // PL043 over every straight-line list.
+        check_list_liveness(&t, code, path, pred.map(|p| p.result), &mut diags);
+    });
     check_side_tables(&t, &program.blocks, None, &mut diags);
     check_fused_specs(&t, &mut diags);
     let mut defined = vec![false; t.symbols.len()];
     walk_defs(&t, &program.blocks, "vm", &mut defined, &mut diags);
-    walk_liveness(&t, &program.blocks, "vm", &mut diags);
     diags
 }
 
-/// Walk the block tree applying the straight-line PL043 analysis to every
-/// instruction list (block code and predicate code).
-fn walk_liveness(t: &Pools, blocks: &[VmBlock], path: &str, diags: &mut Vec<Diagnostic>) {
+/// Call `f` on every straight-line code list under `blocks` — a generic
+/// block's code, an `if`/`while` predicate's, a `for` loop's `from` and
+/// `to` — with its path as diagnostics print it (`vm/b0/then/b1`,
+/// `vm/b2/pred`) and the predicate it evaluates (`None` for block code).
+/// Pre-order: a block's own lists before its children, `then` before
+/// `else`. The flow-sensitive walks (`walk_defs`, `match_block_trees`)
+/// recurse by hand because they join or pair what they visit.
+fn walk_code<'a>(
+    blocks: &'a [VmBlock],
+    path: &str,
+    f: &mut impl FnMut(&str, &'a [VmInstr], Option<&'a VmPredicate>),
+) {
     for (i, block) in blocks.iter().enumerate() {
         let bpath = format!("{path}/b{i}");
         match block {
-            VmBlock::Generic { code, .. } => {
-                check_list_liveness(t, code, &bpath, None, diags);
-            }
+            VmBlock::Generic { code, .. } => f(&bpath, code, None),
             VmBlock::If {
                 pred,
                 then_blocks,
                 else_blocks,
             } => {
-                check_list_liveness(
-                    t,
-                    &pred.code,
-                    &format!("{bpath}/pred"),
-                    Some(pred.result),
-                    diags,
-                );
-                walk_liveness(t, then_blocks, &format!("{bpath}/then"), diags);
-                walk_liveness(t, else_blocks, &format!("{bpath}/else"), diags);
+                f(&format!("{bpath}/pred"), &pred.code, Some(pred));
+                walk_code(then_blocks, &format!("{bpath}/then"), f);
+                walk_code(else_blocks, &format!("{bpath}/else"), f);
             }
             VmBlock::While { pred, body } => {
-                check_list_liveness(
-                    t,
-                    &pred.code,
-                    &format!("{bpath}/pred"),
-                    Some(pred.result),
-                    diags,
-                );
-                walk_liveness(t, body, &format!("{bpath}/body"), diags);
+                f(&format!("{bpath}/pred"), &pred.code, Some(pred));
+                walk_code(body, &format!("{bpath}/body"), f);
             }
             VmBlock::For { from, to, body, .. } => {
-                check_list_liveness(
-                    t,
-                    &from.code,
-                    &format!("{bpath}/from"),
-                    Some(from.result),
-                    diags,
-                );
-                check_list_liveness(t, &to.code, &format!("{bpath}/to"), Some(to.result), diags);
-                walk_liveness(t, body, &format!("{bpath}/body"), diags);
+                f(&format!("{bpath}/from"), &from.code, Some(from));
+                f(&format!("{bpath}/to"), &to.code, Some(to));
+                walk_code(body, &format!("{bpath}/body"), f);
             }
         }
     }
@@ -217,49 +214,6 @@ pub fn install_vm_verifier() {
 // PL040: pool/reference validity
 // ---------------------------------------------------------------------------
 
-fn check_blocks_refs(t: &Pools, blocks: &[VmBlock], path: &str, diags: &mut Vec<Diagnostic>) {
-    for (i, block) in blocks.iter().enumerate() {
-        let bpath = format!("{path}/b{i}");
-        match block {
-            VmBlock::Generic { code, .. } => {
-                for (k, instr) in code.iter().enumerate() {
-                    check_instr_refs(t, instr, &format!("{bpath}/instr {k}"), diags);
-                }
-            }
-            VmBlock::If {
-                pred,
-                then_blocks,
-                else_blocks,
-            } => {
-                check_pred_refs(t, pred, &format!("{bpath}/pred"), diags);
-                check_blocks_refs(t, then_blocks, &format!("{bpath}/then"), diags);
-                check_blocks_refs(t, else_blocks, &format!("{bpath}/else"), diags);
-            }
-            VmBlock::While { pred, body } => {
-                check_pred_refs(t, pred, &format!("{bpath}/pred"), diags);
-                check_blocks_refs(t, body, &format!("{bpath}/body"), diags);
-            }
-            VmBlock::For {
-                var,
-                from,
-                to,
-                body,
-            } => {
-                if *var as usize >= t.symbols.len() {
-                    diags.push(Diagnostic::new(
-                        "PL040",
-                        &bpath,
-                        format!("for-loop variable symbol {var} out of range"),
-                    ));
-                }
-                check_pred_refs(t, from, &format!("{bpath}/from"), diags);
-                check_pred_refs(t, to, &format!("{bpath}/to"), diags);
-                check_blocks_refs(t, body, &format!("{bpath}/body"), diags);
-            }
-        }
-    }
-}
-
 fn check_pred_refs(t: &Pools, pred: &VmPredicate, path: &str, diags: &mut Vec<Diagnostic>) {
     if pred.result as usize >= t.symbols.len() {
         diags.push(Diagnostic::new(
@@ -267,9 +221,6 @@ fn check_pred_refs(t: &Pools, pred: &VmPredicate, path: &str, diags: &mut Vec<Di
             path,
             format!("predicate result symbol {} out of range", pred.result),
         ));
-    }
-    for (k, instr) in pred.code.iter().enumerate() {
-        check_instr_refs(t, instr, &format!("{path}/instr {k}"), diags);
     }
     check_pred_binding(t, pred, path, diags);
 }
@@ -457,7 +408,11 @@ fn check_side_tables<'a>(
     diags: &mut Vec<Diagnostic>,
 ) {
     let mut instrs: Vec<(String, &VmInstr, bool)> = Vec::new();
-    collect_instrs(t, blocks, "vm", &mut instrs);
+    walk_code(blocks, "vm", &mut |path, code, _| {
+        for (k, instr) in code.iter().enumerate() {
+            push_instr(t, instr, format!("{path}/instr {k}"), false, &mut instrs);
+        }
+    });
     if let Some(code) = fragment_code {
         for (k, instr) in code.iter().enumerate() {
             push_instr(t, instr, format!("fragment/instr {k}"), false, &mut instrs);
@@ -512,56 +467,6 @@ fn check_side_tables<'a>(
                 format!("MR job referenced by {n} instructions (expected exactly 1)"),
             ));
         }
-    }
-}
-
-/// Collect every instruction in the block tree (block code, predicate
-/// code, and the operators inside referenced MR jobs) with its path and
-/// whether it executes inside an MR job.
-fn collect_instrs<'a>(
-    t: &Pools<'a>,
-    blocks: &'a [VmBlock],
-    path: &str,
-    out: &mut Vec<(String, &'a VmInstr, bool)>,
-) {
-    for (i, block) in blocks.iter().enumerate() {
-        let bpath = format!("{path}/b{i}");
-        match block {
-            VmBlock::Generic { code, .. } => {
-                for (k, instr) in code.iter().enumerate() {
-                    push_instr(t, instr, format!("{bpath}/instr {k}"), false, out);
-                }
-            }
-            VmBlock::If {
-                pred,
-                then_blocks,
-                else_blocks,
-            } => {
-                collect_pred(t, pred, &format!("{bpath}/pred"), out);
-                collect_instrs(t, then_blocks, &format!("{bpath}/then"), out);
-                collect_instrs(t, else_blocks, &format!("{bpath}/else"), out);
-            }
-            VmBlock::While { pred, body } => {
-                collect_pred(t, pred, &format!("{bpath}/pred"), out);
-                collect_instrs(t, body, &format!("{bpath}/body"), out);
-            }
-            VmBlock::For { from, to, body, .. } => {
-                collect_pred(t, from, &format!("{bpath}/from"), out);
-                collect_pred(t, to, &format!("{bpath}/to"), out);
-                collect_instrs(t, body, &format!("{bpath}/body"), out);
-            }
-        }
-    }
-}
-
-fn collect_pred<'a>(
-    t: &Pools<'a>,
-    pred: &'a VmPredicate,
-    path: &str,
-    out: &mut Vec<(String, &'a VmInstr, bool)>,
-) {
-    for (k, instr) in pred.code.iter().enumerate() {
-        push_instr(t, instr, format!("{path}/instr {k}"), false, out);
     }
 }
 
@@ -733,7 +638,7 @@ fn check_instr_meta(
                 let bytes = meta
                     .constituents
                     .iter()
-                    .try_fold(0u64, |acc, c| c.predicted_bytes.map(|b| acc + b));
+                    .try_fold(0u64, |acc, c| acc.checked_add(c.predicted_bytes?));
                 if meta.predicted_bytes != bytes {
                     diags.push(Diagnostic::new(
                         "PL041",
@@ -845,8 +750,15 @@ fn walk_defs(
             } => {
                 check_pred_defs(t, from, &format!("{bpath}/from"), defined, diags);
                 check_pred_defs(t, to, &format!("{bpath}/to"), defined, diags);
-                if let Some(d) = defined.get_mut(*var as usize) {
-                    *d = true;
+                // The one walk that reads the loop variable's slot also
+                // range-checks it (PL040).
+                match defined.get_mut(*var as usize) {
+                    Some(d) => *d = true,
+                    None => diags.push(Diagnostic::new(
+                        "PL040",
+                        &bpath,
+                        format!("for-loop variable symbol {var} out of range"),
+                    )),
                 }
                 let mut seeded = defined.to_vec();
                 let mut sink = Vec::new();
@@ -1601,13 +1513,13 @@ fn match_mr_job(
     }
 }
 
-/// The tree executor's `record_observation` size fold, reimplemented:
-/// sum of operand and output size estimates, `None`-propagating.
+/// `CpInstruction::predicted_bytes`, reimplemented: sum of operand and
+/// output size estimates, `None` when one is unknown or the sum overflows.
 fn predicted_sum(cp: &CpInstruction) -> Option<u64> {
     let mut predicted = Some(0u64);
     for mc in cp.operand_mcs.iter().chain(std::iter::once(&cp.output_mc)) {
         predicted = match (predicted, mc.estimated_size_bytes()) {
-            (Some(acc), Some(b)) => Some(acc + b),
+            (Some(acc), Some(b)) => acc.checked_add(b),
             _ => None,
         };
     }
@@ -1945,7 +1857,7 @@ fn check_chain_fidelity(
     }
     let predicted = cps
         .iter()
-        .try_fold(0u64, |acc, cp| predicted_sum(cp).map(|b| acc + b));
+        .try_fold(0u64, |acc, cp| acc.checked_add(predicted_sum(cp)?));
     if meta.predicted_bytes != predicted {
         diags.push(Diagnostic::new(
             "PL047",
@@ -1958,7 +1870,7 @@ fn check_chain_fidelity(
     }
     let bound = cps
         .iter()
-        .try_fold(0u64, |acc, cp| cp.bound_bytes.map(|b| acc + b));
+        .try_fold(0u64, |acc, cp| acc.checked_add(cp.bound_bytes?));
     if meta.bound_bytes != bound {
         diags.push(Diagnostic::new(
             "PL047",

@@ -20,10 +20,12 @@ use reml_compiler::hop::CseHit;
 use reml_compiler::pipeline::{analyze_program, compile, AnalyzedProgram, CompiledProgram};
 use reml_compiler::rewrites::RewriteRule;
 use reml_compiler::{CompileConfig, HopId, HopOp};
+use reml_lang::blocks::find_block;
+use reml_lang::BlockId;
 use reml_matrix::UnaryOp;
 use reml_planlint::{
-    find_block, lint_compiled, rebuild_block_dag_staged, validate_block_rewrites,
-    validate_program_rewrites, StagedRebuild,
+    lint_compiled, rebuild_block_dag_staged, validate_block_rewrites, validate_program_rewrites,
+    StagedRebuild,
 };
 use reml_runtime::ScalarValue;
 
@@ -49,7 +51,7 @@ fn fixture(name: &'static str, source: &str) -> Fixture {
     let mut blocks = Vec::new();
     for &bid in compiled.rewrite_audit.blocks.keys() {
         let entry = compiled.entry_envs.get(&bid).expect("entry env recorded");
-        let block = find_block(&analyzed.blocks, bid).expect("block exists");
+        let block = find_block(&analyzed.blocks, BlockId(bid)).expect("block exists");
         let staged = rebuild_block_dag_staged(&cfg, block, entry).expect("staged rebuild");
         blocks.push((bid, staged));
     }

@@ -27,7 +27,7 @@ use crate::instructions::{CpInstruction, Instruction, MrJobInstruction, OpCode};
 use crate::ops::{eval_op, scalar_as_matrix, OperandStore};
 use crate::program::{Predicate, RtBlock, RuntimeProgram};
 use crate::value::{Operand, ScalarValue};
-use crate::vm::lower::{cp_flops, predicted_sum};
+use crate::vm::lower::cp_flops;
 
 /// Execution statistics.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -485,7 +485,7 @@ impl Executor {
             .sum();
         MemObservation {
             opcode: cp.opcode.mnemonic(),
-            predicted_bytes: predicted_sum(cp),
+            predicted_bytes: cp.predicted_bytes(),
             actual_bytes,
             resident_bytes: self.pool.resident_bytes(),
             bound_bytes: cp.bound_bytes,

@@ -168,6 +168,18 @@ pub struct CpInstruction {
 }
 
 impl CpInstruction {
+    /// Compile-time operand + output size estimate, bytes: the quantities
+    /// `memest` budgets against. `None` if any size is unknown or the sum
+    /// overflows (a saturated operand size). Both executors record it in
+    /// their memory observations, and calibrated cost predictions read
+    /// the same value the fit saw.
+    pub fn predicted_bytes(&self) -> Option<u64> {
+        self.operand_mcs
+            .iter()
+            .chain(std::iter::once(&self.output_mc))
+            .try_fold(0u64, |acc, mc| acc.checked_add(mc.estimated_size_bytes()?))
+    }
+
     /// EXPLAIN rendering: `CP mnemonic in1 in2 -> out`.
     pub fn render(&self) -> String {
         let ins: Vec<String> = self

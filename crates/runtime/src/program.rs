@@ -82,55 +82,44 @@ impl RtBlock {
         }
     }
 
-    /// Number of MR-job instructions in this subtree.
-    pub fn count_mr_jobs(&self) -> usize {
-        match self {
-            RtBlock::Generic { instructions, .. } => {
-                instructions.iter().filter(|i| i.is_mr()).count()
-            }
+    /// This block's own predicates with their slot names: `pred` for
+    /// `if`/`while`, `from` then `to` for `for`, none for generic blocks.
+    pub fn predicates(&self) -> impl Iterator<Item = (&'static str, &Predicate)> {
+        let slots = match self {
+            RtBlock::Generic { .. } => [None, None],
+            RtBlock::If { pred, .. } | RtBlock::While { pred, .. } => [Some(("pred", pred)), None],
+            RtBlock::For { from, to, .. } => [Some(("from", from)), Some(("to", to))],
+        };
+        slots.into_iter().flatten()
+    }
+
+    /// Visit this block and every block nested in it, in pre-order: a
+    /// block before its children, `then` blocks before `else` blocks.
+    /// The one enumeration of the runtime tree; walks that do different
+    /// work per block kind (executors, costing, EXPLAIN) match by hand.
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a RtBlock)) {
+        f(self);
+        let (first, second): (&[RtBlock], &[RtBlock]) = match self {
+            RtBlock::Generic { .. } => (&[], &[]),
             RtBlock::If {
-                pred,
                 then_blocks,
                 else_blocks,
                 ..
-            } => {
-                pred.instructions.iter().filter(|i| i.is_mr()).count()
-                    + then_blocks
-                        .iter()
-                        .map(RtBlock::count_mr_jobs)
-                        .sum::<usize>()
-                    + else_blocks
-                        .iter()
-                        .map(RtBlock::count_mr_jobs)
-                        .sum::<usize>()
-            }
-            RtBlock::While { pred, body, .. } => {
-                pred.instructions.iter().filter(|i| i.is_mr()).count()
-                    + body.iter().map(RtBlock::count_mr_jobs).sum::<usize>()
-            }
-            RtBlock::For { body, .. } => body.iter().map(RtBlock::count_mr_jobs).sum(),
+            } => (then_blocks, else_blocks),
+            RtBlock::While { body, .. } | RtBlock::For { body, .. } => (body, &[]),
+        };
+        for b in first.iter().chain(second) {
+            b.walk(f);
         }
     }
 
     /// Visit all generic blocks in execution order.
     pub fn visit_generic<'a>(&'a self, f: &mut impl FnMut(&'a RtBlock)) {
-        match self {
-            RtBlock::Generic { .. } => f(self),
-            RtBlock::If {
-                then_blocks,
-                else_blocks,
-                ..
-            } => {
-                for b in then_blocks.iter().chain(else_blocks) {
-                    b.visit_generic(f);
-                }
+        self.walk(&mut |b| {
+            if matches!(b, RtBlock::Generic { .. }) {
+                f(b)
             }
-            RtBlock::While { body, .. } | RtBlock::For { body, .. } => {
-                for b in body {
-                    b.visit_generic(f);
-                }
-            }
-        }
+        });
     }
 }
 
@@ -146,30 +135,33 @@ pub struct RuntimeProgram {
 }
 
 impl RuntimeProgram {
-    /// Total number of blocks (all levels).
-    pub fn num_blocks(&self) -> usize {
-        fn count(b: &RtBlock) -> usize {
-            1 + match b {
-                RtBlock::Generic { .. } => 0,
-                RtBlock::If {
-                    then_blocks,
-                    else_blocks,
-                    ..
-                } => {
-                    then_blocks.iter().map(count).sum::<usize>()
-                        + else_blocks.iter().map(count).sum::<usize>()
-                }
-                RtBlock::While { body, .. } | RtBlock::For { body, .. } => {
-                    body.iter().map(count).sum()
-                }
-            }
+    /// Visit every block of the program in pre-order ([`RtBlock::walk`]).
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a RtBlock)) {
+        for b in &self.blocks {
+            b.walk(f);
         }
-        self.blocks.iter().map(count).sum()
     }
 
-    /// Total number of MR-job instructions in the program.
+    /// Total number of blocks (all levels).
+    pub fn num_blocks(&self) -> usize {
+        let mut n = 0;
+        self.walk(&mut |_| n += 1);
+        n
+    }
+
+    /// Total number of MR-job instructions in the program: block code
+    /// and every predicate, `for` range bounds included.
     pub fn count_mr_jobs(&self) -> usize {
-        self.blocks.iter().map(RtBlock::count_mr_jobs).sum()
+        let mut n = 0;
+        self.walk(&mut |b| {
+            let code: &[Instruction] = match b {
+                RtBlock::Generic { instructions, .. } => instructions,
+                _ => &[],
+            };
+            let preds = b.predicates().flat_map(|(_, p)| &p.instructions);
+            n += code.iter().chain(preds).filter(|i| i.is_mr()).count();
+        });
+        n
     }
 
     /// EXPLAIN rendering of the whole program.
@@ -325,6 +317,60 @@ mod tests {
         let mut seen = Vec::new();
         tree.visit_generic(&mut |b| seen.push(b.source().0));
         assert_eq!(seen, vec![1, 2]);
+    }
+
+    #[test]
+    fn walk_is_preorder_and_counts_every_predicate() {
+        let mr_job = || {
+            Instruction::MrJob(crate::instructions::MrJobInstruction {
+                hdfs_inputs: vec![],
+                broadcast_inputs: vec![],
+                mappers: vec![],
+                reducers: vec![],
+                outputs: vec![],
+                shuffle: vec![],
+            })
+        };
+        let pred = |instructions: Vec<Instruction>| Predicate {
+            instructions,
+            result_var: "p".into(),
+        };
+        let prog = RuntimeProgram {
+            blocks: vec![
+                RtBlock::If {
+                    source: BlockId(0),
+                    pred: pred(vec![mr_job()]),
+                    then_blocks: vec![generic(1, 0)],
+                    else_blocks: vec![RtBlock::While {
+                        source: BlockId(2),
+                        pred: pred(vec![mr_job()]),
+                        body: vec![generic(3, 0)],
+                        max_iter_hint: None,
+                    }],
+                },
+                RtBlock::For {
+                    source: BlockId(4),
+                    var: "i".into(),
+                    from: pred(vec![mr_job()]),
+                    to: pred(vec![cp_noop("p"), mr_job()]),
+                    body: vec![RtBlock::Generic {
+                        source: BlockId(5),
+                        instructions: vec![mr_job(), cp_noop("x")],
+                        requires_recompile: false,
+                    }],
+                    iterations_hint: None,
+                },
+            ],
+            ..Default::default()
+        };
+        let mut seen = Vec::new();
+        prog.walk(&mut |b| seen.push(b.source().0));
+        assert_eq!(seen, vec![0, 1, 2, 3, 4, 5]);
+        let slots: Vec<&str> = prog.blocks[1].predicates().map(|(s, _)| s).collect();
+        assert_eq!(slots, ["from", "to"]);
+        assert_eq!(prog.num_blocks(), 6);
+        // if-pred 1 + while-pred 1 + for from 1 + for to 1 + body 1.
+        assert_eq!(prog.count_mr_jobs(), 5);
     }
 
     #[test]

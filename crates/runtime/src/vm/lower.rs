@@ -320,7 +320,7 @@ impl Lowerer {
             metric: format!("vm.op.{mnemonic}"),
             mnemonic,
             cp_count: 1,
-            predicted_bytes: predicted_sum(cp),
+            predicted_bytes: cp.predicted_bytes(),
             bound_bytes: cp.bound_bytes,
             touched: self.touched_symbols(cp, &[]),
             predicted_flops: cp_flops(cp),
@@ -399,7 +399,7 @@ impl Lowerer {
             .map(|cp| ObservedConstituent {
                 mnemonic: cp.opcode.mnemonic(),
                 predicted_flops: cp_flops(cp),
-                predicted_bytes: predicted_sum(cp),
+                predicted_bytes: cp.predicted_bytes(),
             })
             .collect();
         let flops = constituents
@@ -407,10 +407,10 @@ impl Lowerer {
             .try_fold(0.0f64, |acc, c| c.predicted_flops.map(|f| acc + f));
         let predicted = cps
             .iter()
-            .try_fold(0u64, |acc, cp| predicted_sum(cp).map(|b| acc + b));
+            .try_fold(0u64, |acc, cp| acc.checked_add(cp.predicted_bytes()?));
         let bound = cps
             .iter()
-            .try_fold(0u64, |acc, cp| cp.bound_bytes.map(|b| acc + b));
+            .try_fold(0u64, |acc, cp| acc.checked_add(cp.bound_bytes?));
         let mut touched: Vec<u32> = cps
             .iter()
             .flat_map(|cp| self.touched_symbols(cp, &intermediates).into_vec())
@@ -443,18 +443,4 @@ impl Lowerer {
 
 pub(crate) fn cp_flops(cp: &CpInstruction) -> Option<f64> {
     crate::flops::predicted_flops(&cp.opcode, &cp.operand_mcs, &cp.output_mc)
-}
-
-/// Compile-time operand + output size estimate of a CP instruction (the
-/// quantities `memest` budgets against), `None` if any size is unknown or
-/// the sum overflows.
-pub(crate) fn predicted_sum(cp: &CpInstruction) -> Option<u64> {
-    let mut predicted = Some(0u64);
-    for mc in cp.operand_mcs.iter().chain(std::iter::once(&cp.output_mc)) {
-        predicted = match (predicted, mc.estimated_size_bytes()) {
-            (Some(acc), Some(b)) => acc.checked_add(b),
-            _ => None,
-        };
-    }
-    predicted
 }

@@ -147,7 +147,7 @@ pub struct InstrMeta {
     /// Constituent CP-instruction count (1, or chain length for fused) so
     /// `ExecStats::cp_instructions` matches the tree walker exactly.
     pub cp_count: u64,
-    /// Compile-time operand+output size estimate (`lower::predicted_sum`),
+    /// Compile-time operand+output size estimate ([`CpInstruction::predicted_bytes`](crate::instructions::CpInstruction::predicted_bytes)),
     /// `None` if any size was unknown. For
     /// fused chains: the sum over constituents, which stays a sound
     /// prediction because each constituent prediction covers its step.

@@ -47,19 +47,20 @@ use crate::causal::{Bucket, CausalKind, CausalTrace, Comp};
 use crate::fault::{FaultInjector, FaultKind, FaultPlan, TraceEvent, TracedEvent};
 use crate::shadow::ShadowPool;
 
+/// Iterations assumed for loops without a static bound (inner
+/// line-search loops converge in a few steps).
+const DEFAULT_INNER_ITERATIONS: u64 = 3;
+/// Local-disk write bandwidth for buffer-pool evictions, MB/s.
+const LOCAL_DISK_WRITE_MBS: f64 = 120.0;
+/// Local-disk read bandwidth for buffer-pool restores, MB/s.
+const LOCAL_DISK_READ_MBS: f64 = 180.0;
+
 /// Data-dependent facts the simulator resolves at "runtime" — the values
 /// the compiler could not know statically.
 #[derive(Debug, Clone)]
 pub struct SimFacts {
     /// Actual column count of `table()` outputs (number of classes/bins).
     pub table_cols: u64,
-    /// Iterations assumed for loops without a static bound (inner
-    /// line-search loops converge in a few steps).
-    pub default_inner_iterations: u64,
-    /// Local-disk write bandwidth for buffer-pool evictions, MB/s.
-    pub local_disk_write_mbs: f64,
-    /// Local-disk read bandwidth for buffer-pool restores, MB/s.
-    pub local_disk_read_mbs: f64,
     /// Maximum relative jitter applied to MR-job times (deterministic,
     /// seeded).
     pub jitter: f64,
@@ -71,9 +72,6 @@ impl Default for SimFacts {
     fn default() -> Self {
         SimFacts {
             table_cols: 2,
-            default_inner_iterations: 3,
-            local_disk_write_mbs: 120.0,
-            local_disk_read_mbs: 180.0,
             jitter: 0.10,
             seed: 42,
         }
@@ -110,28 +108,20 @@ impl SimConfig {
     }
 
     /// Refuse values that would put NaN or ∞ on the clock or silently
-    /// drop charges: slot availability in (0, 1], finite positive
-    /// local-disk rates, finite non-negative jitter.
+    /// drop charges: slot availability in (0, 1], finite non-negative
+    /// jitter.
     fn check_ranges(&self) -> Result<(), CompileError> {
         let refuse = |field: &str, value: f64, range: &str| {
             Err(CompileError::Unsupported(format!(
                 "SimConfig.{field} = {value} is outside {range}"
             )))
         };
-        let (avail, f) = (self.slot_availability, &self.facts);
+        let (avail, jitter) = (self.slot_availability, self.facts.jitter);
         if !(avail > 0.0 && avail <= 1.0) {
             return refuse("slot_availability", avail, "(0, 1]");
         }
-        for (field, mbs) in [
-            ("facts.local_disk_write_mbs", f.local_disk_write_mbs),
-            ("facts.local_disk_read_mbs", f.local_disk_read_mbs),
-        ] {
-            if !(mbs.is_finite() && mbs > 0.0) {
-                return refuse(field, mbs, "(0, ∞)");
-            }
-        }
-        if !(f.jitter.is_finite() && f.jitter >= 0.0) {
-            return refuse("facts.jitter", f.jitter, "[0, ∞)");
+        if !(jitter.is_finite() && jitter >= 0.0) {
+            return refuse("facts.jitter", jitter, "[0, ∞)");
         }
         Ok(())
     }
@@ -396,7 +386,7 @@ impl<'a> SimState<'a> {
             .hints
             .get(&id.0)
             .copied()
-            .unwrap_or(self.facts.default_inner_iterations)
+            .unwrap_or(DEFAULT_INNER_ITERATIONS)
             .max(1);
         if iters > reml_runtime::MAX_LOOP_ITERATIONS as u64 {
             return Err(CompileError::Unsupported(format!(
@@ -565,43 +555,29 @@ fn collect_markers(
     marked: &mut HashSet<usize>,
     hints: &mut HashMap<usize, u64>,
 ) {
-    for b in blocks {
-        match b {
+    for top in blocks {
+        top.walk(&mut |b| match b {
             RtBlock::Generic {
                 source,
-                requires_recompile,
+                requires_recompile: true,
                 ..
             } => {
-                if *requires_recompile {
-                    marked.insert(source.0);
-                }
-            }
-            RtBlock::If {
-                then_blocks,
-                else_blocks,
-                ..
-            } => {
-                collect_markers(then_blocks, marked, hints);
-                collect_markers(else_blocks, marked, hints);
+                marked.insert(source.0);
             }
             RtBlock::While {
                 source,
-                body,
-                max_iter_hint: hint,
+                max_iter_hint: Some(h),
                 ..
             }
             | RtBlock::For {
                 source,
-                body,
-                iterations_hint: hint,
+                iterations_hint: Some(h),
                 ..
             } => {
-                if let Some(h) = hint {
-                    hints.insert(source.0, *h);
-                }
-                collect_markers(body, marked, hints);
+                hints.insert(source.0, *h);
             }
-        }
+            _ => {}
+        });
     }
 }
 
@@ -923,19 +899,7 @@ mod tests {
         // Each value used to put NaN or ∞ on the clock (and into the
         // replay trace) or silently drop charges.
         type Break = fn(&mut SimConfig);
-        let cases: [(&str, Break); 9] = [
-            ("local_disk_write_mbs", |c| {
-                c.facts.local_disk_write_mbs = 0.0
-            }),
-            ("local_disk_write_mbs", |c| {
-                c.facts.local_disk_write_mbs = f64::INFINITY
-            }),
-            ("local_disk_read_mbs", |c| {
-                c.facts.local_disk_read_mbs = -1.0
-            }),
-            ("local_disk_read_mbs", |c| {
-                c.facts.local_disk_read_mbs = f64::NAN
-            }),
+        let cases: [(&str, Break); 5] = [
             ("jitter", |c| c.facts.jitter = f64::INFINITY),
             ("jitter", |c| c.facts.jitter = -0.1),
             ("slot_availability", |c| c.slot_availability = f64::NAN),

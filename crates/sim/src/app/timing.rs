@@ -10,7 +10,7 @@ use reml_runtime::instructions::{CpInstruction, OpCode};
 use reml_runtime::value::Operand;
 use reml_runtime::Instruction;
 
-use super::{SimFacts, SimState};
+use super::{SimFacts, SimState, LOCAL_DISK_READ_MBS, LOCAL_DISK_WRITE_MBS};
 use crate::causal::{Bucket, CausalKind, Comp};
 
 impl SimState<'_> {
@@ -161,7 +161,7 @@ impl SimState<'_> {
             Bucket::Eviction,
             CausalKind::Cp,
             "pool.restore",
-            restored_bytes as f64 / (1024.0 * 1024.0) / self.facts.local_disk_read_mbs,
+            restored_bytes as f64 / (1024.0 * 1024.0) / LOCAL_DISK_READ_MBS,
             1,
         );
         if let Some(out) = &cp.output {
@@ -188,7 +188,7 @@ impl SimState<'_> {
             Bucket::Eviction,
             CausalKind::Cp,
             "pool.evict",
-            evicted_delta as f64 / (1024.0 * 1024.0) / self.facts.local_disk_write_mbs,
+            evicted_delta as f64 / (1024.0 * 1024.0) / LOCAL_DISK_WRITE_MBS,
             1,
         );
     }

@@ -29,8 +29,8 @@ use std::collections::BTreeMap;
 
 use reml_compiler::pipeline::{AnalyzedProgram, CompiledProgram};
 use reml_compiler::{CompileConfig, CompileError, HopDag, HopOp};
-use reml_lang::blocks::assigned_vars;
-use reml_planlint::find_block;
+use reml_lang::blocks::{assigned_vars, find_block};
+use reml_lang::BlockId;
 use reml_runtime::program::RtBlock;
 
 use crate::interval::SizeBound;
@@ -112,7 +112,7 @@ impl<'a> Analyzer<'a> {
     fn dag_for(&mut self, source: usize) -> Result<Option<&HopDag>, CompileError> {
         if !self.dags.contains_key(&source) {
             let rebuilt = match (
-                find_block(&self.analyzed.blocks, source),
+                find_block(&self.analyzed.blocks, BlockId(source)),
                 self.compiled.entry_envs.get(&source),
             ) {
                 (Some(block), Some(entry)) => {
@@ -198,7 +198,7 @@ impl<'a> Analyzer<'a> {
             // No rebuildable DAG (e.g. the block never got an entry
             // environment): its effects are unknown — every variable the
             // source block may assign goes to ⊤.
-            if let Some(block) = find_block(&self.analyzed.blocks, source) {
+            if let Some(block) = find_block(&self.analyzed.blocks, BlockId(source)) {
                 for name in assigned_vars(std::iter::once(block)) {
                     env.insert(name, SizeBound::top());
                 }
@@ -267,7 +267,7 @@ impl<'a> Analyzer<'a> {
         }
         // Lattice-bug safety net: force ⊤ for everything the loop can
         // assign (trivially sound) rather than looping forever.
-        if let Some(block) = find_block(&self.analyzed.blocks, source) {
+        if let Some(block) = find_block(&self.analyzed.blocks, BlockId(source)) {
             for name in assigned_vars(std::iter::once(block)) {
                 cur.insert(name, SizeBound::top());
             }
