@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 
 use reml_cost::calibrate::{CalibrationProfile, OpcodeCalibration, TimeModel};
 
-use crate::harvest::Sample;
+use crate::Sample;
 
 /// Minimum known-size samples before the affine fit is attempted.
 pub const MIN_AFFINE_SAMPLES: u64 = 8;

@@ -11,11 +11,10 @@
 //!
 //! Pipeline:
 //!
-//! 1. [`harvest`] — expand raw [`MemObservation`](reml_runtime::MemObservation)
-//!    rows (from `reml_sim::collect_observations` or any observed
-//!    executor run) into fit samples, backfilling fused-chain composites
-//!    onto their constituent opcodes, and optionally topping up from
-//!    `reml_trace`'s `vm.op.*` histograms;
+//! 1. [`samples_from_observations`] — one fit sample per raw
+//!    [`MemObservation`] row (from `reml_sim::collect_observations`, which
+//!    lowers unfused so each row is one opcode the cost model prices, or
+//!    any observed executor run);
 //! 2. [`fit`] — online least squares per opcode
 //!    (`t = a·flops + b·bytes + c`) with a robust median-ratio fallback
 //!    and a one-sided (never shrinking) byte-inflation factor;
@@ -25,17 +24,45 @@
 #![forbid(unsafe_code)]
 
 pub mod fit;
-pub mod harvest;
 pub mod report;
 
 pub use fit::{fit_profile, ProfileFitter, MIN_AFFINE_SAMPLES};
-pub use harvest::{samples_from_observations, samples_from_trace_histograms, Sample};
 pub use report::{evaluate, ErrorReport, OpcodeErrorRow};
 
 use reml_cost::calibrate::CalibrationProfile;
+use reml_runtime::MemObservation;
 use reml_scripts::data::LabelKind;
 use reml_scripts::ScriptSpec;
 use reml_sim::ScriptObservations;
+
+/// One fit sample: an observed execution of one opcode.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Sample {
+    /// Opcode mnemonic.
+    pub opcode: String,
+    /// Predicted FLOPs (`None` when compile-time sizes were unknown).
+    pub flops: Option<f64>,
+    /// Predicted operand+output bytes.
+    pub bytes: Option<u64>,
+    /// Measured operand+output bytes in the buffer pool.
+    pub actual_bytes: u64,
+    /// Measured wall time, seconds.
+    pub wall_s: f64,
+}
+
+/// One fit sample per observation row.
+pub fn samples_from_observations(observations: &[MemObservation]) -> Vec<Sample> {
+    observations
+        .iter()
+        .map(|obs| Sample {
+            opcode: obs.opcode.clone(),
+            flops: obs.predicted_flops,
+            bytes: obs.predicted_bytes,
+            actual_bytes: obs.actual_bytes,
+            wall_s: obs.wall_ns as f64 / 1e9,
+        })
+        .collect()
+}
 
 /// One paper script with the dataset shape used for observed execution
 /// (small enough to execute for real, large enough to exercise every
@@ -107,7 +134,7 @@ pub fn collect_paper_observations() -> Vec<ScriptObservations> {
 }
 
 /// Fit a profile from a set of observed script executions, against the
-/// given analytic peak (harvests fused backfill automatically).
+/// given analytic peak.
 pub fn fit_from_observations(sets: &[ScriptObservations], peak_flops: f64) -> CalibrationProfile {
     let mut fitter = ProfileFitter::new(peak_flops);
     for set in sets {
@@ -131,4 +158,26 @@ pub fn calibrate_paper_scripts() -> (CalibrationProfile, ErrorReport, Vec<Script
         .collect();
     let report = evaluate(&pooled, peak, &profile);
     (profile, report, sets)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn each_row_becomes_one_sample() {
+        let obs = MemObservation {
+            opcode: "ba+*".to_string(),
+            predicted_bytes: Some(1000),
+            actual_bytes: 800,
+            resident_bytes: 800,
+            bound_bytes: Some(2000),
+            wall_ns: 1_000,
+            predicted_flops: Some(500.0),
+        };
+        let samples = samples_from_observations(&[obs]);
+        assert_eq!(samples.len(), 1);
+        assert_eq!(samples[0].opcode, "ba+*");
+        assert!((samples[0].wall_s - 1e-6).abs() < 1e-15);
+    }
 }

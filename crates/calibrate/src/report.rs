@@ -225,7 +225,6 @@ mod tests {
             bound_bytes: None,
             wall_ns,
             predicted_flops: Some(flops),
-            constituents: Vec::new(),
         }
     }
 

@@ -10,7 +10,8 @@
 //!   fused-spec, MR-job, and metadata index resolves inside its pool.
 //! * **PL041** — the [`InstrMeta`] side table is index-aligned with the
 //!   instruction stream (a bijection) and internally consistent
-//!   (mnemonic, metric, `cp_count`, touched set, constituent sums).
+//!   (mnemonic, metric, `cp_count`; observation metadata exactly on CP
+//!   instructions outside MR jobs, with their touched sets).
 //! * **PL042** — definite assignment: a forward dataflow over the
 //!   [`VmBlock`] tree (if/else join, loop fixpoint) proving every slot
 //!   read of a temporary is dominated by a write.
@@ -30,10 +31,9 @@
 //!   (single-use temporary intermediates under recomputed per-list use
 //!   counts, step-to-step shape conformance, no intermediate aliasing
 //!   the chain output).
-//! * **PL047** — observation-metadata fidelity: predicted bytes/FLOPs,
-//!   stamped `bound_bytes`, touched sets, and per-constituent flop
-//!   shares all agree with values recomputed from the source
-//!   instructions (constituent shares sum to the chain total).
+//! * **PL047** — observation-metadata fidelity: a CP instruction's
+//!   predicted bytes/FLOPs and stamped `bound_bytes` agree with values
+//!   recomputed from its source instruction.
 //!
 //! Entry points: [`lint_vm_program`] (internal consistency only),
 //! [`lint_vm`] (adds source fidelity), [`lint_vm_fragment`] (the §4
@@ -295,8 +295,8 @@ fn check_instr_refs(t: &Pools, instr: &VmInstr, path: &str, diags: &mut Vec<Diag
             format!("metadata index {} out of range", instr.meta),
         ));
     } else {
-        let meta = &t.metas[instr.meta as usize];
-        for sym in meta.touched.iter() {
+        let observe = t.metas[instr.meta as usize].observe.as_ref();
+        for sym in observe.iter().flat_map(|o| o.touched.iter()) {
             if *sym as usize >= t.symbols.len() {
                 diags.push(Diagnostic::new(
                     "PL040",
@@ -511,29 +511,16 @@ fn vm_mnemonic(t: &Pools, op: &VmOp) -> Option<String> {
 }
 
 /// Distinct sorted symbols an instruction touches, recomputed from its
-/// own operands/output (fused chains: external slots across steps).
-fn recompute_touched(t: &Pools, instr: &VmInstr) -> Vec<u32> {
-    let mut touched: Vec<u32> = Vec::new();
-    match &instr.op {
-        VmOp::Fused { spec } => {
-            if let Some(spec) = t.fused.get(*spec as usize) {
-                for step in &spec.steps {
-                    for arg in step.args.iter() {
-                        if let FusedArg::Slot(s) = arg {
-                            touched.push(*s);
-                        }
-                    }
-                }
-            }
-        }
-        _ => {
-            for arg in instr.args.iter() {
-                if let Arg::Slot(s) = arg {
-                    touched.push(*s);
-                }
-            }
-        }
-    }
+/// own operands and output.
+fn recompute_touched(instr: &VmInstr) -> Vec<u32> {
+    let mut touched: Vec<u32> = instr
+        .args
+        .iter()
+        .filter_map(|arg| match arg {
+            Arg::Slot(s) => Some(*s),
+            Arg::Const(_) => None,
+        })
+        .collect();
     touched.extend(instr.out);
     touched.sort_unstable();
     touched.dedup();
@@ -593,91 +580,33 @@ fn check_instr_meta(
             ),
         ));
     }
-    match &instr.op {
-        VmOp::Fused { spec } => {
-            if let Some(spec) = t.fused.get(*spec as usize) {
-                if meta.constituents.len() != spec.steps.len() {
-                    diags.push(Diagnostic::new(
-                        "PL041",
-                        path,
-                        format!(
-                            "{} observed constituents for a {}-step chain",
-                            meta.constituents.len(),
-                            spec.steps.len()
-                        ),
-                    ));
-                } else {
-                    for (k, (c, step)) in meta.constituents.iter().zip(&spec.steps).enumerate() {
-                        let expected = kind_mnemonic(&step.kind);
-                        if c.mnemonic != expected {
-                            diags.push(Diagnostic::new(
-                                "PL041",
-                                path,
-                                format!(
-                                    "constituent {k} mnemonic {:?} disagrees with step ({expected:?})",
-                                    c.mnemonic
-                                ),
-                            ));
-                        }
-                    }
-                }
-                let flops = meta
-                    .constituents
-                    .iter()
-                    .try_fold(0.0f64, |acc, c| c.predicted_flops.map(|f| acc + f));
-                if meta.predicted_flops != flops {
-                    diags.push(Diagnostic::new(
-                        "PL041",
-                        path,
-                        format!(
-                            "chain predicted_flops {:?} is not the sum of its constituent shares ({flops:?})",
-                            meta.predicted_flops
-                        ),
-                    ));
-                }
-                let bytes = meta
-                    .constituents
-                    .iter()
-                    .try_fold(0u64, |acc, c| acc.checked_add(c.predicted_bytes?));
-                if meta.predicted_bytes != bytes {
-                    diags.push(Diagnostic::new(
-                        "PL041",
-                        path,
-                        format!(
-                            "chain predicted_bytes {:?} is not the sum of its constituent shares ({bytes:?})",
-                            meta.predicted_bytes
-                        ),
-                    ));
-                }
-            }
-        }
-        _ => {
-            if !meta.constituents.is_empty() {
+    // Fused chains, MR jobs and the operators inside them are not observed.
+    let observed = !in_mr && matches!(instr.op, VmOp::Cp(_));
+    match (&meta.observe, observed) {
+        (Some(observe), true) => {
+            let expected = recompute_touched(instr);
+            if observe.touched.as_ref() != expected.as_slice() {
                 diags.push(Diagnostic::new(
                     "PL041",
                     path,
                     format!(
-                        "non-fused instruction carries {} observed constituents",
-                        meta.constituents.len()
+                        "touched set {:?} disagrees with operands/output ({expected:?})",
+                        observe.touched
                     ),
                 ));
             }
         }
-    }
-    let expected_touched: Vec<u32> = if in_mr || matches!(instr.op, VmOp::MrJob { .. }) {
-        Vec::new() // MR operators and job markers are never observed
-    } else {
-        recompute_touched(t, instr)
-    };
-    if meta.touched.as_ref() != expected_touched.as_slice() {
-        diags.push(Diagnostic::new(
+        (None, false) => {}
+        (Some(_), false) => diags.push(Diagnostic::new(
             "PL041",
             path,
-            format!(
-                "touched set {:?} disagrees with operands/output ({expected_touched:?})",
-                meta.touched
-            ),
-        ));
+            "an unobserved instruction carries observation metadata",
+        )),
+        (None, true) => diags.push(Diagnostic::new(
+            "PL041",
+            path,
+            "a CP instruction carries no observation metadata",
+        )),
     }
 }
 
@@ -1539,12 +1468,13 @@ fn check_cp_meta_fidelity(
     path: &str,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let Some(meta) = t.metas.get(vi.meta as usize) else {
-        return;
+    let Some(meta) = t
+        .metas
+        .get(vi.meta as usize)
+        .and_then(|m| m.observe.as_ref())
+    else {
+        return; // PL040/PL041 reported the missing metadata
     };
-    if meta.cp_count == 0 {
-        return; // MR operator metas are never observed
-    }
     let predicted = predicted_sum(cp);
     if meta.predicted_bytes != predicted {
         diags.push(Diagnostic::new(
@@ -1629,8 +1559,8 @@ fn kind_matches_opcode(kind: &FusedOpKind, opcode: &OpCode) -> bool {
 }
 
 /// Re-prove a fused chain's safety from the source instructions alone —
-/// independently of the greedy planner — then check the lowering and its
-/// observation metadata are faithful to the source window.
+/// independently of the greedy planner — then check the lowering is
+/// faithful to the source window.
 fn check_chain_fidelity(
     t: &Pools,
     vi: &VmInstr,
@@ -1786,122 +1716,6 @@ fn check_chain_fidelity(
             "PL046",
             path,
             format!("chain output {out_name:?} lowered as {vm_out:?}"),
-        ));
-    }
-
-    // 4. Observation metadata (PL047): predictions, bounds, flop shares,
-    //    and the touched set must equal fresh recomputations; constituent
-    //    shares must sum to the chain totals.
-    let Some(meta) = t.metas.get(vi.meta as usize) else {
-        return;
-    };
-    if meta.constituents.len() == cps.len() {
-        for (k, (c, cp)) in meta.constituents.iter().zip(cps).enumerate() {
-            if c.mnemonic != cp.opcode.mnemonic() {
-                diags.push(Diagnostic::new(
-                    "PL047",
-                    path,
-                    format!(
-                        "constituent {k} mnemonic {:?} disagrees with source {:?}",
-                        c.mnemonic,
-                        cp.opcode.mnemonic()
-                    ),
-                ));
-            }
-            if c.predicted_flops != cp_flops(cp) {
-                diags.push(Diagnostic::new(
-                    "PL047",
-                    path,
-                    format!(
-                        "constituent {k} flop share {:?} disagrees with recomputation {:?}",
-                        c.predicted_flops,
-                        cp_flops(cp)
-                    ),
-                ));
-            }
-            if c.predicted_bytes != predicted_sum(cp) {
-                diags.push(Diagnostic::new(
-                    "PL047",
-                    path,
-                    format!(
-                        "constituent {k} byte share {:?} disagrees with recomputation {:?}",
-                        c.predicted_bytes,
-                        predicted_sum(cp)
-                    ),
-                ));
-            }
-        }
-    } else {
-        diags.push(Diagnostic::new(
-            "PL047",
-            path,
-            format!(
-                "{} observed constituents for a {}-step source window",
-                meta.constituents.len(),
-                cps.len()
-            ),
-        ));
-    }
-    let flops = cps
-        .iter()
-        .try_fold(0.0f64, |acc, cp| cp_flops(cp).map(|f| acc + f));
-    if meta.predicted_flops != flops {
-        diags.push(Diagnostic::new(
-            "PL047",
-            path,
-            format!(
-                "chain predicted_flops {:?} disagrees with the summed source shares {flops:?}",
-                meta.predicted_flops
-            ),
-        ));
-    }
-    let predicted = cps
-        .iter()
-        .try_fold(0u64, |acc, cp| acc.checked_add(predicted_sum(cp)?));
-    if meta.predicted_bytes != predicted {
-        diags.push(Diagnostic::new(
-            "PL047",
-            path,
-            format!(
-                "chain predicted_bytes {:?} disagrees with the summed source shares {predicted:?}",
-                meta.predicted_bytes
-            ),
-        ));
-    }
-    let bound = cps
-        .iter()
-        .try_fold(0u64, |acc, cp| acc.checked_add(cp.bound_bytes?));
-    if meta.bound_bytes != bound {
-        diags.push(Diagnostic::new(
-            "PL047",
-            path,
-            format!(
-                "chain bound_bytes {:?} disagrees with the summed source bounds {bound:?}",
-                meta.bound_bytes
-            ),
-        ));
-    }
-    let mut expected_touched: Vec<u32> = cps
-        .iter()
-        .flat_map(|cp| {
-            cp.operands
-                .iter()
-                .filter_map(Operand::as_var)
-                .chain(cp.output.as_deref())
-        })
-        .filter(|name| !intermediates.contains(name))
-        .filter_map(|name| t.symbols.lookup(name))
-        .collect();
-    expected_touched.sort_unstable();
-    expected_touched.dedup();
-    if meta.touched.as_ref() != expected_touched.as_slice() {
-        diags.push(Diagnostic::new(
-            "PL047",
-            path,
-            format!(
-                "chain touched set {:?} disagrees with recomputation {expected_touched:?}",
-                meta.touched
-            ),
         ));
     }
 }

@@ -17,7 +17,9 @@ use reml_matrix::BinaryOp;
 use reml_planlint::{lint_vm, lint_vm_program};
 use reml_runtime::instructions::OpCode;
 use reml_runtime::program::RuntimeProgram;
-use reml_runtime::vm::{Arg, FusedArg, VmBlock, VmInstr, VmLowerOptions, VmOp, VmProgram};
+use reml_runtime::vm::{
+    Arg, FusedArg, ObserveMeta, VmBlock, VmInstr, VmLowerOptions, VmOp, VmProgram,
+};
 use reml_runtime::ScalarValue;
 use reml_scripts::{DataShape, Scenario, ScriptSpec};
 
@@ -370,75 +372,61 @@ fn mutant_classes(vm: &VmProgram) -> Vec<(&'static str, Vec<VmProgram>)> {
             m.metas[site].mnemonic = "forged".into();
         }),
     ));
-    // Touched-set forgery: append a symbol not already in the set.
+    // Observation metadata belongs exactly to CP instructions outside MR
+    // jobs: strip it from observed metas, forge it onto fused-chain and MR
+    // metas, and forge its fields on observed metas.
     {
-        let mut mutants = Vec::new();
-        for site in 0..(sz.metas as usize).min(SITE_CAP) {
-            let touched = &vm.metas[site].touched;
-            let Some(extra) = (0..sz.symbols).find(|s| !touched.contains(s)) else {
-                continue;
-            };
+        let (observed, unobserved): (Vec<usize>, Vec<usize>) =
+            (0..vm.metas.len()).partition(|&i| vm.metas[i].observe.is_some());
+        let observed = &observed[..observed.len().min(SITE_CAP)];
+        let unobserved = &unobserved[..unobserved.len().min(SITE_CAP)];
+        let flip = |site: &usize| {
             let mut m = vm.clone();
-            let mut t = m.metas[site].touched.to_vec();
-            t.push(extra);
-            t.sort_unstable();
-            t.dedup();
-            m.metas[site].touched = t.into_boxed_slice();
-            mutants.push(m);
-        }
-        classes.push(("touched_forge", mutants));
-    }
-    // Bound forgery on observed metas only (cp_count ≥ 1): MR operators
-    // are never observed, so their metadata is not fidelity-checked.
-    {
-        let observed: Vec<usize> = vm
-            .metas
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.cp_count >= 1)
-            .map(|(i, _)| i)
-            .collect();
+            let meta = &mut m.metas[*site];
+            meta.observe = match meta.observe.take() {
+                Some(_) => None,
+                None => Some(ObserveMeta {
+                    predicted_bytes: None,
+                    bound_bytes: None,
+                    touched: Box::new([]),
+                    predicted_flops: None,
+                }),
+            };
+            m
+        };
         classes.push((
-            "bound_forge",
+            "observe_flip",
+            observed.iter().chain(unobserved).map(flip).collect(),
+        ));
+        let forge = |f: &dyn Fn(&mut ObserveMeta)| -> Vec<VmProgram> {
             observed
                 .iter()
-                .take(SITE_CAP)
                 .map(|&site| {
                     let mut m = vm.clone();
-                    m.metas[site].bound_bytes =
-                        Some(m.metas[site].bound_bytes.map_or(12_345, |b| b + 8));
+                    f(m.metas[site].observe.as_mut().expect("observed"));
                     m
                 })
-                .collect(),
+                .collect()
+        };
+        // Append a symbol not already in the touched set.
+        classes.push((
+            "touched_forge",
+            forge(&|o| {
+                let extra = (0..sz.symbols).find(|s| !o.touched.contains(s));
+                let mut t = o.touched.to_vec();
+                t.extend(extra);
+                t.sort_unstable();
+                o.touched = t.into_boxed_slice();
+            }),
+        ));
+        classes.push((
+            "bound_forge",
+            forge(&|o| o.bound_bytes = Some(o.bound_bytes.map_or(12_345, |b| b + 8))),
         ));
         classes.push((
             "flops_forge",
-            observed
-                .iter()
-                .take(SITE_CAP)
-                .map(|&site| {
-                    let mut m = vm.clone();
-                    m.metas[site].predicted_flops =
-                        Some(m.metas[site].predicted_flops.map_or(7.0, |f| f + 1.0));
-                    m
-                })
-                .collect(),
+            forge(&|o| o.predicted_flops = Some(o.predicted_flops.map_or(7.0, |f| f + 1.0))),
         ));
-    }
-    // Constituent flop-share forgery: only fused metas carry constituents.
-    {
-        let mut mutants = Vec::new();
-        for (site, meta) in vm.metas.iter().enumerate() {
-            if meta.constituents.is_empty() || mutants.len() >= SITE_CAP {
-                continue;
-            }
-            let mut m = vm.clone();
-            let mut cs = m.metas[site].constituents.to_vec();
-            cs[0].predicted_flops = Some(cs[0].predicted_flops.map_or(3.0, |f| f * 2.0 + 1.0));
-            m.metas[site].constituents = cs.into_boxed_slice();
-            mutants.push(m);
-        }
-        classes.push(("constituent_forge", mutants));
     }
 
     // --- fused-chain corruptions ---------------------------------------

@@ -187,7 +187,7 @@ pub struct Executor {
 /// instruction and the actual operator footprint at execution time.
 /// Recorded opt-in via [`Executor::enable_memory_observation`]; the
 /// planlint memory-soundness audit aggregates these per opcode.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemObservation {
     /// Opcode mnemonic (e.g. `ba+*`).
     pub opcode: String,
@@ -212,10 +212,6 @@ pub struct MemObservation {
     /// Predicted FLOPs from the analytic flop model, `None` when operand
     /// sizes were unknown at compile time.
     pub predicted_flops: Option<f64>,
-    /// For fused VM chains: the constituent opcodes with their shares of
-    /// the prediction, so composite `fused(...)` rows can be backfilled
-    /// onto per-opcode calibration rows. Empty otherwise.
-    pub constituents: Vec<crate::vm::ObservedConstituent>,
 }
 
 impl MemObservation {
@@ -491,7 +487,6 @@ impl Executor {
             bound_bytes: cp.bound_bytes,
             wall_ns,
             predicted_flops: cp_flops(cp),
-            constituents: Vec::new(),
         }
         .record(&mut self.observations);
     }

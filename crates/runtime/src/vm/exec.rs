@@ -35,7 +35,7 @@ use crate::ops::{binary_mm, eval_op, scalar_as_matrix, OperandStore};
 use crate::value::ScalarValue;
 use crate::vm::lower::lower_fragment;
 use crate::vm::program::{
-    Arg, FusedArg, FusedOpKind, FusedSpec, InstrMeta, Tables, VmBlock, VmInstr, VmMrJob, VmOp,
+    Arg, FusedArg, FusedOpKind, FusedSpec, ObserveMeta, Tables, VmBlock, VmInstr, VmMrJob, VmOp,
     VmPredicate, VmProgram,
 };
 
@@ -121,9 +121,11 @@ impl VmExecutor {
         self
     }
 
-    /// Start recording one [`MemObservation`] per executed instruction.
-    /// Fused chains record once under their composite mnemonic with
-    /// summed predictions and bounds.
+    /// Start recording one [`MemObservation`] per executed CP instruction.
+    /// Fused chains and MR jobs record nothing, so a run that must
+    /// observe every CP instruction lowers unfused
+    /// (`VmLowerOptions { fuse: false }`); its §4 recompiled fragments
+    /// stay unfused too.
     pub fn enable_memory_observation(&mut self) {
         self.observe_memory = true;
     }
@@ -323,40 +325,38 @@ impl VmExecutor {
             return result;
         }
         self.stats.cp_instructions += meta.cp_count;
+        let observe = meta.observe.as_ref().filter(|_| self.observe_memory);
         let (result, wall_ns, trace_timed) =
-            timed(self.observe_memory, || self.execute_core(t, instr));
+            timed(observe.is_some(), || self.execute_core(t, instr));
         result?;
         if trace_timed {
             reml_trace::metrics()
                 .histogram(&meta.metric)
                 .observe(wall_ns / 1_000);
         }
-        if self.observe_memory {
-            self.record_observation(meta, wall_ns);
+        if let Some(observe) = observe {
+            self.record_observation(&meta.mnemonic, observe, wall_ns);
         }
         Ok(())
     }
 
-    /// Record predicted vs. actual footprint. Prediction and the touched
-    /// set were precomputed at lowering; actual sums the live pool sizes
-    /// of the touched slots. Fused chains record one row under their
-    /// composite mnemonic (e.g. `fused(map*,map+)`) so the audit never
-    /// sees an unknown opcode.
-    fn record_observation(&mut self, meta: &InstrMeta, wall_ns: u64) {
+    /// Record predicted vs. actual footprint of one CP instruction.
+    /// Prediction and the touched set were precomputed at lowering;
+    /// actual sums the live pool sizes of the touched slots.
+    fn record_observation(&mut self, opcode: &str, meta: &ObserveMeta, wall_ns: u64) {
         let actual_bytes: u64 = meta
             .touched
             .iter()
             .filter_map(|&s| self.pool.peek_slot(self.slot(s)).map(Matrix::size_bytes))
             .sum();
         MemObservation {
-            opcode: meta.mnemonic.clone(),
+            opcode: opcode.to_string(),
             predicted_bytes: meta.predicted_bytes,
             actual_bytes,
             resident_bytes: self.pool.resident_bytes(),
             bound_bytes: meta.bound_bytes,
             wall_ns,
             predicted_flops: meta.predicted_flops,
-            constituents: meta.constituents.to_vec(),
         }
         .record(&mut self.observations);
     }

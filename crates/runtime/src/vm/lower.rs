@@ -15,8 +15,8 @@ use crate::program::{Predicate, RtBlock, RuntimeProgram};
 use crate::value::Operand;
 use crate::vm::fuse::{self, Group};
 use crate::vm::program::{
-    Arg, FusedArg, FusedOpKind, FusedSpec, FusedStep, InstrMeta, ObservedConstituent, SymbolTable,
-    Tables, VmBlock, VmInstr, VmLowerStats, VmMrJob, VmOp, VmPredicate, VmProgram,
+    Arg, FusedArg, FusedOpKind, FusedSpec, FusedStep, InstrMeta, ObserveMeta, SymbolTable, Tables,
+    VmBlock, VmInstr, VmLowerStats, VmMrJob, VmOp, VmPredicate, VmProgram,
 };
 
 /// Lowering options.
@@ -258,11 +258,7 @@ impl Lowerer {
                     mnemonic: "mr_job".into(),
                     metric: "vm.op.mr_job".into(),
                     cp_count: 0,
-                    predicted_bytes: None,
-                    bound_bytes: None,
-                    touched: Box::new([]),
-                    predicted_flops: None,
-                    constituents: Box::new([]),
+                    observe: None,
                 });
                 VmInstr {
                     op: VmOp::MrJob { job: job_idx },
@@ -297,11 +293,7 @@ impl Lowerer {
             mnemonic: op.opcode.mnemonic(),
             metric: format!("vm.op.{}", op.opcode.mnemonic()),
             cp_count: 0,
-            predicted_bytes: None,
-            bound_bytes: None,
-            touched: Box::new([]),
-            predicted_flops: None,
-            constituents: Box::new([]),
+            observe: None,
         });
         VmInstr {
             op: VmOp::Cp(op.opcode.clone()),
@@ -320,24 +312,23 @@ impl Lowerer {
             metric: format!("vm.op.{mnemonic}"),
             mnemonic,
             cp_count: 1,
-            predicted_bytes: cp.predicted_bytes(),
-            bound_bytes: cp.bound_bytes,
-            touched: self.touched_symbols(cp, &[]),
-            predicted_flops: cp_flops(cp),
-            constituents: Box::new([]),
+            observe: Some(ObserveMeta {
+                predicted_bytes: cp.predicted_bytes(),
+                bound_bytes: cp.bound_bytes,
+                touched: self.touched_symbols(cp),
+                predicted_flops: cp_flops(cp),
+            }),
         }
     }
 
-    /// Distinct sorted symbol ids of operand variables and the output,
-    /// minus `exclude` (fused-chain intermediates). Requires all names
-    /// already interned.
-    fn touched_symbols(&self, cp: &CpInstruction, exclude: &[&str]) -> Box<[u32]> {
+    /// Distinct sorted symbol ids of operand variables and the output.
+    /// Requires all names already interned.
+    fn touched_symbols(&self, cp: &CpInstruction) -> Box<[u32]> {
         let mut touched: Vec<u32> = cp
             .operands
             .iter()
             .filter_map(Operand::as_var)
             .chain(cp.output.as_deref())
-            .filter(|name| !exclude.contains(name))
             .filter_map(|name| self.symbols.lookup(name))
             .collect();
         touched.sort_unstable();
@@ -350,10 +341,6 @@ impl Lowerer {
             cps[0].output_mc.rows.expect("fusible shape known") as usize,
             cps[0].output_mc.cols.expect("fusible shape known") as usize,
         );
-        let intermediates: Vec<&str> = cps[..cps.len() - 1]
-            .iter()
-            .filter_map(|cp| cp.output.as_deref())
-            .collect();
         let mut steps = Vec::with_capacity(cps.len());
         for (k, cp) in cps.iter().enumerate() {
             let prev_out = if k > 0 {
@@ -394,29 +381,6 @@ impl Lowerer {
 
         let mnemonics: Vec<String> = cps.iter().map(|cp| cp.opcode.mnemonic()).collect();
         let mnemonic = format!("fused({})", mnemonics.join(","));
-        let constituents: Box<[ObservedConstituent]> = cps
-            .iter()
-            .map(|cp| ObservedConstituent {
-                mnemonic: cp.opcode.mnemonic(),
-                predicted_flops: cp_flops(cp),
-                predicted_bytes: cp.predicted_bytes(),
-            })
-            .collect();
-        let flops = constituents
-            .iter()
-            .try_fold(0.0f64, |acc, c| c.predicted_flops.map(|f| acc + f));
-        let predicted = cps
-            .iter()
-            .try_fold(0u64, |acc, cp| acc.checked_add(cp.predicted_bytes()?));
-        let bound = cps
-            .iter()
-            .try_fold(0u64, |acc, cp| acc.checked_add(cp.bound_bytes?));
-        let mut touched: Vec<u32> = cps
-            .iter()
-            .flat_map(|cp| self.touched_symbols(cp, &intermediates).into_vec())
-            .collect();
-        touched.sort_unstable();
-        touched.dedup();
 
         self.fused.push(FusedSpec { steps, rows, cols });
         let spec = (self.fused.len() - 1) as u32;
@@ -426,11 +390,7 @@ impl Lowerer {
             metric: format!("vm.op.{mnemonic}"),
             mnemonic,
             cp_count: cps.len() as u64,
-            predicted_bytes: predicted,
-            bound_bytes: bound,
-            touched: touched.into_boxed_slice(),
-            predicted_flops: flops,
-            constituents,
+            observe: None,
         });
         VmInstr {
             op: VmOp::Fused { spec },

@@ -44,7 +44,7 @@ pub mod verify;
 pub use exec::VmExecutor;
 pub use lower::{lower_fragment, lower_program, VmFragment, VmLowerOptions};
 pub use program::{
-    Arg, FusedArg, FusedOpKind, FusedSpec, FusedStep, InstrMeta, ObservedConstituent, SymbolTable,
-    VmBlock, VmInstr, VmLowerStats, VmMrJob, VmOp, VmPredicate, VmProgram,
+    Arg, FusedArg, FusedOpKind, FusedSpec, FusedStep, InstrMeta, ObserveMeta, SymbolTable, VmBlock,
+    VmInstr, VmLowerStats, VmMrJob, VmOp, VmPredicate, VmProgram,
 };
 pub use verify::{install_verifier, verifier_installed};

@@ -140,49 +140,35 @@ pub struct VmInstr {
 #[derive(Debug, Clone)]
 pub struct InstrMeta {
     /// Opcode mnemonic; fused chains use the stable composite form
-    /// `fused(m1,m2,...)` so audit rows never show an unknown opcode.
+    /// `fused(m1,m2,...)`, the name of their `vm.op.*` histogram.
     pub mnemonic: String,
     /// Precomputed histogram name `vm.op.<mnemonic>`.
     pub metric: String,
-    /// Constituent CP-instruction count (1, or chain length for fused) so
+    /// CP-instruction count (1, or a fused chain's length) so
     /// `ExecStats::cp_instructions` matches the tree walker exactly.
     pub cp_count: u64,
+    /// The compile-time side of a memory observation: `Some` exactly for
+    /// a CP instruction outside an MR job. Fused chains and MR jobs are
+    /// not observed, so an observed run lowers unfused.
+    pub observe: Option<ObserveMeta>,
+}
+
+/// What a memory observation of one CP instruction compares against,
+/// precomputed at lowering.
+#[derive(Debug, Clone)]
+pub struct ObserveMeta {
     /// Compile-time operand+output size estimate ([`CpInstruction::predicted_bytes`](crate::instructions::CpInstruction::predicted_bytes)),
-    /// `None` if any size was unknown. For
-    /// fused chains: the sum over constituents, which stays a sound
-    /// prediction because each constituent prediction covers its step.
+    /// `None` if any size was unknown.
     pub predicted_bytes: Option<u64>,
-    /// Sound memory bound from the sizebound analysis; for fused chains
-    /// the sum of constituent bounds (`None` if any is unbounded).
+    /// Sound memory bound from the sizebound analysis.
     pub bound_bytes: Option<u64>,
     /// Sorted distinct symbols whose pool entries count toward the
-    /// observation's `actual_bytes` (operand vars + output; fused chains
-    /// exclude elided intermediates, which never reach the pool).
+    /// observation's `actual_bytes` (operand vars + output).
     pub touched: Box<[u32]>,
     /// Predicted FLOPs from the analytic model
     /// ([`flops::instruction_flops`](crate::flops::instruction_flops)),
-    /// `None` when operand sizes were unknown at compile time. Fused
-    /// chains sum their constituents.
+    /// `None` when operand sizes were unknown at compile time.
     pub predicted_flops: Option<f64>,
-    /// Per-step calibration rows for fused chains: each constituent's
-    /// underlying opcode mnemonic with its share of the prediction, so a
-    /// composite `fused(...)` observation can be backfilled onto the
-    /// constituent opcodes. Empty for non-fused instructions.
-    pub constituents: Box<[ObservedConstituent]>,
-}
-
-/// One constituent of a fused chain as seen by memory/time observation:
-/// the underlying opcode mnemonic plus its share of the compile-time
-/// prediction. Lets the calibration harvester attribute a composite
-/// `fused(...)` observation back to per-opcode rows.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ObservedConstituent {
-    /// Underlying opcode mnemonic (e.g. `map+`, `s*`, `u^`).
-    pub mnemonic: String,
-    /// Predicted FLOPs for this step, `None` if its sizes were unknown.
-    pub predicted_flops: Option<f64>,
-    /// Predicted operand+output bytes for this step.
-    pub predicted_bytes: Option<u64>,
 }
 
 /// Operand of one step inside a fused chain.

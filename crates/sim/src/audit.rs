@@ -3,13 +3,9 @@
 //! the compiler's `memest`-style size predictions against the actual
 //! operator footprints, per opcode.
 //!
-//! Execution runs on the register VM with peephole fusion enabled, so
-//! fused elementwise chains appear under their stable composite mnemonic
-//! (e.g. `fused(map*,map+)`) with the chain's summed prediction and
-//! bound — never as an unknown opcode row. A fused chain's actual
-//! footprint counts its external operands and final output only (the
-//! intermediates it elides never enter the buffer pool), so per-step
-//! soundness of the summed bound implies soundness of the fused row.
+//! Execution runs on the register VM lowered without fusion, so every
+//! row is one CP instruction under the opcode mnemonic the cost model
+//! prices, compared against that instruction's own prediction and bound.
 //!
 //! The resource optimizer trusts the compile-time estimates to decide
 //! CP-vs-MR placement (the PL010 lint rule checks the *static* side of
@@ -122,7 +118,7 @@ pub fn memory_soundness_audit(
     )
 }
 
-/// Execute `script` through the bytecode VM (fusion enabled, sizebound
+/// Execute `script` through the bytecode VM (lowered unfused, sizebound
 /// annotations stamped) with observation recording on, returning the raw
 /// per-instruction rows instead of the aggregated audit.
 pub fn collect_observations(
@@ -151,7 +147,7 @@ pub fn collect_observations(
     reml_sizebound::annotate(&analyzed, &mut compiled, &cfg)
         .unwrap_or_else(|e| panic!("{} sizebound: {e}", script.name));
 
-    let program = compiled.runtime.lower_vm(VmLowerOptions::default());
+    let program = compiled.runtime.lower_vm(VmLowerOptions { fuse: false });
 
     let mut hdfs = HdfsStore::new();
     hdfs.stage("X", data.x.clone());

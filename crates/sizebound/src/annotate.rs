@@ -34,9 +34,8 @@ pub fn annotate(
 
 /// Debug builds: lower the freshly annotated program and run the PL040
 /// bytecode verifier over it, which (via PL047) proves the stamped
-/// `bound_bytes` survive lowering intact — the VM's per-instruction
-/// `InstrMeta::bound_bytes` must equal the bounds written here, summed
-/// across fused chains.
+/// `bound_bytes` survive lowering intact — each CP instruction's
+/// `ObserveMeta::bound_bytes` must equal the bound written here.
 #[cfg(debug_assertions)]
 fn debug_verify_lowering(runtime: &reml_runtime::program::RuntimeProgram) {
     reml_planlint::install_vm_verifier();

@@ -9,12 +9,17 @@
 //!   byte predictions only ever inflate, and the sizebound `bound_bytes`
 //!   columns remain a valid oracle for the measured footprints the fit
 //!   was trained on.
+//! * A fitted profile holds only opcodes the cost model prices.
 
+use std::collections::BTreeSet;
 use std::sync::{Arc, OnceLock};
 
-use reml::calibrate::{collect_paper_observations, evaluate, fit_from_observations};
-use reml::cluster::ClusterConfig;
+use reml::calibrate::{collect_paper_observations, evaluate, fit_from_observations, paper_runs};
 use reml::cost::CalibrationProfile;
+use reml::prelude::*;
+use reml::runtime::instructions::Instruction;
+use reml::runtime::RtBlock;
+use reml::scripts::data::generate_dataset;
 use reml::sim::ScriptObservations;
 
 struct Fixture {
@@ -124,4 +129,52 @@ fn calibration_never_flips_a_memory_estimate_unsound() {
             }
         }
     }
+}
+
+/// `CostModel::cost_cp` looks a calibration entry up under the CP
+/// instruction's `opcode.mnemonic()`, so every key of the fitted profile
+/// must name a CP instruction of the five plans it was observed on. The
+/// plans are compiled as `reml_sim::collect_observations` compiles them.
+#[test]
+fn fitted_profile_holds_only_opcodes_the_cost_model_prices() {
+    let fx = fixture();
+    let mut priced = BTreeSet::new();
+    for run in paper_runs() {
+        let script = (run.ctor)();
+        let data = generate_dataset(run.rows as usize, run.cols as usize, 1.0, run.label, 7);
+        let mut cfg = CompileConfig::new(ClusterConfig::paper_cluster(), 4 * 1024, 1024);
+        for (name, value) in &script.params {
+            cfg.params.insert((*name).to_string(), value.clone());
+        }
+        for (name, value) in run.params {
+            cfg.params
+                .insert((*name).to_string(), reml::runtime::ScalarValue::Num(*value));
+        }
+        cfg.inputs.insert("X".to_string(), data.x.characteristics());
+        cfg.inputs.insert("y".to_string(), data.y.characteristics());
+        let compiled = compile_source(&script.source, &cfg)
+            .unwrap_or_else(|e| panic!("{} compile: {e}", script.name));
+        compiled.runtime.walk(&mut |block| {
+            let own = match block {
+                RtBlock::Generic { instructions, .. } => instructions.as_slice(),
+                _ => &[],
+            };
+            let preds = block.predicates().flat_map(|(_, p)| &p.instructions);
+            for instr in own.iter().chain(preds) {
+                if let Instruction::Cp(cp) = instr {
+                    priced.insert(cp.opcode.mnemonic());
+                }
+            }
+        });
+    }
+    let unpriced: Vec<_> = fx
+        .profile
+        .opcodes
+        .keys()
+        .filter(|key| !priced.contains(*key))
+        .collect();
+    assert!(
+        unpriced.is_empty(),
+        "profile keys no CP instruction carries: {unpriced:?}; priced {priced:?}"
+    );
 }

@@ -75,7 +75,10 @@ fn saturated_operand_size_has_no_prediction_anywhere() {
         ..Default::default()
     };
     let vm = runtime.lower_vm(VmLowerOptions { fuse: true });
-    assert!(vm.metas.iter().all(|m| m.predicted_bytes.is_none()));
+    assert!(vm.metas.iter().all(|m| m
+        .observe
+        .as_ref()
+        .is_some_and(|o| o.predicted_bytes.is_none())));
     let report = lint_vm(&runtime, &vm);
     assert!(!report.rules().contains(&"PL047"), "{}", report.render());
 }

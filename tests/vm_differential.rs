@@ -9,6 +9,8 @@
 //! dense view compared bitwise), HDFS contents, and `ExecStats`. Pool
 //! contents are compared excluding compiler temporaries (`_mVar*`):
 //! under fusion those intermediates are legitimately never materialized.
+//! The unfused VM also records the tree walker's memory observations row
+//! for row; a fused chain records none.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -17,6 +19,7 @@ use reml::prelude::*;
 use reml::runtime::executor::{ExecError, NoRecompile};
 use reml::runtime::instructions::{CpInstruction, Instruction, OpCode, TEMP_PREFIX};
 use reml::runtime::vm::lower::VmLowerOptions;
+use reml::runtime::vm::FusedOpKind;
 use reml::runtime::{
     Executor, HdfsStore, MemObservation, Operand, RtBlock, RuntimeProgram, ScalarValue, VmExecutor,
 };
@@ -60,8 +63,11 @@ struct Observed {
     cp_instructions: u64,
     mr_jobs: u64,
     loop_iterations: u64,
-    /// Distinct opcode mnemonics executed, fused chains expanded into
-    /// their constituents (not compared; the coverage test reads it).
+    /// Memory observations in execution order, `wall_ns` zeroed.
+    observations: Vec<MemObservation>,
+    /// Distinct opcode mnemonics executed: the observed rows', plus the
+    /// steps of every lowered fused chain (not compared; the coverage
+    /// test reads it).
     mnemonics: BTreeSet<String>,
 }
 
@@ -121,12 +127,10 @@ fn observe(
         cp_instructions: stats.cp_instructions,
         mr_jobs: stats.mr_jobs,
         loop_iterations: stats.loop_iterations,
-        mnemonics: observations
+        mnemonics: observations.iter().map(|o| o.opcode.clone()).collect(),
+        observations: observations
             .into_iter()
-            .flat_map(|o| match o.constituents.is_empty() {
-                true => vec![o.opcode],
-                false => o.constituents.into_iter().map(|c| c.mnemonic).collect(),
-            })
+            .map(|o| MemObservation { wall_ns: 0, ..o })
             .collect(),
     }
 }
@@ -169,7 +173,7 @@ fn run_vm(
         .filter(|(name, _)| !name.starts_with(TEMP_PREFIX))
         .map(|(name, v)| (name.clone(), scalar_bits(v)))
         .collect();
-    let observed = observe(
+    let mut observed = observe(
         &exec.stats.printed,
         scalars,
         exec.pool.variables(),
@@ -178,6 +182,13 @@ fn run_vm(
         &exec.stats,
         observations,
     );
+    let steps = program.fused.iter().flat_map(|spec| &spec.steps);
+    observed.mnemonics.extend(steps.map(|step| match step.kind {
+        FusedOpKind::MM(op) => OpCode::BinaryMM(op).mnemonic(),
+        FusedOpKind::MS(op) => OpCode::BinaryMS(op).mnemonic(),
+        FusedOpKind::SM(op) => OpCode::BinarySM(op).mnemonic(),
+        FusedOpKind::Unary(op) => OpCode::UnaryM(op).mnemonic(),
+    }));
     Ok((observed, program.stats.fused_groups))
 }
 
@@ -214,6 +225,20 @@ fn assert_identical(script: &str, mode: &str, tree: &Observed, vm: &Observed) {
     assert_eq!(
         tree.loop_iterations, vm.loop_iterations,
         "{script} {mode}: loop_iterations"
+    );
+    // A fused chain records no observation, so only the unfused run
+    // observes row for row.
+    if mode == "unfused" {
+        assert_eq!(
+            tree.observations, vm.observations,
+            "{script} {mode}: memory observations"
+        );
+    }
+    assert!(
+        vm.observations
+            .iter()
+            .all(|o| !o.opcode.starts_with("fused(")),
+        "{script} {mode}: a fused chain was observed"
     );
 }
 
