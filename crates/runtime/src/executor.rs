@@ -5,15 +5,14 @@
 //! MR-job instructions by running their packed map/reduce operators
 //! in-process (value-equivalent to distributed execution). Timing of
 //! distributed execution is modeled by `reml-sim`; this executor answers
-//! "what values does the program compute" and produces the IO/eviction
-//! statistics the simulator converts to time.
+//! "what values does the program compute".
 //!
 //! What an opcode does is not stated here: every instruction goes through
 //! the shared table (`ops::eval_op`) over a name-keyed `OperandStore`.
 //! The walker keeps what the bytecode VM's lowering could get wrong —
 //! control flow, the recompile hook, name-keyed scalar/matrix shadowing —
-//! plus AM migration, and so stays the reference the differential tests
-//! compare the VM against.
+//! and so stays the reference the differential tests compare the VM
+//! against.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -152,17 +151,6 @@ pub(crate) fn for_trip_count(from: f64, to: f64) -> Result<usize, ExecError> {
     Ok(trips as usize)
 }
 
-/// Report of one AM runtime migration (§4.1).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MigrationReport {
-    /// Dirty variables exported to HDFS.
-    pub dirty_exported: u64,
-    /// Bytes of dirty state written.
-    pub dirty_bytes: u64,
-    /// Total variables carried across the migration.
-    pub variables: u64,
-}
-
 /// The CP executor: buffer pool + scalar variables + HDFS store.
 pub struct Executor {
     /// Matrix variables.
@@ -287,44 +275,6 @@ impl Executor {
             self.run_block(block, hook)?;
         }
         Ok(())
-    }
-
-    /// §4.1 AM runtime migration: materialize the current runtime state
-    /// — all *dirty* live variables are exported to HDFS (clean ones
-    /// already have an up-to-date HDFS representation) — then resume in a
-    /// "new container" with a buffer pool of the given capacity. Safe at
-    /// program-block boundaries because all operators are stateless and
-    /// intermediates are bound to logical variable names; scalars travel
-    /// with the (tiny) serialized position state.
-    pub fn migrate(&mut self, new_capacity_bytes: u64) -> MigrationReport {
-        let mut report = MigrationReport::default();
-        let names = self.pool.variables();
-        report.variables = names.len() as u64;
-        // Export dirty variables (the §4.1 "write all dirty variables").
-        for name in &names {
-            if self.pool.is_dirty(name) == Some(true) {
-                if let Some(m) = self.pool.peek(name).cloned() {
-                    report.dirty_exported += 1;
-                    report.dirty_bytes += m.size_bytes();
-                    self.hdfs.write(format!("am_state/{name}"), m);
-                    self.pool.mark_clean(name);
-                }
-            } else if let Some(m) = self.pool.peek(name).cloned() {
-                // Clean variables are staged without IO accounting: their
-                // HDFS representation is already current.
-                self.hdfs.stage(format!("am_state/{name}"), m);
-            }
-        }
-        // "Start" the new container: a fresh pool at the new capacity,
-        // restoring the variable stack from the materialized state.
-        let mut new_pool = BufferPool::new(new_capacity_bytes);
-        for name in &names {
-            if let Some(m) = self.hdfs.peek(&format!("am_state/{name}")).cloned() {
-                new_pool.put_with_dirty(name, m, false);
-            }
-        }
-        self.pool = new_pool;
-        report
     }
 
     fn run_block(
@@ -531,10 +481,7 @@ impl OperandStore for NameStore<'_> {
         let Operand::Var(name) = arg else {
             return Ok(());
         };
-        let pool = &mut self.exec.pool;
-        if pool.slot_of(name).is_some_and(|slot| pool.touch_slot(slot))
-            || self.exec.scalars.contains_key(name)
-        {
+        if self.exec.pool.touch(name).is_some() || self.exec.scalars.contains_key(name) {
             Ok(())
         } else {
             Err(ExecError::UnknownVariable(name.clone()))

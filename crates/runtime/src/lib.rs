@@ -6,11 +6,13 @@
 //! instructions and MR-job instructions (§2.1). This crate defines that
 //! representation and provides:
 //!
-//! * [`bufferpool`] — SystemML-style buffer pool: live variables are pinned
+//! * [`bufferpool`] — SystemML-style buffer pool: live variables are held
 //!   in memory up to the CP memory budget; overflow evicts to (simulated)
 //!   local disk, and the eviction/restore accounting is what makes small
 //!   CP heaps measurably slower than the analytic cost model predicts —
-//!   the paper's named source of suboptimality.
+//!   the paper's named source of suboptimality. The executors pool real
+//!   matrices; `reml-sim` runs the same pool over byte sizes. §4.1 AM
+//!   migration is one pool operation, [`BufferPool::migrate`].
 //! * [`hdfs`] — an in-process stand-in for HDFS: named persistent datasets
 //!   plus exported intermediates, with byte accounting.
 //! * `ops` — the CP op-semantics table: one `eval_op` stating what every
@@ -21,10 +23,12 @@
 //! * [`executor`] — the reference tree walker: executes runtime programs
 //!   block by block, resolving operands by name (CP instructions through
 //!   the shared table; MR jobs by running their map and reduce operators
-//!   in-process). It carries AM migration and is what the differential
-//!   tests compare the VM against. Wall-clock behaviour of distributed
-//!   execution is modeled separately by `reml-sim`; execution here
-//!   provides *correct values* so examples compute real regression models.
+//!   in-process). It is what the differential tests compare the VM
+//!   against, and has no caller outside tests.
+//!
+//! Execution here provides *correct values*, so examples compute real
+//! regression models; wall-clock behaviour of distributed execution is
+//! modeled separately by `reml-sim`.
 //!
 //! Dynamic recompilation hooks: generic blocks carry `requires_recompile`;
 //! both executors call a [`executor::RecompileHook`] before running such a
@@ -42,10 +46,8 @@ pub mod program;
 pub mod value;
 pub mod vm;
 
-pub use bufferpool::{BufferPool, BufferPoolStats};
-pub use executor::{
-    ExecStats, Executor, MemObservation, MigrationReport, RecompileHook, MAX_LOOP_ITERATIONS,
-};
+pub use bufferpool::{BufferPool, BufferPoolStats, MigrationReport, PoolValue};
+pub use executor::{ExecStats, Executor, MemObservation, RecompileHook, MAX_LOOP_ITERATIONS};
 pub use hdfs::HdfsStore;
 pub use instructions::{
     CpInstruction, Instruction, MrJobInstruction, MrLocation, MrOperator, OpCode,

@@ -26,7 +26,7 @@ use std::collections::HashMap;
 
 use reml_matrix::{DenseMatrix, Matrix};
 
-use crate::bufferpool::{BufferPool, SlotId};
+use crate::bufferpool::{BufferPool, MigrationReport, SlotId};
 use crate::executor::{
     for_trip_count, ExecError, ExecStats, MemObservation, RecompileHook, MAX_LOOP_ITERATIONS,
 };
@@ -73,8 +73,9 @@ fn timed<T>(observe: bool, f: impl FnOnce() -> T) -> (T, u64, bool) {
 }
 
 /// The bytecode VM executor. One executor runs one program (plus any
-/// recompiled fragments); construct it like [`Executor`](crate::executor::Executor)
-/// with a CP budget and staged HDFS inputs.
+/// recompiled fragments), or its consecutive parts around a
+/// [`migrate`](VmExecutor::migrate); construct it with a CP budget and
+/// staged HDFS inputs.
 pub struct VmExecutor {
     /// Matrix variables (slot-addressed).
     pub pool: BufferPool,
@@ -176,6 +177,19 @@ impl VmExecutor {
             self.run_block(&t, block, hook)?;
         }
         Ok(())
+    }
+
+    /// §4.1 AM runtime migration between two `run`s: write every dirty
+    /// matrix to HDFS as `am_state/<name>`, then resume in a container
+    /// whose pool holds `new_capacity_bytes`. Safe at program-block
+    /// boundaries because all operators are stateless and intermediates
+    /// are bound to logical variable names; scalars travel with the
+    /// (tiny) serialized position state, here the frame itself.
+    pub fn migrate(&mut self, new_capacity_bytes: u64) -> MigrationReport {
+        let hdfs = &mut self.hdfs;
+        self.pool.migrate(new_capacity_bytes, |name, m| {
+            hdfs.write(format!("am_state/{name}"), m.clone())
+        })
     }
 
     /// (Re)bind the frame and pool-slot table for `symbols` from index

@@ -67,8 +67,10 @@ impl SimState<'_> {
                 .charge(comp, bucket, CausalKind::Migration, label, secs, 1);
         }
         self.apply_target(true, &decision.target);
-        // Dirty variables were exported; they are clean now.
-        self.pool.mark_all_clean();
+        // The §4.1 export: dirty variables are written to HDFS (charged
+        // above) and clean in the new container's pool.
+        let capacity = self.cp_pool_capacity();
+        self.pool.migrate(capacity, |_, _| {});
         // Keep the RM mirror honest: the AM moved to a new container.
         self.injector.restart_am(self.resources.cp_heap_mb);
         self.injector.record(
@@ -111,18 +113,20 @@ impl SimState<'_> {
     }
 
     /// Switch to a re-optimization's `target`: a migration takes the
-    /// whole configuration, resizes the buffer pool to the new CP budget
-    /// and counts; otherwise only the MR heap assignment changes.
+    /// whole configuration and counts (the caller moves the buffer pool
+    /// to the new CP budget); otherwise only the MR heap assignment
+    /// changes.
     pub(super) fn apply_target(&mut self, migrate: bool, target: &ResourceConfig) {
         if migrate {
             self.resources = target.clone();
-            self.pool.set_capacity(pool_capacity_bytes(
-                &self.sim.cluster,
-                self.resources.cp_heap_mb,
-            ));
             self.outcome.migrations += 1;
         } else {
             self.resources.mr_heap = target.mr_heap.clone();
         }
+    }
+
+    /// Buffer-pool capacity of the current CP budget.
+    pub(super) fn cp_pool_capacity(&self) -> u64 {
+        pool_capacity_bytes(&self.sim.cluster, self.resources.cp_heap_mb)
     }
 }

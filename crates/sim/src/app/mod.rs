@@ -16,7 +16,7 @@
 //! * this file — configuration, the outcome, [`Simulator::run_app`] and
 //!   the walk over statement blocks;
 //! * `timing` — per-instruction charges: cost-model phases, MR jitter,
-//!   shadow buffer-pool evictions and restores, the OOM watermark check;
+//!   buffer-pool evictions and restores, the OOM watermark check;
 //! * `faults` — AM kills and MR-scoped faults (rework, requeue delays,
 //!   lost capacity);
 //! * `adapt` — §4 runtime adaptation and the re-optimization helpers it
@@ -41,11 +41,10 @@ use reml_cost::{CostModel, VarStates};
 use reml_lang::{BlockId, StatementBlock, StatementBlockKind};
 use reml_optimizer::ResourceConfig;
 use reml_runtime::program::RtBlock;
-use reml_runtime::Instruction;
+use reml_runtime::{BufferPool, Instruction};
 
 use crate::causal::{Bucket, CausalKind, CausalTrace, Comp};
 use crate::fault::{FaultInjector, FaultKind, FaultPlan, TraceEvent, TracedEvent};
-use crate::shadow::ShadowPool;
 
 /// Iterations assumed for loops without a static bound (inner
 /// line-search loops converge in a few steps).
@@ -240,7 +239,7 @@ impl Simulator {
             ),
             env: Env::new(),
             var_states: VarStates::new(),
-            pool: ShadowPool::new(pool_capacity_bytes(&self.cluster, sim.resources.cp_heap_mb)),
+            pool: BufferPool::new(pool_capacity_bytes(&self.cluster, sim.resources.cp_heap_mb)),
             rng: StdRng::seed_from_u64(sim.facts.seed),
             marked,
             hints,
@@ -324,7 +323,7 @@ impl Simulator {
     }
 }
 
-/// Shadow-pool capacity for a CP heap: its memory budget, in bytes.
+/// Buffer-pool capacity for a CP heap: its memory budget, in bytes.
 fn pool_capacity_bytes(cluster: &ClusterConfig, cp_heap_mb: u64) -> u64 {
     cluster.budget_mb_for_heap(cp_heap_mb) * 1024 * 1024
 }
@@ -339,7 +338,8 @@ struct SimState<'a> {
     cost_model: CostModel,
     env: Env,
     var_states: VarStates,
-    pool: ShadowPool,
+    /// The CP buffer pool over variable byte sizes.
+    pool: BufferPool<u64>,
     rng: StdRng,
     marked: HashSet<usize>,
     hints: HashMap<usize, u64>,

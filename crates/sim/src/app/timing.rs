@@ -1,7 +1,7 @@
 //! Per-instruction charges: the cost model's IO / compute / shuffle /
-//! latency phases (with seeded jitter on MR jobs), the shadow buffer
-//! pool's eviction and restore time, and the task-OOM watermark check
-//! that can cut a block attempt short.
+//! latency phases (with seeded jitter on MR jobs), the buffer pool's
+//! eviction and restore time, and the task-OOM watermark check that can
+//! cut a block attempt short.
 
 use rand::Rng;
 
@@ -77,7 +77,7 @@ impl SimState<'_> {
         let patched = patch_unknowns(instr, &self.facts);
         let cost = self.cost_model.cost_instructions(
             std::slice::from_ref(&patched),
-            // The simulator models evictions itself via the shadow pool;
+            // The simulator models evictions itself via its buffer pool;
             // disable the cost model's partial eviction accounting here.
             u64::MAX / (2 * 1024 * 1024),
             mr_heap_mb,
@@ -127,7 +127,7 @@ impl SimState<'_> {
         for (job_idx, fault_kind) in self.injector.take_mr_faults(first, cost.mr_jobs) {
             self.apply_mr_fault(job_idx, fault_kind, &cost, width, mr_heap_mb);
         }
-        // Shadow buffer pool: evictions/restores the cost model ignores.
+        // Buffer pool: evictions/restores the cost model ignores.
         match &patched {
             Instruction::Cp(cp) => self.charge_pool(cp),
             Instruction::MrJob(job) => {
@@ -138,7 +138,7 @@ impl SimState<'_> {
         }
     }
 
-    /// Run one CP instruction through the shadow pool: restore evicted
+    /// Run one CP instruction through the buffer pool: restore evicted
     /// operands, admit the output, and charge the local-disk time of the
     /// restores and of whatever the admission evicted.
     fn charge_pool(&mut self, cp: &CpInstruction) {
@@ -147,12 +147,12 @@ impl SimState<'_> {
                 self.pool.mark_clean(v);
             }
         }
-        let before_evicted = self.pool.bytes_evicted;
+        let before_evicted = self.pool.stats().bytes_evicted;
         let mut restored_bytes = 0u64;
         for (operand, mc) in cp.operands.iter().zip(&cp.operand_mcs) {
             if let Operand::Var(name) = operand {
                 if !mc.is_scalar() {
-                    restored_bytes += self.pool.touch(name);
+                    restored_bytes += self.pool.touch(name).unwrap_or(0);
                 }
             }
         }
@@ -179,10 +179,10 @@ impl SimState<'_> {
                         .unwrap_or(true),
                     _ => true,
                 };
-                self.pool.put(out, bytes, dirty);
+                self.pool.put_with_dirty(out, bytes, dirty);
             }
         }
-        let evicted_delta = self.pool.bytes_evicted - before_evicted;
+        let evicted_delta = self.pool.stats().bytes_evicted - before_evicted;
         self.outcome.causal.charge(
             Comp::Eviction,
             Bucket::Eviction,

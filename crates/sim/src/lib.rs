@@ -6,9 +6,10 @@
 //! time. It deliberately models effects the analytic cost model only
 //! partially captures, reproducing the paper's estimate/measurement gap:
 //!
-//! * **buffer-pool evictions** — a shadow LRU pool sized to the CP budget
-//!   charges local-disk IO for evictions/restores (the paper's named
-//!   source of Opt suboptimality on sparse data);
+//! * **buffer-pool evictions** — the runtime's LRU `BufferPool`, run over
+//!   byte sizes and sized to the CP budget, charges local-disk IO for
+//!   evictions/restores (the paper's named source of Opt suboptimality on
+//!   sparse data);
 //! * **per-job overhead jitter** — deterministic, seeded;
 //! * **dynamic recompilation** — blocks are recompiled with actual sizes
 //!   before execution (the table() unknowns resolve to the configured
@@ -25,7 +26,6 @@ pub mod app;
 pub mod audit;
 pub mod causal;
 pub mod fault;
-pub mod shadow;
 pub mod spark;
 pub mod throughput;
 
@@ -39,6 +39,5 @@ pub use fault::{
     trace_to_json, FaultInjector, FaultKind, FaultPlan, FaultSpec, FaultTrigger, RetryPolicy,
     TraceEvent, TracedEvent,
 };
-pub use shadow::ShadowPool;
 pub use spark::{recommend_executor_memory, simulate_spark_iterative, SparkPlan};
 pub use throughput::{simulate_throughput, simulate_throughput_with_faults, ThroughputResult};

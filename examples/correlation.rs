@@ -8,7 +8,7 @@
 use reml::compiler::MrHeapAssignment;
 use reml::prelude::*;
 use reml::runtime::executor::NoRecompile;
-use reml::runtime::{Executor, HdfsStore, ScalarValue};
+use reml::runtime::{lower_program, HdfsStore, ScalarValue, VmExecutor, VmLowerOptions};
 use reml::scripts::{DataShape, Scenario};
 
 const SCRIPT: &str = r#"
@@ -39,8 +39,9 @@ fn main() {
     let compiled = compile_source(SCRIPT, &cfg).expect("compiles");
     let mut hdfs = HdfsStore::new();
     hdfs.stage("X", reml::matrix::Matrix::Dense(x.clone()));
-    let mut exec = Executor::new(1 << 30, hdfs);
-    exec.run(&compiled.runtime, &mut NoRecompile).expect("runs");
+    let program = lower_program(&compiled.runtime, VmLowerOptions::default());
+    let mut exec = VmExecutor::new(1 << 30, hdfs);
+    exec.run(&program, &mut NoRecompile).expect("runs");
     let r = exec.hdfs.peek("model").expect("R written");
 
     println!("== correlation matrix ({cols}x{cols}) on {rows} samples ==");

@@ -1,5 +1,5 @@
 //! End-to-end *real* execution: train linear regression models with the
-//! actual CP executor on generated data and verify the recovered weights.
+//! bytecode VM on generated data and verify the recovered weights.
 //!
 //! The big §5.1 scenarios exist as metadata for the optimizer and the
 //! simulator; this example shows the same compiled programs computing
@@ -10,7 +10,7 @@
 
 use reml::prelude::*;
 use reml::runtime::executor::NoRecompile;
-use reml::runtime::{Executor, HdfsStore};
+use reml::runtime::{lower_program, HdfsStore, VmExecutor, VmLowerOptions};
 use reml::scripts::data::{generate_dataset, LabelKind};
 
 fn main() {
@@ -34,8 +34,9 @@ fn main() {
         let mut hdfs = HdfsStore::new();
         hdfs.stage("X", data.x.clone());
         hdfs.stage("y", data.y.clone());
-        let mut exec = Executor::new(4 * 1024 * 1024 * 1024, hdfs);
-        exec.run(&compiled.runtime, &mut NoRecompile).expect("runs");
+        let program = lower_program(&compiled.runtime, VmLowerOptions::default());
+        let mut exec = VmExecutor::new(4 * 1024 * 1024 * 1024, hdfs);
+        exec.run(&program, &mut NoRecompile).expect("runs");
 
         for line in &exec.stats.printed {
             println!("  {line}");

@@ -5,19 +5,19 @@
 //!   bytes, and outcomes. Heavy (full simulations per case) — marked
 //!   `#[ignore]`; the CI replay job runs it in release with
 //!   `--include-ignored`.
-//! * **ShadowPool LRU invariants** under fault-induced eviction storms
-//!   (capacity shrinks from AM kills/migrations, churned working sets):
-//!   occupancy never exceeds the CP budget (except a single protected
-//!   oversized entry), and restores are charged at most once per
-//!   eviction.
+//! * **Buffer-pool LRU invariants** under fault-induced eviction storms
+//!   (capacity shrinks from AM kills/migrations, churned working sets),
+//!   on the byte-size pool the simulator runs: occupancy never exceeds
+//!   the CP budget (except a single protected oversized entry), restores
+//!   are charged at most once per eviction, and a migration leaves
+//!   nothing dirty.
 
 use proptest::prelude::*;
 use reml::compiler::MrHeapAssignment;
 use reml::prelude::*;
+use reml::runtime::BufferPool;
 use reml::scripts::{DataShape, Scenario};
-use reml::sim::{
-    trace_to_json, AppOutcome, Comp, FaultSpec, FaultTrigger, RetryPolicy, ShadowPool,
-};
+use reml::sim::{trace_to_json, AppOutcome, Comp, FaultSpec, FaultTrigger, RetryPolicy};
 
 /// Decode `(trigger_sel, trigger_idx, kind_sel, param)` tuples into a
 /// plan: every fault kind and both trigger kinds are reachable.
@@ -116,30 +116,41 @@ proptest! {
         prop_assert_eq!(a.final_resources, b.final_resources);
     }
 
-    /// ShadowPool under eviction storms: random op sequences including
-    /// the capacity shrinks that AM kills and migrations cause.
+    /// The buffer pool under eviction storms: random op sequences
+    /// including the capacity shrinks that AM kills and migrations cause.
     #[test]
-    fn shadow_pool_invariants_under_eviction_storms(
+    fn pool_invariants_under_eviction_storms(
         ops in prop::collection::vec(
-            (0u8..5, 0usize..8, 1u64..200, 0u8..2, 20u64..400),
+            (0u8..6, 0usize..8, 1u64..200, 0u8..2, 20u64..400),
             1..60,
         ),
         initial_capacity in 50u64..300,
     ) {
-        let mut pool = ShadowPool::new(initial_capacity);
+        let mut pool: BufferPool<u64> = BufferPool::new(initial_capacity);
         for (op, name_idx, bytes, dirty, capacity) in ops {
             let name = format!("v{name_idx}");
             match op {
-                0 => pool.put(&name, bytes, dirty == 1),
+                0 => pool.put_with_dirty(&name, bytes, dirty == 1),
                 1 => {
                     pool.touch(&name);
                 }
-                2 => pool.remove(&name),
-                // Fault-induced storm: migration/AM-restart resizes.
-                3 => pool.set_capacity(capacity),
+                2 => {
+                    pool.remove(&name);
+                }
+                // Fault-induced storm: AM-restart resizes.
+                3 => pool.set_capacity_bytes(capacity),
+                // §4.1 migration: export the dirty set, then resize.
+                4 => {
+                    let dirty_bytes = pool.dirty_bytes();
+                    let mut exported = 0;
+                    let report = pool.migrate(capacity, |_, &b| exported += b);
+                    prop_assert_eq!(report.dirty_bytes, dirty_bytes);
+                    prop_assert_eq!(exported, dirty_bytes);
+                    prop_assert_eq!(pool.dirty_bytes(), 0);
+                }
                 _ => pool.mark_clean(&name),
             }
-            if matches!(op, 0 | 1 | 3) {
+            if matches!(op, 0 | 1 | 3 | 4) {
                 // Occupancy never exceeds the CP budget, except when a
                 // single oversized entry is protected (the in-flight
                 // operand/output of the running instruction).
@@ -154,8 +165,9 @@ proptest! {
             }
             // Restores are charged at most once per eviction: an entry
             // must be evicted before it can be restored again.
-            prop_assert!(pool.restores <= pool.evictions);
-            prop_assert!(pool.bytes_restored <= pool.bytes_evicted);
+            let stats = pool.stats();
+            prop_assert!(stats.restores <= stats.evictions);
+            prop_assert!(stats.bytes_restored <= stats.bytes_evicted);
             prop_assert!(pool.dirty_bytes() <= 8 * 200);
         }
     }
