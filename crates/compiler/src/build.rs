@@ -13,7 +13,7 @@
 //! Inter-block propagation (branch merge, loop stabilization) lives in
 //! [`crate::pipeline`]; this module is purely per-DAG.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use reml_lang::ast::{BinOp, Expr, IndexRange, Statement, UnOp};
 use reml_matrix::{AggOp, BinaryOp, MatrixCharacteristics, UnaryOp};
@@ -74,32 +74,47 @@ pub type Env = BTreeMap<std::sync::Arc<str>, VarInfo>;
 /// Merge environments after a conditional: sizes keep only agreed
 /// components; constants survive only when equal.
 pub fn merge_env_branches(a: &Env, b: &Env) -> Env {
-    let mut out = Env::new();
+    let mut out = b.clone();
+    merge_env_into(a, &mut out);
+    out
+}
+
+/// [`merge_env_branches`]`(a, b)` written over `b`: a name bound in both
+/// keeps `a`'s type, the agreed size components and `a`'s constant when
+/// both hold an equal one; a name bound in one of them keeps its fact.
+pub fn merge_env_into(a: &Env, b: &mut Env) {
+    join_env_into(a, b, |va, vb| {
+        *vb = VarInfo {
+            vtype: va.vtype,
+            mc: va.mc.merge_branches(&vb.mc),
+            konst: agreed_constant(va, vb),
+        }
+    });
+}
+
+/// `a`'s constant when `b` holds an equal one.
+pub(crate) fn agreed_constant(a: &VarInfo, b: &VarInfo) -> Option<ScalarValue> {
+    match (&a.konst, &b.konst) {
+        (Some(x), Some(y)) if x == y => Some(x.clone()),
+        _ => None,
+    }
+}
+
+/// Join `a` into `b` in place, as one sorted merge-join over the two
+/// maps: a name bound only in `a` is copied into `b`, a name bound only
+/// in `b` keeps its fact, and `both(a_fact, b_fact)` rewrites the fact of
+/// a name bound in both.
+pub(crate) fn join_env_into(a: &Env, b: &mut Env, both: impl Fn(&VarInfo, &mut VarInfo)) {
+    let mut only_a = Vec::new();
+    let mut ib = b.iter_mut().peekable();
     for (name, va) in a {
-        match b.get(name) {
-            Some(vb) => {
-                let konst = match (&va.konst, &vb.konst) {
-                    (Some(x), Some(y)) if x == y => Some(x.clone()),
-                    _ => None,
-                };
-                out.insert(
-                    name.clone(),
-                    VarInfo {
-                        vtype: va.vtype,
-                        mc: va.mc.merge_branches(&vb.mc),
-                        konst,
-                    },
-                );
-            }
-            None => {
-                out.insert(name.clone(), va.clone());
-            }
+        while ib.next_if(|(nb, _)| **nb < *name).is_some() {}
+        match ib.next_if(|(nb, _)| *nb == name) {
+            Some((_, vb)) => both(va, vb),
+            None => only_a.push((name.clone(), va.clone())),
         }
     }
-    for (name, vb) in b {
-        out.entry(name.clone()).or_insert_with(|| vb.clone());
-    }
-    out
+    b.extend(only_a);
 }
 
 /// What kind of constant fold produced a [`FoldRecord`].
@@ -133,24 +148,26 @@ pub struct FoldRecord {
 pub struct BuiltDag {
     /// The DAG (sizes propagated; memory estimates not yet computed).
     pub dag: HopDag,
-    /// Known constants per hop (for lowering literals).
-    pub consts: HashMap<HopId, ScalarValue>,
     /// Constant-folding count.
     pub constants_folded: u64,
     /// Audit log of every constant fold, in occurrence order.
     pub fold_log: Vec<FoldRecord>,
 }
 
-/// Builds a [`HopDag`] for a run of straight-line statements.
+/// Builds a [`HopDag`] for a run of straight-line statements; `'a`
+/// covers the configuration and the statements it reads.
 pub struct BlockBuilder<'a> {
     config: &'a CompileConfig,
     dag: HopDag,
-    /// Intra-block variable bindings.
-    bindings: HashMap<String, HopId>,
-    /// Known scalar constants per hop.
-    consts: HashMap<HopId, ScalarValue>,
+    /// Intra-block variable bindings, keyed by the names in the AST.
+    bindings: BTreeMap<&'a str, HopId>,
+    /// Known scalar constant per hop, indexed by [`HopId`].
+    consts: Vec<Option<ScalarValue>>,
     constants_folded: u64,
     fold_log: Vec<FoldRecord>,
+    /// Set for a build that only propagates sizes: no node merging, no
+    /// edges, no fold log.
+    sizes_only: bool,
 }
 
 impl<'a> BlockBuilder<'a> {
@@ -159,31 +176,91 @@ impl<'a> BlockBuilder<'a> {
         BlockBuilder {
             config,
             dag: HopDag::new(),
-            bindings: HashMap::new(),
-            consts: HashMap::new(),
+            bindings: BTreeMap::new(),
+            consts: Vec::new(),
             constants_folded: 0,
             fold_log: Vec::new(),
+            sizes_only: false,
         }
+    }
+
+    /// Add a node. A size-only build keeps no edges: nothing it does
+    /// reads them.
+    fn node(
+        &mut self,
+        op: HopOp,
+        inputs: &[HopId],
+        vtype: VType,
+        mc: MatrixCharacteristics,
+    ) -> HopId {
+        let inputs = if self.sizes_only {
+            Vec::new()
+        } else {
+            inputs.to_vec()
+        };
+        self.dag.add(op, inputs, vtype, mc)
     }
 
     /// Record one constant fold for the audit log.
     fn log_fold(&mut self, kind: FoldKind, operands: Vec<ScalarValue>, result: ScalarValue) {
         self.constants_folded += 1;
-        self.fold_log.push(FoldRecord {
-            kind,
-            operands,
-            result,
-        });
+        if !self.sizes_only {
+            self.fold_log.push(FoldRecord {
+                kind,
+                operands,
+                result,
+            });
+        }
     }
 
     /// Compile statements, updating `env` with assigned variables, and
     /// finish the DAG with transient writes for all assigned variables.
     pub fn build_statements(
         mut self,
-        statements: &[Statement],
+        statements: &'a [Statement],
         env: &mut Env,
     ) -> Result<BuiltDag, CompileError> {
-        let mut assigned: Vec<String> = Vec::new();
+        let assigned = self.build_body(statements, env)?;
+        // Emit transient writes for assigned variables so lowering knows
+        // the block outputs.
+        for name in assigned {
+            let id = self.bindings[name];
+            let hop = self.dag.hop(id);
+            let (vtype, mc) = (hop.vtype, hop.mc);
+            self.node(HopOp::TWrite(name.to_string()), &[id], vtype, mc);
+        }
+        Ok(BuiltDag {
+            dag: self.dag,
+            constants_folded: self.constants_folded,
+            fold_log: self.fold_log,
+        })
+    }
+
+    /// Update `env` past the statements, as [`build_statements`] does,
+    /// without keeping what only the DAG needs: nodes are not merged
+    /// (merging never changes a node's type, size or constant) and keep
+    /// no edges, folds are not logged, and no transient writes are
+    /// emitted. Loop stabilization's propagation passes run this.
+    ///
+    /// [`build_statements`]: BlockBuilder::build_statements
+    pub fn propagate_statements(
+        mut self,
+        statements: &'a [Statement],
+        env: &mut Env,
+    ) -> Result<(), CompileError> {
+        self.dag = HopDag::unmerged();
+        self.sizes_only = true;
+        self.build_body(statements, env).map(drop)
+    }
+
+    /// Build the statements' nodes and bindings, updating `env`; returns
+    /// the assigned variables in first-assignment order.
+    fn build_body(
+        &mut self,
+        statements: &'a [Statement],
+        env: &mut Env,
+    ) -> Result<Vec<&'a str>, CompileError> {
+        let mut assigned: Vec<&'a str> = Vec::new();
         for stmt in statements {
             match stmt {
                 Statement::Assign {
@@ -200,9 +277,9 @@ impl<'a> BlockBuilder<'a> {
                             let (rl, rh) = self.range_bounds(rows, env)?;
                             let (cl, ch) = self.range_bounds(cols, env)?;
                             let mc = self.dag.hop(prev).mc;
-                            self.dag.add(
+                            self.node(
                                 HopOp::LeftIndex,
-                                vec![prev, value, rl, rh, cl, ch],
+                                &[prev, value, rl, rh, cl, ch],
                                 VType::Matrix,
                                 // Left indexing preserves dims; nnz becomes
                                 // unknown (cells overwritten).
@@ -215,8 +292,8 @@ impl<'a> BlockBuilder<'a> {
                         }
                     };
                     self.bind(target, id, env);
-                    if !assigned.contains(target) {
-                        assigned.push(target.clone());
+                    if !assigned.contains(&target.as_str()) {
+                        assigned.push(target);
                     }
                 }
                 Statement::ExprStmt { expr, .. } => {
@@ -236,21 +313,7 @@ impl<'a> BlockBuilder<'a> {
                 }
             }
         }
-        // Emit transient writes for assigned variables so lowering knows
-        // the block outputs.
-        for name in &assigned {
-            let id = self.bindings[name];
-            let hop = self.dag.hop(id);
-            let (vtype, mc) = (hop.vtype, hop.mc);
-            self.dag
-                .add(HopOp::TWrite(name.clone()), vec![id], vtype, mc);
-        }
-        Ok(BuiltDag {
-            dag: self.dag,
-            consts: self.consts,
-            constants_folded: self.constants_folded,
-            fold_log: self.fold_log,
-        })
+        Ok(assigned)
     }
 
     /// Compile a predicate expression into a DAG with a single scalar
@@ -258,15 +321,14 @@ impl<'a> BlockBuilder<'a> {
     /// the predicate folds.
     pub fn build_predicate(
         mut self,
-        expr: &Expr,
+        expr: &'a Expr,
         env: &Env,
     ) -> Result<(BuiltDag, HopId, Option<ScalarValue>), CompileError> {
         let root = self.build_expr(expr, env)?;
-        let konst = self.consts.get(&root).cloned();
+        let konst = self.const_value(root);
         Ok((
             BuiltDag {
                 dag: self.dag,
-                consts: self.consts,
                 constants_folded: self.constants_folded,
                 fold_log: self.fold_log,
             },
@@ -275,13 +337,13 @@ impl<'a> BlockBuilder<'a> {
         ))
     }
 
-    fn bind(&mut self, name: &str, id: HopId, env: &mut Env) {
-        self.bindings.insert(name.to_string(), id);
+    fn bind(&mut self, name: &'a str, id: HopId, env: &mut Env) {
+        self.bindings.insert(name, id);
         let hop = self.dag.hop(id);
         let info = VarInfo {
             vtype: hop.vtype,
             mc: hop.mc,
-            konst: self.consts.get(&id).cloned(),
+            konst: self.const_value(id),
         };
         match env.get_mut(name) {
             Some(slot) => *slot = info,
@@ -292,7 +354,7 @@ impl<'a> BlockBuilder<'a> {
     }
 
     /// Resolve a variable to a hop: intra-block binding or transient read.
-    fn read_var(&mut self, name: &str, env: &Env) -> Result<HopId, CompileError> {
+    fn read_var(&mut self, name: &'a str, env: &Env) -> Result<HopId, CompileError> {
         if let Some(&id) = self.bindings.get(name) {
             return Ok(id);
         }
@@ -303,13 +365,11 @@ impl<'a> BlockBuilder<'a> {
         // propagation across blocks).
         if let Some(konst) = &info.konst {
             let id = self.literal(konst.clone());
-            self.bindings.insert(name.to_string(), id);
+            self.bindings.insert(name, id);
             return Ok(id);
         }
-        let id = self
-            .dag
-            .add(HopOp::TRead(name.to_string()), vec![], info.vtype, info.mc);
-        self.bindings.insert(name.to_string(), id);
+        let id = self.node(HopOp::TRead(name.to_string()), &[], info.vtype, info.mc);
+        self.bindings.insert(name, id);
         Ok(id)
     }
 
@@ -319,19 +379,25 @@ impl<'a> BlockBuilder<'a> {
             ScalarValue::Bool(b) => (HopOp::LitBool(*b), VType::Scalar),
             ScalarValue::Str(s) => (HopOp::LitStr(s.clone()), VType::Str),
         };
-        let id = self
-            .dag
-            .add(op, vec![], vtype, MatrixCharacteristics::scalar());
-        self.consts.insert(id, v);
+        let id = self.node(op, &[], vtype, MatrixCharacteristics::scalar());
+        if self.consts.len() <= id.0 {
+            self.consts.resize(id.0 + 1, None);
+        }
+        self.consts[id.0] = Some(v);
         id
     }
 
+    /// The known constant of a hop, if any.
+    fn konst(&self, id: HopId) -> Option<&ScalarValue> {
+        self.consts.get(id.0)?.as_ref()
+    }
+
     fn const_num(&self, id: HopId) -> Option<f64> {
-        self.consts.get(&id).and_then(ScalarValue::as_f64)
+        self.konst(id).and_then(ScalarValue::as_f64)
     }
 
     /// Build an expression into the DAG.
-    pub fn build_expr(&mut self, expr: &Expr, env: &Env) -> Result<HopId, CompileError> {
+    pub fn build_expr(&mut self, expr: &'a Expr, env: &Env) -> Result<HopId, CompileError> {
         match expr {
             Expr::Num(v) => Ok(self.literal(ScalarValue::Num(*v))),
             Expr::Str(s) => Ok(self.literal(ScalarValue::Str(s.clone()))),
@@ -365,24 +431,19 @@ impl<'a> BlockBuilder<'a> {
                 let (rl, rh) = self.range_bounds(rows, env)?;
                 let (cl, ch) = self.range_bounds(cols, env)?;
                 let mc = self.index_mc(self.dag.hop(m).mc, rl, rh, cl, ch);
-                Ok(self.dag.add(
-                    HopOp::RightIndex,
-                    vec![m, rl, rh, cl, ch],
-                    VType::Matrix,
-                    mc,
-                ))
+                Ok(self.node(HopOp::RightIndex, &[m, rl, rh, cl, ch], VType::Matrix, mc))
             }
         }
     }
 
     /// Compile a sink statement expression (`print`/`write`/`stop`).
-    fn build_sink(&mut self, expr: &Expr, env: &Env) -> Result<(), CompileError> {
+    fn build_sink(&mut self, expr: &'a Expr, env: &Env) -> Result<(), CompileError> {
         match expr {
             Expr::Call { name, args, .. } if name == "print" || name == "stop" => {
                 let v = self.build_expr(&args[0], env)?;
-                self.dag.add(
+                self.node(
                     HopOp::Print,
-                    vec![v],
+                    &[v],
                     VType::Scalar,
                     MatrixCharacteristics::scalar(),
                 );
@@ -393,7 +454,7 @@ impl<'a> BlockBuilder<'a> {
                 let path = self.resolve_string(&args[1], env)?;
                 let mc = self.dag.hop(v).mc;
                 let vtype = self.dag.hop(v).vtype;
-                self.dag.add(HopOp::PWrite(path), vec![v], vtype, mc);
+                self.node(HopOp::PWrite(path), &[v], vtype, mc);
                 Ok(())
             }
             other => Err(CompileError::Unsupported(format!(
@@ -428,9 +489,7 @@ impl<'a> BlockBuilder<'a> {
         };
         if is_matrix {
             let mc = hop_in.mc;
-            Ok(self
-                .dag
-                .add(HopOp::UnaryM(uop), vec![input], VType::Matrix, mc))
+            Ok(self.node(HopOp::UnaryM(uop), &[input], VType::Matrix, mc))
         } else {
             if let Some(v) = self.const_num(input) {
                 let folded = ScalarValue::Num(uop.apply(v));
@@ -441,9 +500,9 @@ impl<'a> BlockBuilder<'a> {
                 );
                 return Ok(self.literal(folded));
             }
-            Ok(self.dag.add(
+            Ok(self.node(
                 HopOp::UnaryS(uop),
-                vec![input],
+                &[input],
                 VType::Scalar,
                 MatrixCharacteristics::scalar(),
             ))
@@ -455,19 +514,18 @@ impl<'a> BlockBuilder<'a> {
         if op == BinOp::MatMul {
             let (lmc, rmc) = (self.dag.hop(l).mc, self.dag.hop(r).mc);
             let mc = lmc.matmult(&rmc);
-            return Ok(self.dag.add(HopOp::MatMult, vec![l, r], VType::Matrix, mc));
+            return Ok(self.node(HopOp::MatMult, &[l, r], VType::Matrix, mc));
         }
         // String concatenation.
         if (lt == VType::Str || rt == VType::Str) && op == BinOp::Add {
-            if let (Some(a), Some(b)) = (self.consts.get(&l).cloned(), self.consts.get(&r).cloned())
-            {
+            if let (Some(a), Some(b)) = (self.const_value(l), self.const_value(r)) {
                 let folded = ScalarValue::Str(format!("{}{}", a.render(), b.render()));
                 self.log_fold(FoldKind::StrConcat, vec![a, b], folded.clone());
                 return Ok(self.literal(folded));
             }
-            return Ok(self.dag.add(
+            return Ok(self.node(
                 HopOp::Concat,
-                vec![l, r],
+                &[l, r],
                 VType::Str,
                 MatrixCharacteristics::scalar(),
             ));
@@ -476,14 +534,14 @@ impl<'a> BlockBuilder<'a> {
     }
 
     fn const_value(&self, id: HopId) -> Option<ScalarValue> {
-        self.consts.get(&id).cloned()
+        self.konst(id).cloned()
     }
 
     fn build_call(
         &mut self,
         name: &str,
-        args: &[Expr],
-        named: &[(String, Expr)],
+        args: &'a [Expr],
+        named: &'a [(String, Expr)],
         line: usize,
         env: &Env,
     ) -> Result<HopId, CompileError> {
@@ -496,7 +554,7 @@ impl<'a> BlockBuilder<'a> {
                     .get(&path)
                     .copied()
                     .ok_or_else(|| CompileError::MissingInputMetadata(path.clone()))?;
-                Ok(self.dag.add(HopOp::PRead(path), vec![], VType::Matrix, mc))
+                Ok(self.node(HopOp::PRead(path), &[], VType::Matrix, mc))
             }
             "matrix" => {
                 let value = self.build_expr(&args[0], env)?;
@@ -523,12 +581,7 @@ impl<'a> BlockBuilder<'a> {
                         nnz: None,
                     },
                 };
-                Ok(self.dag.add(
-                    HopOp::DataGenConst,
-                    vec![value, rows, cols],
-                    VType::Matrix,
-                    mc,
-                ))
+                Ok(self.node(HopOp::DataGenConst, &[value, rows, cols], VType::Matrix, mc))
             }
             "seq" => {
                 let from = self.build_expr(&args[0], env)?;
@@ -557,7 +610,7 @@ impl<'a> BlockBuilder<'a> {
                     cols: Some(1),
                     nnz: rows, // seq values are (almost all) non-zero
                 };
-                Ok(self.dag.add(HopOp::DataGenSeq, inputs, VType::Matrix, mc))
+                Ok(self.node(HopOp::DataGenSeq, &inputs, VType::Matrix, mc))
             }
             "rand" => {
                 let rows = self.named_arg(named, "rows", env)?;
@@ -583,9 +636,9 @@ impl<'a> BlockBuilder<'a> {
                     }
                     _ => MatrixCharacteristics::unknown(),
                 };
-                Ok(self.dag.add(
+                Ok(self.node(
                     HopOp::DataGenRand,
-                    vec![rows, cols, sparsity, seed],
+                    &[rows, cols, sparsity, seed],
                     VType::Matrix,
                     mc,
                 ))
@@ -606,7 +659,7 @@ impl<'a> BlockBuilder<'a> {
                     cols: self.config.table_cols_hint,
                     nnz: ymc.rows, // one 1 per row
                 };
-                Ok(self.dag.add(HopOp::TableSeq, vec![y], VType::Matrix, mc))
+                Ok(self.node(HopOp::TableSeq, &[y], VType::Matrix, mc))
             }
             "nrow" | "ncol" => {
                 let m = self.build_expr(&args[0], env)?;
@@ -626,9 +679,7 @@ impl<'a> BlockBuilder<'a> {
                 } else {
                     HopOp::NCol
                 };
-                Ok(self
-                    .dag
-                    .add(op, vec![m], VType::Scalar, MatrixCharacteristics::scalar()))
+                Ok(self.node(op, &[m], VType::Scalar, MatrixCharacteristics::scalar()))
             }
             "sum" | "mean" | "trace" => {
                 let m = self.build_expr(&args[0], env)?;
@@ -637,9 +688,9 @@ impl<'a> BlockBuilder<'a> {
                     "mean" => AggOp::Mean,
                     _ => AggOp::Trace,
                 };
-                Ok(self.dag.add(
+                Ok(self.node(
                     HopOp::Agg(agg),
-                    vec![m],
+                    &[m],
                     VType::Scalar,
                     MatrixCharacteristics::scalar(),
                 ))
@@ -661,9 +712,9 @@ impl<'a> BlockBuilder<'a> {
                 } else {
                     AggOp::Max
                 };
-                Ok(self.dag.add(
+                Ok(self.node(
                     HopOp::Agg(agg),
-                    vec![m],
+                    &[m],
                     VType::Scalar,
                     MatrixCharacteristics::scalar(),
                 ))
@@ -705,14 +756,12 @@ impl<'a> BlockBuilder<'a> {
                         },
                     ),
                 };
-                Ok(self
-                    .dag
-                    .add(HopOp::Agg(agg), vec![m], VType::Matrix, out_mc))
+                Ok(self.node(HopOp::Agg(agg), &[m], VType::Matrix, out_mc))
             }
             "t" => {
                 let m = self.build_expr(&args[0], env)?;
                 let mc = self.dag.hop(m).mc.transpose();
-                Ok(self.dag.add(HopOp::Transpose, vec![m], VType::Matrix, mc))
+                Ok(self.node(HopOp::Transpose, &[m], VType::Matrix, mc))
             }
             "solve" => {
                 let a = self.build_expr(&args[0], env)?;
@@ -728,7 +777,7 @@ impl<'a> BlockBuilder<'a> {
                         .cols
                         .and_then(|r| bmc.cols.map(|c| r * c)),
                 };
-                Ok(self.dag.add(HopOp::Solve, vec![a, b], VType::Matrix, mc))
+                Ok(self.node(HopOp::Solve, &[a, b], VType::Matrix, mc))
             }
             "diag" => {
                 let m = self.build_expr(&args[0], env)?;
@@ -750,7 +799,7 @@ impl<'a> BlockBuilder<'a> {
                         nnz: None,
                     }
                 };
-                Ok(self.dag.add(HopOp::Diag, vec![m], VType::Matrix, out))
+                Ok(self.node(HopOp::Diag, &[m], VType::Matrix, out))
             }
             "ppred" => {
                 let l = self.build_expr(&args[0], env)?;
@@ -793,7 +842,7 @@ impl<'a> BlockBuilder<'a> {
                         _ => None,
                     },
                 };
-                Ok(self.dag.add(HopOp::Append, vec![a, b], VType::Matrix, mc))
+                Ok(self.node(HopOp::Append, &[a, b], VType::Matrix, mc))
             }
             "rbind" => {
                 let a = self.build_expr(&args[0], env)?;
@@ -810,7 +859,7 @@ impl<'a> BlockBuilder<'a> {
                         _ => None,
                     },
                 };
-                Ok(self.dag.add(HopOp::RBind, vec![a, b], VType::Matrix, mc))
+                Ok(self.node(HopOp::RBind, &[a, b], VType::Matrix, mc))
             }
             "sqrt" | "abs" | "exp" | "log" | "round" | "sign" => {
                 let m = self.build_expr(&args[0], env)?;
@@ -833,7 +882,7 @@ impl<'a> BlockBuilder<'a> {
                             nnz: in_mc.cells(),
                         }
                     };
-                    Ok(self.dag.add(HopOp::UnaryM(uop), vec![m], VType::Matrix, mc))
+                    Ok(self.node(HopOp::UnaryM(uop), &[m], VType::Matrix, mc))
                 } else {
                     if let Some(v) = self.const_num(m) {
                         let folded = ScalarValue::Num(uop.apply(v));
@@ -844,9 +893,9 @@ impl<'a> BlockBuilder<'a> {
                         );
                         return Ok(self.literal(folded));
                     }
-                    Ok(self.dag.add(
+                    Ok(self.node(
                         HopOp::UnaryS(uop),
-                        vec![m],
+                        &[m],
                         VType::Scalar,
                         MatrixCharacteristics::scalar(),
                     ))
@@ -854,18 +903,18 @@ impl<'a> BlockBuilder<'a> {
             }
             "as_scalar" | "castAsScalar" => {
                 let m = self.build_expr(&args[0], env)?;
-                Ok(self.dag.add(
+                Ok(self.node(
                     HopOp::CastScalar,
-                    vec![m],
+                    &[m],
                     VType::Scalar,
                     MatrixCharacteristics::scalar(),
                 ))
             }
             "as_matrix" => {
                 let s = self.build_expr(&args[0], env)?;
-                Ok(self.dag.add(
+                Ok(self.node(
                     HopOp::CastMatrix,
-                    vec![s],
+                    &[s],
                     VType::Matrix,
                     MatrixCharacteristics::scalar(),
                 ))
@@ -882,18 +931,15 @@ impl<'a> BlockBuilder<'a> {
         match (lt == VType::Matrix, rt == VType::Matrix) {
             (true, true) => {
                 let mc = binary_mm_mc(bop, &self.dag.hop(l).mc, &self.dag.hop(r).mc);
-                self.dag
-                    .add(HopOp::BinaryMM(bop), vec![l, r], VType::Matrix, mc)
+                self.node(HopOp::BinaryMM(bop), &[l, r], VType::Matrix, mc)
             }
             (true, false) => {
                 let mc = binary_scalar_mc(bop, &self.dag.hop(l).mc, false, self.const_num(r));
-                self.dag
-                    .add(HopOp::BinaryMS(bop), vec![l, r], VType::Matrix, mc)
+                self.node(HopOp::BinaryMS(bop), &[l, r], VType::Matrix, mc)
             }
             (false, true) => {
                 let mc = binary_scalar_mc(bop, &self.dag.hop(r).mc, true, self.const_num(l));
-                self.dag
-                    .add(HopOp::BinarySM(bop), vec![l, r], VType::Matrix, mc)
+                self.node(HopOp::BinarySM(bop), &[l, r], VType::Matrix, mc)
             }
             (false, false) => {
                 // Scalar-scalar: constant fold when both sides known.
@@ -903,9 +949,9 @@ impl<'a> BlockBuilder<'a> {
                         return self.literal(folded);
                     }
                 }
-                self.dag.add(
+                self.node(
                     HopOp::BinarySS(bop),
-                    vec![l, r],
+                    &[l, r],
                     VType::Scalar,
                     MatrixCharacteristics::scalar(),
                 )
@@ -915,7 +961,7 @@ impl<'a> BlockBuilder<'a> {
 
     fn named_arg(
         &mut self,
-        named: &[(String, Expr)],
+        named: &'a [(String, Expr)],
         name: &str,
         env: &Env,
     ) -> Result<HopId, CompileError> {
@@ -930,7 +976,7 @@ impl<'a> BlockBuilder<'a> {
     /// an open bound.
     fn range_bounds(
         &mut self,
-        range: &IndexRange,
+        range: &'a IndexRange,
         env: &Env,
     ) -> Result<(HopId, HopId), CompileError> {
         match range {

@@ -6,8 +6,9 @@
 //! producers (`inputs`). Construction performs common-subexpression
 //! elimination through a structural hash map.
 
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+
+use reml_runtime::hash::{FxHashMap, FxHasher};
 
 use reml_matrix::{AggOp, BinaryOp, MatrixCharacteristics, UnaryOp};
 
@@ -146,7 +147,7 @@ impl HopOp {
 
     /// A hash consistent with [`HopOp::cse_eq`].
     fn cse_hash(&self, inputs: &[HopId]) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
+        let mut h = FxHasher::default();
         std::mem::discriminant(self).hash(&mut h);
         match self {
             HopOp::TRead(s) | HopOp::PRead(s) | HopOp::LitStr(s) => s.hash(&mut h),
@@ -194,7 +195,7 @@ pub struct CseHit {
 #[derive(Debug, Clone, Default)]
 struct CseIndex {
     /// First entry of each hash chain.
-    heads: HashMap<u64, usize>,
+    heads: FxHashMap<u64, usize>,
     /// `(op, its inputs in `inputs`, node, next entry of the chain)`.
     entries: Vec<(HopOp, std::ops::Range<usize>, HopId, Option<usize>)>,
     inputs: Vec<HopId>,
@@ -231,12 +232,23 @@ pub struct HopDag {
     pub cse_hits: u64,
     /// Audit log of every CSE merge, in occurrence order.
     pub cse_log: Vec<CseHit>,
+    /// Set by [`HopDag::unmerged`]: `add` always appends.
+    no_cse: bool,
 }
 
 impl HopDag {
     /// Empty DAG.
     pub fn new() -> Self {
         HopDag::default()
+    }
+
+    /// An empty DAG without CSE, for a build that only propagates sizes:
+    /// a merged node has the type and size the duplicate would have.
+    pub fn unmerged() -> Self {
+        HopDag {
+            no_cse: true,
+            ..HopDag::default()
+        }
     }
 
     /// Number of hops.
@@ -259,7 +271,7 @@ impl HopDag {
         mc: MatrixCharacteristics,
     ) -> HopId {
         let id = HopId(self.hops.len());
-        if op.mergeable() {
+        if op.mergeable() && !self.no_cse {
             let hash = op.cse_hash(&inputs);
             if let Some(existing) = self.cse.find(hash, &op, &inputs) {
                 self.cse_hits += 1;
@@ -300,14 +312,13 @@ impl HopDag {
     /// is computed explicitly. Dead code (e.g. CSE leftovers) is
     /// excluded.
     pub fn live_hops(&self, extra_roots: &[HopId]) -> Vec<HopId> {
-        let mut roots: Vec<HopId> = self
+        let roots = self
             .hops
             .iter()
             .enumerate()
             .filter(|(_, h)| matches!(h.op, HopOp::TWrite(_) | HopOp::PWrite(_) | HopOp::Print))
             .map(|(i, _)| HopId(i))
-            .collect();
-        roots.extend_from_slice(extra_roots);
+            .chain(extra_roots.iter().copied());
         let mut state = vec![0u8; self.hops.len()]; // 0 unvisited, 1 open, 2 done
         let mut order: Vec<HopId> = Vec::new();
         // Iterative DFS with explicit (node, next-child) frames.

@@ -14,7 +14,7 @@
 //!   operators are packed into jobs; a CP instruction consuming a pending
 //!   MR output flushes the pending pack first, preserving execution order.
 
-use std::collections::{HashMap, HashSet};
+use std::fmt::Write as _;
 
 use reml_matrix::{AggOp, MatrixCharacteristics};
 use reml_runtime::instructions::{CpInstruction, Instruction, OpCode, TEMP_PREFIX};
@@ -93,17 +93,19 @@ impl<'a> Lowering<'a> {
         let root_ids: Vec<HopId> = extra_roots.iter().map(|(id, _)| *id).collect();
         let live = self.dag.live_hops(&root_ids);
 
-        // Consumer map over live hops.
-        let mut consumers: HashMap<HopId, Vec<HopId>> = HashMap::with_capacity(live.len());
+        // Per-hop tables over the DAG, indexed by `HopId`; only live
+        // entries are read. Consumer counts over live hops:
+        let n = self.dag.len();
+        let mut consumer_counts = vec![0u32; n];
         for &id in &live {
             for &input in &self.dag.hop(id).inputs {
-                consumers.entry(input).or_default().push(id);
+                consumer_counts[input.0] += 1;
             }
         }
 
         // Phase 1: execution decisions + fusion set.
-        let mut exec: HashMap<HopId, ExecType> = HashMap::with_capacity(live.len());
-        let mut fused: HashSet<HopId> = HashSet::new();
+        let mut exec = vec![ExecType::Cp; n];
+        let mut fused = vec![false; n];
         let mut requires_recompile = false;
         let mut mem_estimates = Vec::new();
         for &id in &live {
@@ -115,7 +117,7 @@ impl<'a> Lowering<'a> {
             if self.is_unknown_matrix_op(id) {
                 requires_recompile = true;
             }
-            exec.insert(id, e);
+            exec[id.0] = e;
         }
         // Fusion: a Transpose feeding exactly one MatMult that the
         // physical operator absorbs (TSMM / transpose-fused MapMM) is not
@@ -129,36 +131,33 @@ impl<'a> Lowering<'a> {
             if !matches!(self.dag.hop(l).op, HopOp::Transpose) {
                 continue;
             }
-            if consumers.get(&l).map(Vec::len) != Some(1) {
+            if consumer_counts[l.0] != 1 {
                 continue;
             }
             if self.matmult_absorbs_transpose(id) {
-                fused.insert(l);
+                fused[l.0] = true;
             }
         }
 
         // Phase 2: emission.
         let mut out: Vec<Instruction> = Vec::with_capacity(live.len());
         let mut pending: Vec<MrOpPlan> = Vec::new();
-        let mut pending_set: HashSet<HopId> = HashSet::new();
         // Hops consumed by CP instructions or block outputs: used by the
         // packer to decide job outputs.
-        let mut external: HashSet<HopId> = HashSet::with_capacity(live.len());
+        let mut external = vec![false; n];
         for &id in &live {
             let hop = self.dag.hop(id);
-            for &input in &hop.inputs {
-                if exec.get(&id) == Some(&ExecType::Cp) || !hop.op.is_matrix_op() {
-                    external.insert(input);
-                }
-            }
-            if matches!(hop.op, HopOp::TWrite(_) | HopOp::PWrite(_) | HopOp::Print) {
+            if exec[id.0] == ExecType::Cp
+                || !hop.op.is_matrix_op()
+                || matches!(hop.op, HopOp::TWrite(_) | HopOp::PWrite(_) | HopOp::Print)
+            {
                 for &input in &hop.inputs {
-                    external.insert(input);
+                    external[input.0] = true;
                 }
             }
         }
         for (root, _) in extra_roots {
-            external.insert(*root);
+            external[root.0] = true;
         }
 
         // Emission order: topological, but with all transient writes
@@ -167,17 +166,14 @@ impl<'a> Lowering<'a> {
         // it is also *required*: a `TRead(name)` operand renders as
         // `Var(name)`, and the variable must not be re-assigned before
         // every reader of its old value has executed.
-        let (compute, twrites): (Vec<HopId>, Vec<HopId>) = live
-            .iter()
-            .copied()
-            .partition(|id| !matches!(self.dag.hop(*id).op, HopOp::TWrite(_)));
-        let mut emission = compute;
-        let mut twrites = twrites;
-        twrites.sort_unstable();
-        emission.extend(twrites);
+        // Every transient write is a root of `live`, so the writes in id
+        // order are the live ones.
+        let is_twrite = |id: &HopId| matches!(self.dag.hop(*id).op, HopOp::TWrite(_));
+        let compute = live.iter().copied().filter(|id| !is_twrite(id));
+        let twrites = (0..n).map(HopId).filter(is_twrite);
 
-        for &id in &emission {
-            if fused.contains(&id) {
+        for id in compute.chain(twrites) {
+            if fused[id.0] {
                 continue;
             }
             let hop = self.dag.hop(id);
@@ -187,14 +183,7 @@ impl<'a> Lowering<'a> {
                 }
                 HopOp::TWrite(name) => {
                     let input = hop.inputs[0];
-                    self.flush_if_pending(
-                        &[input],
-                        &mut pending,
-                        &mut pending_set,
-                        &mut out,
-                        &consumers,
-                        &external,
-                    );
+                    self.flush_if_pending(&[input], &mut pending, &mut out, &live, &external);
                     out.push(Instruction::Cp(CpInstruction {
                         opcode: OpCode::Assign,
                         operands: vec![self.operand_of(input)],
@@ -206,14 +195,7 @@ impl<'a> Lowering<'a> {
                 }
                 HopOp::PWrite(path) => {
                     let input = hop.inputs[0];
-                    self.flush_if_pending(
-                        &[input],
-                        &mut pending,
-                        &mut pending_set,
-                        &mut out,
-                        &consumers,
-                        &external,
-                    );
+                    self.flush_if_pending(&[input], &mut pending, &mut out, &live, &external);
                     out.push(Instruction::Cp(CpInstruction {
                         opcode: OpCode::PersistentWrite { path: path.clone() },
                         operands: vec![self.operand_of(input)],
@@ -234,18 +216,14 @@ impl<'a> Lowering<'a> {
                     }));
                 }
                 _ => {
-                    let chosen = exec[&id];
-                    if chosen == ExecType::Mr {
-                        let plan = self.plan_mr(id, &fused);
-                        pending.push(plan);
-                        pending_set.insert(id);
+                    if exec[id.0] == ExecType::Mr {
+                        pending.push(self.plan_mr(id, &fused));
                     } else {
                         self.flush_if_pending(
                             &hop.inputs,
                             &mut pending,
-                            &mut pending_set,
                             &mut out,
-                            &consumers,
+                            &live,
                             &external,
                         );
                         out.push(self.cp_instruction(id, &fused));
@@ -253,13 +231,7 @@ impl<'a> Lowering<'a> {
                 }
             }
         }
-        self.flush(
-            &mut pending,
-            &mut pending_set,
-            &mut out,
-            &consumers,
-            &external,
-        );
+        self.flush(&mut pending, &mut out, &live, &external);
 
         // Bind predicate roots to their result variables.
         for (root, var) in extra_roots {
@@ -294,9 +266,10 @@ impl<'a> Lowering<'a> {
     ///   candidate counts this falls back to contiguous-run sums, which
     ///   covers the packer's consecutive-pending-run accumulation.
     fn decision_estimates(&self, live: &[HopId], mem_estimates: &[f64]) -> Vec<f64> {
-        let mut out: Vec<f64> = mem_estimates.to_vec();
+        let mut out: Vec<f64> = Vec::with_capacity(mem_estimates.len() + live.len());
+        out.extend_from_slice(mem_estimates);
         let mut candidates: Vec<f64> = Vec::new();
-        let mut seen_inputs: HashSet<HopId> = HashSet::new();
+        let mut seen_inputs = vec![false; self.dag.len()];
         for &id in live {
             let hop = self.dag.hop(id);
             if hop.vtype == VType::Matrix {
@@ -307,7 +280,8 @@ impl<'a> Lowering<'a> {
             }
             if hop.op.is_matrix_op() && self.is_mr_capable(&hop.op) {
                 for &input in &hop.inputs {
-                    if self.dag.hop(input).vtype == VType::Matrix && seen_inputs.insert(input) {
+                    if self.dag.hop(input).vtype == VType::Matrix && !seen_inputs[input.0] {
+                        seen_inputs[input.0] = true;
                         // Broadcast sizes are capped like `broadcasts_full`.
                         let s = size_mb(&self.dag.hop(input).mc).min(1e9);
                         if s.is_finite() && s > 0.0 {
@@ -324,6 +298,7 @@ impl<'a> Lowering<'a> {
             // highest candidate: the additions of summing its candidates
             // in index order, each done once.
             let mut sums = vec![0.0f64; 1 << candidates.len()];
+            out.reserve(sums.len());
             for mask in 1..sums.len() {
                 let high = mask.ilog2() as usize;
                 sums[mask] = sums[mask ^ (1 << high)] + candidates[high];
@@ -402,7 +377,10 @@ impl<'a> Lowering<'a> {
     }
 
     fn temp_name(&self, id: HopId) -> String {
-        format!("{}{}", self.temp_prefix, id.0)
+        let mut name = String::with_capacity(self.temp_prefix.len() + 4);
+        name.push_str(self.temp_prefix);
+        write!(name, "{}", id.0).expect("writing to a String cannot fail");
+        name
     }
 
     /// Operand for a hop's value.
@@ -428,25 +406,27 @@ impl<'a> Lowering<'a> {
 
     /// Translate a hop into a CP instruction. `fused` transposes fold into
     /// `Tsmm`/`MatMultTransLeft` opcodes.
-    fn cp_instruction(&self, id: HopId, fused: &HashSet<HopId>) -> Instruction {
+    fn cp_instruction(&self, id: HopId, fused: &[bool]) -> Instruction {
         let hop = self.dag.hop(id);
-        let (opcode, inputs): (OpCode, Vec<HopId>) = match &hop.op {
+        let absorbed;
+        let (opcode, inputs): (OpCode, &[HopId]) = match &hop.op {
             HopOp::MatMult => {
                 let [l, r] = hop.inputs[..] else {
                     unreachable!("matmult has two inputs")
                 };
-                if fused.contains(&l) {
+                if fused[l.0] {
                     let x = self.dag.hop(l).inputs[0];
+                    absorbed = [x, r];
                     if x == r {
-                        (OpCode::Tsmm, vec![x])
+                        (OpCode::Tsmm, &absorbed[..1])
                     } else {
-                        (OpCode::MatMultTransLeft, vec![x, r])
+                        (OpCode::MatMultTransLeft, &absorbed[..])
                     }
                 } else {
-                    (OpCode::MatMult, vec![l, r])
+                    (OpCode::MatMult, &hop.inputs[..])
                 }
             }
-            other => (hop_opcode(other), hop.inputs.clone()),
+            other => (hop_opcode(other), &hop.inputs[..]),
         };
         let operands: Vec<Operand> = inputs.iter().map(|i| self.operand_of(*i)).collect();
         let operand_mcs = inputs.iter().map(|i| self.dag.hop(*i).mc).collect();
@@ -466,7 +446,7 @@ impl<'a> Lowering<'a> {
     }
 
     /// Physical planning of one MR operator.
-    fn plan_mr(&self, id: HopId, fused: &HashSet<HopId>) -> MrOpPlan {
+    fn plan_mr(&self, id: HopId, fused: &[bool]) -> MrOpPlan {
         let hop = self.dag.hop(id);
         let matrix_inputs: Vec<HopId> = hop
             .inputs
@@ -489,7 +469,7 @@ impl<'a> Lowering<'a> {
                 let [l, r] = hop.inputs[..] else {
                     unreachable!()
                 };
-                if fused.contains(&l) {
+                if fused[l.0] {
                     let x = self.dag.hop(l).inputs[0];
                     if x == r {
                         // TSMM: partial products per split, aggregated.
@@ -594,10 +574,9 @@ impl<'a> Lowering<'a> {
             other => unreachable!("non-MR op planned for MR: {other:?}"),
         }
 
-        let broadcast_set: HashSet<HopId> = broadcasts.iter().copied().collect();
         let streamed: Vec<(HopId, String, MatrixCharacteristics)> = op_inputs
             .iter()
-            .filter(|i| matrix_inputs.contains(i) && !broadcast_set.contains(i))
+            .filter(|i| matrix_inputs.contains(i) && !broadcasts.contains(i))
             .map(|i| (*i, self.var_name_of(*i), self.dag.hop(*i).mc))
             .collect();
         let broadcasts_full: Vec<(HopId, String, MatrixCharacteristics, f64)> = broadcasts
@@ -621,37 +600,42 @@ impl<'a> Lowering<'a> {
         }
     }
 
+    /// Flush the pending MR operators when one of `inputs` is among them.
     fn flush_if_pending(
         &self,
         inputs: &[HopId],
         pending: &mut Vec<MrOpPlan>,
-        pending_set: &mut HashSet<HopId>,
         out: &mut Vec<Instruction>,
-        consumers: &HashMap<HopId, Vec<HopId>>,
-        external: &HashSet<HopId>,
+        live: &[HopId],
+        external: &[bool],
     ) {
-        if inputs.iter().any(|i| pending_set.contains(i)) {
-            self.flush(pending, pending_set, out, consumers, external);
+        if inputs.iter().any(|i| pending.iter().any(|p| p.hop == *i)) {
+            self.flush(pending, out, live, external);
         }
     }
 
     fn flush(
         &self,
         pending: &mut Vec<MrOpPlan>,
-        pending_set: &mut HashSet<HopId>,
         out: &mut Vec<Instruction>,
-        consumers: &HashMap<HopId, Vec<HopId>>,
-        external: &HashSet<HopId>,
+        live: &[HopId],
+        external: &[bool],
     ) {
         if pending.is_empty() {
             return;
         }
         let _s = reml_trace::span!("compile.piggyback", pending = pending.len());
-        let jobs = pack_jobs(pending, self.mr_budget_mb, consumers, external);
+        // Consumer lists over live hops, which decide the jobs' outputs.
+        let mut consumers = vec![Vec::new(); self.dag.len()];
+        for &id in live {
+            for &input in &self.dag.hop(id).inputs {
+                consumers[input.0].push(id);
+            }
+        }
+        let jobs = pack_jobs(pending, self.mr_budget_mb, &consumers, external);
         reml_trace::event!("compile.piggyback_packed", jobs = jobs.len());
         out.extend(jobs.into_iter().map(Instruction::MrJob));
         pending.clear();
-        pending_set.clear();
     }
 }
 

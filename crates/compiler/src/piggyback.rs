@@ -11,7 +11,7 @@
 //! produced by [`crate::lower`]; packing order is DAG topological order,
 //! which keeps dependencies forward.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::BTreeMap;
 
 use reml_matrix::MatrixCharacteristics;
 use reml_runtime::instructions::{MrJobInstruction, MrLocation, MrOperator, OpCode};
@@ -93,12 +93,12 @@ enum Reject {
 struct JobBuilder {
     mappers: Vec<MrOperator>,
     reducers: Vec<MrOperator>,
-    produced_map: HashSet<HopId>,
-    produced_reduce: HashSet<HopId>,
-    members: HashSet<HopId>,
+    produced_map: Vec<HopId>,
+    produced_reduce: Vec<HopId>,
+    members: Vec<HopId>,
     broadcast_mb: f64,
-    broadcast_inputs: HashMap<String, MatrixCharacteristics>,
-    hdfs_inputs: HashMap<String, MatrixCharacteristics>,
+    broadcast_inputs: BTreeMap<String, MatrixCharacteristics>,
+    hdfs_inputs: BTreeMap<String, MatrixCharacteristics>,
     shuffle: Vec<MatrixCharacteristics>,
     mr_budget_mb: f64,
 }
@@ -108,12 +108,12 @@ impl JobBuilder {
         JobBuilder {
             mappers: Vec::new(),
             reducers: Vec::new(),
-            produced_map: HashSet::new(),
-            produced_reduce: HashSet::new(),
-            members: HashSet::new(),
+            produced_map: Vec::new(),
+            produced_reduce: Vec::new(),
+            members: Vec::new(),
             broadcast_mb: 0.0,
-            broadcast_inputs: HashMap::new(),
-            hdfs_inputs: HashMap::new(),
+            broadcast_inputs: BTreeMap::new(),
+            hdfs_inputs: BTreeMap::new(),
             shuffle: Vec::new(),
             mr_budget_mb,
         }
@@ -184,38 +184,34 @@ impl JobBuilder {
         match location {
             MrLocation::Map => {
                 self.mappers.push(op);
-                self.produced_map.insert(plan.hop);
+                self.produced_map.push(plan.hop);
             }
             MrLocation::Reduce => {
                 self.reducers.push(op);
-                self.produced_reduce.insert(plan.hop);
+                self.produced_reduce.push(plan.hop);
             }
         }
-        self.members.insert(plan.hop);
+        self.members.push(plan.hop);
         Ok(())
     }
 
     fn finish(
         self,
-        plans: &HashMap<HopId, (String, MatrixCharacteristics)>,
-        is_consumed_outside: impl Fn(HopId, &HashSet<HopId>) -> bool,
+        plans: &[MrOpPlan],
+        is_consumed_outside: impl Fn(HopId, &[HopId]) -> bool,
     ) -> MrJobInstruction {
         let mut outputs = Vec::new();
-        for hop in self.produced_map.iter().chain(self.produced_reduce.iter()) {
-            if is_consumed_outside(*hop, &self.members) {
-                if let Some((name, mc)) = plans.get(hop) {
-                    outputs.push((name.clone(), *mc));
+        for &hop in self.produced_map.iter().chain(self.produced_reduce.iter()) {
+            if is_consumed_outside(hop, &self.members) {
+                if let Some(plan) = plans.iter().find(|p| p.hop == hop) {
+                    outputs.push((plan.output.clone(), plan.output_mc));
                 }
             }
         }
         outputs.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut hdfs_inputs: Vec<_> = self.hdfs_inputs.into_iter().collect();
-        hdfs_inputs.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut broadcast_inputs: Vec<_> = self.broadcast_inputs.into_iter().collect();
-        broadcast_inputs.sort_by(|a, b| a.0.cmp(&b.0));
         MrJobInstruction {
-            hdfs_inputs,
-            broadcast_inputs,
+            hdfs_inputs: self.hdfs_inputs.into_iter().collect(),
+            broadcast_inputs: self.broadcast_inputs.into_iter().collect(),
             mappers: self.mappers,
             reducers: self.reducers,
             outputs,
@@ -226,34 +222,24 @@ impl JobBuilder {
 
 /// Pack planned MR operators (in topological order) into jobs.
 ///
-/// `consumers` maps each hop to its consumer hops (over live hops);
-/// `external_consumers` marks hops additionally consumed by CP code or
-/// transient writes.
+/// `consumers` lists each hop's consumer hops (over live hops), indexed
+/// by [`HopId`]; `external_consumers` marks hops additionally consumed by
+/// CP code or transient writes.
 pub fn pack_jobs(
     plans: &[MrOpPlan],
     mr_budget_mb: f64,
-    consumers: &HashMap<HopId, Vec<HopId>>,
-    external_consumers: &HashSet<HopId>,
+    consumers: &[Vec<HopId>],
+    external_consumers: &[bool],
 ) -> Vec<MrJobInstruction> {
-    let name_map: HashMap<HopId, (String, MatrixCharacteristics)> = plans
-        .iter()
-        .map(|p| (p.hop, (p.output.clone(), p.output_mc)))
-        .collect();
-    let is_consumed_outside = |hop: HopId, members: &HashSet<HopId>| -> bool {
-        if external_consumers.contains(&hop) {
-            return true;
-        }
-        consumers
-            .get(&hop)
-            .map(|cs| cs.iter().any(|c| !members.contains(c)))
-            .unwrap_or(false)
+    let is_consumed_outside = |hop: HopId, members: &[HopId]| -> bool {
+        external_consumers[hop.0] || consumers[hop.0].iter().any(|c| !members.contains(c))
     };
     let mut jobs = Vec::new();
     let mut current = JobBuilder::new(mr_budget_mb);
     for plan in plans {
         if current.try_add(plan).is_err() {
             if !current.is_empty() {
-                jobs.push(current.finish(&name_map, is_consumed_outside));
+                jobs.push(current.finish(plans, is_consumed_outside));
             }
             current = JobBuilder::new(mr_budget_mb);
             current
@@ -262,7 +248,7 @@ pub fn pack_jobs(
         }
     }
     if !current.is_empty() {
-        jobs.push(current.finish(&name_map, is_consumed_outside));
+        jobs.push(current.finish(plans, is_consumed_outside));
     }
     jobs
 }
@@ -323,14 +309,26 @@ mod tests {
         MatrixCharacteristics::dense(100_000, 1000)
     }
 
+    /// The packer's per-hop tables over hops `0..12`: consumer lists and
+    /// the externally consumed hops.
+    fn tables(consumed: &[(usize, usize)], external: &[usize]) -> (Vec<Vec<HopId>>, Vec<bool>) {
+        let mut consumers = vec![Vec::new(); 12];
+        for &(hop, by) in consumed {
+            consumers[hop].push(HopId(by));
+        }
+        let mut marks = vec![false; 12];
+        for &hop in external {
+            marks[hop] = true;
+        }
+        (consumers, marks)
+    }
+
     #[test]
     fn chained_map_ops_share_one_job() {
         // op1: y1 = f(X); op2: y2 = g(y1) — both map-only, same job.
         let p1 = plan(10, MrOpKind::MapOnly, vec![(0, "X", big())], vec![], "y1");
         let p2 = plan(11, MrOpKind::MapOnly, vec![(10, "y1", big())], vec![], "y2");
-        let consumers: HashMap<HopId, Vec<HopId>> =
-            [(HopId(10), vec![HopId(11)])].into_iter().collect();
-        let external: HashSet<HopId> = [HopId(11)].into_iter().collect();
+        let (consumers, external) = tables(&[(10, 11)], &[11]);
         let jobs = pack_jobs(&[p1, p2], 1000.0, &consumers, &external);
         assert_eq!(jobs.len(), 1);
         assert_eq!(jobs[0].mappers.len(), 2);
@@ -346,9 +344,7 @@ mod tests {
         // agg produces r (reduce); elementwise on r can stay in the job.
         let p1 = plan(10, MrOpKind::MapWithAgg, vec![(0, "X", big())], vec![], "r");
         let p2 = plan(11, MrOpKind::MapOnly, vec![(10, "r", big())], vec![], "z");
-        let consumers: HashMap<HopId, Vec<HopId>> =
-            [(HopId(10), vec![HopId(11)])].into_iter().collect();
-        let external: HashSet<HopId> = [HopId(11)].into_iter().collect();
+        let (consumers, external) = tables(&[(10, 11)], &[11]);
         let jobs = pack_jobs(&[p1, p2], 1000.0, &consumers, &external);
         assert_eq!(jobs.len(), 1);
         assert_eq!(jobs[0].reducers.len(), 2);
@@ -366,9 +362,7 @@ mod tests {
             "z",
         );
         p2.opcode = OpCode::MatMult;
-        let consumers: HashMap<HopId, Vec<HopId>> =
-            [(HopId(10), vec![HopId(11)])].into_iter().collect();
-        let external: HashSet<HopId> = [HopId(11)].into_iter().collect();
+        let (consumers, external) = tables(&[(10, 11)], &[11]);
         let jobs = pack_jobs(&[p1, p2], 1000.0, &consumers, &external);
         assert_eq!(jobs.len(), 2);
         // r crosses the job boundary: it is an output of job 1 and an
@@ -395,8 +389,7 @@ mod tests {
             vec![(2, "w", 600.0)],
             "xw",
         );
-        let consumers = HashMap::new();
-        let external: HashSet<HopId> = [HopId(10), HopId(11)].into_iter().collect();
+        let (consumers, external) = tables(&[], &[10, 11]);
         let jobs = pack_jobs(&[p1.clone(), p2.clone()], 1000.0, &consumers, &external);
         assert_eq!(jobs.len(), 2);
         // With a 2000 MB budget they share one job (scan sharing of X).
@@ -417,9 +410,7 @@ mod tests {
             vec![(10, "v", 1.0)],
             "z",
         );
-        let consumers: HashMap<HopId, Vec<HopId>> =
-            [(HopId(10), vec![HopId(11)])].into_iter().collect();
-        let external: HashSet<HopId> = [HopId(11)].into_iter().collect();
+        let (consumers, external) = tables(&[(10, 11)], &[11]);
         let jobs = pack_jobs(&[p1, p2], 1000.0, &consumers, &external);
         assert_eq!(jobs.len(), 2);
     }
@@ -433,8 +424,7 @@ mod tests {
             vec![],
             "t",
         );
-        let consumers = HashMap::new();
-        let external: HashSet<HopId> = [HopId(10)].into_iter().collect();
+        let (consumers, external) = tables(&[], &[10]);
         let jobs = pack_jobs(&[p1], 1000.0, &consumers, &external);
         assert_eq!(jobs.len(), 1);
         assert!(jobs[0].has_reduce());

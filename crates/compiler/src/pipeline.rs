@@ -16,7 +16,9 @@ use reml_runtime::program::{Predicate, RtBlock, RuntimeProgram};
 use reml_runtime::value::ScalarValue;
 use reml_runtime::Instruction;
 
-use crate::build::{merge_env_branches, BlockBuilder, Env, FoldRecord, VarInfo};
+use crate::build::{
+    agreed_constant, join_env_into, merge_env_into, BlockBuilder, Env, FoldRecord, VarInfo,
+};
 use crate::config::{CompileConfig, CompileError, CompileStats};
 use crate::hop::{CseHit, HopDag, HopId, VType};
 use crate::inline::inline_functions;
@@ -363,6 +365,26 @@ struct GenericBuild {
     stats: CompileStats,
 }
 
+impl GenericBuild {
+    /// What building the block reported, for the rewrite audit.
+    fn audit(&self) -> BlockAudit {
+        BlockAudit {
+            records: self.records.clone(),
+            folds: self.folds.clone(),
+            cse: self.dag.cse_log.clone(),
+        }
+    }
+
+    /// [`GenericBuild::audit`], moved out of a build nothing keeps.
+    fn take_audit(&mut self) -> BlockAudit {
+        BlockAudit {
+            records: std::mem::take(&mut self.records),
+            folds: std::mem::take(&mut self.folds),
+            cse: std::mem::take(&mut self.dag.cse_log),
+        }
+    }
+}
+
 /// How a walk uses a [`WalkMemo`].
 pub(crate) enum Memo<'m> {
     /// Build everything (plain compilation).
@@ -485,9 +507,8 @@ impl<'a, 'm> Walker<'a, 'm> {
                                 self.compile_predicate(block.id, PredSlot::Cond, pred, env)?;
                             let mut then_env = env.clone();
                             let then_rt = self.walk_blocks(then_blocks, &mut then_env)?;
-                            let mut else_env = env.clone();
-                            let else_rt = self.walk_blocks(else_blocks, &mut else_env)?;
-                            *env = merge_env_branches(&then_env, &else_env);
+                            let else_rt = self.walk_blocks(else_blocks, env)?;
+                            merge_env_into(&then_env, env);
                             out.push(RtBlock::If {
                                 source: block.id,
                                 pred: pred_rt,
@@ -507,9 +528,8 @@ impl<'a, 'm> Walker<'a, 'm> {
                             *hint
                         }
                         None => {
-                            let mut env1 = env.clone();
-                            self.propagate_blocks(body, &mut env1)?;
-                            *env = relax_loop_env(&env0, &env1);
+                            self.propagate_blocks(body, env)?;
+                            relax_env_into(&env0, env);
                             let hint = self.loop_bound_hint(pred, env);
                             self.remember_loop(block.id, env, hint);
                             hint
@@ -518,7 +538,7 @@ impl<'a, 'm> Walker<'a, 'm> {
                     let pred_rt = self.compile_predicate(block.id, PredSlot::Cond, pred, env)?;
                     let body_rt = self.walk_blocks(body, env)?;
                     // Loop may execute zero times: merge pre/post.
-                    *env = merge_env_branches(&env0, env);
+                    merge_env_into(&env0, env);
                     out.push(RtBlock::While {
                         source: block.id,
                         pred: pred_rt,
@@ -556,15 +576,15 @@ impl<'a, 'm> Walker<'a, 'm> {
                         None => {
                             // Loop variable: scalar with unknown value.
                             env.insert(var.as_str().into(), VarInfo::scalar());
-                            let mut env1 = env.clone();
-                            self.propagate_blocks(body, &mut env1)?;
-                            *env = relax_loop_env(env, &env1);
+                            let before = env.clone();
+                            self.propagate_blocks(body, env)?;
+                            relax_env_into(&before, env);
                             env.insert(var.as_str().into(), VarInfo::scalar());
                             self.remember_loop(block.id, env, iterations_hint);
                         }
                     }
                     let body_rt = self.walk_blocks(body, env)?;
-                    *env = merge_env_branches(&env0, env);
+                    merge_env_into(&env0, env);
                     env.insert(var.as_str().into(), VarInfo::scalar());
                     out.push(RtBlock::For {
                         source: block.id,
@@ -589,8 +609,7 @@ impl<'a, 'm> Walker<'a, 'm> {
         for block in blocks {
             match &block.kind {
                 StatementBlockKind::Generic { statements } => {
-                    let builder = BlockBuilder::new(self.config);
-                    builder.build_statements(statements, env)?;
+                    BlockBuilder::new(self.config).propagate_statements(statements, env)?;
                 }
                 StatementBlockKind::If {
                     then_blocks,
@@ -599,25 +618,27 @@ impl<'a, 'm> Walker<'a, 'm> {
                 } => {
                     let mut then_env = env.clone();
                     self.propagate_blocks(then_blocks, &mut then_env)?;
-                    let mut else_env = env.clone();
-                    self.propagate_blocks(else_blocks, &mut else_env)?;
-                    *env = merge_env_branches(&then_env, &else_env);
+                    self.propagate_blocks(else_blocks, env)?;
+                    merge_env_into(&then_env, env);
                 }
                 StatementBlockKind::While { body, .. } => {
+                    // Relax over one body pass, then merge the entry with
+                    // the relaxation over a second pass from there.
                     let env0 = env.clone();
-                    let mut env1 = env.clone();
-                    self.propagate_blocks(body, &mut env1)?;
-                    *env = relax_loop_env(&env0, &env1);
-                    let mut env2 = env.clone();
-                    self.propagate_blocks(body, &mut env2)?;
-                    *env = merge_env_branches(&env0, &relax_loop_env(env, &env2));
+                    self.propagate_blocks(body, env)?;
+                    relax_env_into(&env0, env);
+                    let relaxed = env.clone();
+                    self.propagate_blocks(body, env)?;
+                    relax_env_into(&relaxed, env);
+                    merge_env_into(&env0, env);
                 }
                 StatementBlockKind::For { var, body, .. } => {
                     let env0 = env.clone();
                     env.insert(var.as_str().into(), VarInfo::scalar());
-                    let mut env1 = env.clone();
-                    self.propagate_blocks(body, &mut env1)?;
-                    *env = merge_env_branches(&env0, &relax_loop_env(env, &env1));
+                    let before = env.clone();
+                    self.propagate_blocks(body, env)?;
+                    relax_env_into(&before, env);
+                    merge_env_into(&env0, env);
                     env.insert(var.as_str().into(), VarInfo::scalar());
                 }
             }
@@ -632,20 +653,31 @@ impl<'a, 'm> Walker<'a, 'm> {
         env: &mut Env,
     ) -> Result<RtBlock, CompileError> {
         let _block = reml_trace::span!("compile.block", block = id.0);
-        let mut fresh = None;
-        let built: &GenericBuild = match self.recall().and_then(|m| m.generic.get(&id.0)) {
-            Some(built) => {
-                env.clone_from(&built.env_after);
-                built
+        if let Some(built) = self.recall().and_then(|m| m.generic.get(&id.0)) {
+            env.clone_from(&built.env_after);
+            self.audit_block(id, || built.audit());
+            return self.lower_generic(id, built);
+        }
+        let mut built = self.build_generic(statements, env)?;
+        let rt = self.lower_generic(id, &built)?;
+        match self.filling() {
+            Some(memo) => {
+                built.env_after = env.clone();
+                let audit = built.audit();
+                memo.generic.insert(id.0, built);
+                self.audit_block(id, || audit);
             }
-            None => fresh.insert(self.build_generic(statements, env)?),
-        };
-        let rt = self.lower_generic(id, built)?;
-        if let (Some(memo), Some(mut built)) = (self.filling(), fresh) {
-            built.env_after = env.clone();
-            memo.generic.insert(id.0, built);
+            // Nothing keeps the build: its audit moves.
+            None => self.audit_block(id, || built.take_audit()),
         }
         Ok(rt)
+    }
+
+    /// Record a block's rewrite audit, when this walk records.
+    fn audit_block(&mut self, id: BlockId, audit: impl FnOnce() -> BlockAudit) {
+        if self.record {
+            self.audit.blocks.insert(id.0, audit());
+        }
     }
 
     /// Build, rewrite and memory-estimate a generic block's DAG,
@@ -695,16 +727,6 @@ impl<'a, 'm> Walker<'a, 'm> {
         built: &GenericBuild,
     ) -> Result<RtBlock, CompileError> {
         self.stats.absorb(&built.stats);
-        if self.record {
-            self.audit.blocks.insert(
-                id.0,
-                BlockAudit {
-                    records: built.records.clone(),
-                    folds: built.folds.clone(),
-                    cse: built.dag.cse_log.clone(),
-                },
-            );
-        }
         let lowered = {
             let _s = reml_trace::span!("compile.lower");
             lower_dag(
@@ -814,42 +836,27 @@ impl<'a, 'm> Walker<'a, 'm> {
 
 /// Relax variable facts that changed across a loop body: keep agreeing
 /// components, drop the rest (sizes to unknown, constants dropped).
+/// Variables first defined inside the loop keep their facts from the body
+/// pass; a second propagation pass validates them.
 pub fn relax_loop_env(before: &Env, after: &Env) -> Env {
-    let mut out = Env::new();
-    for (name, v0) in before {
-        match after.get(name) {
-            Some(v1) if v0 == v1 => {
-                out.insert(name.clone(), v0.clone());
-            }
-            Some(v1) => {
-                let konst = match (&v0.konst, &v1.konst) {
-                    (Some(a), Some(b)) if a == b => Some(a.clone()),
-                    _ => None,
-                };
-                out.insert(
-                    name.clone(),
-                    VarInfo {
-                        vtype: v1.vtype,
-                        mc: v0.mc.merge_branches(&v1.mc),
-                        konst,
-                    },
-                );
-            }
-            None => {
-                out.insert(name.clone(), v0.clone());
-            }
-        }
-    }
-    // Variables first defined inside the loop: facts from the body pass,
-    // but constants cannot be trusted across iterations unless stable —
-    // a second propagation pass will have validated them; keep sizes,
-    // drop constants conservatively only if they changed (handled above).
-    for (name, v1) in after {
-        if !out.contains_key(name) {
-            out.insert(name.clone(), v1.clone());
-        }
-    }
+    let mut out = after.clone();
+    relax_env_into(before, &mut out);
     out
+}
+
+/// [`relax_loop_env`]`(before, after)` written over `after`.
+fn relax_env_into(before: &Env, after: &mut Env) {
+    join_env_into(before, after, |v0, v1| {
+        if v0 == v1 {
+            v1.clone_from(v0);
+        } else {
+            *v1 = VarInfo {
+                vtype: v1.vtype,
+                mc: v0.mc.merge_branches(&v1.mc),
+                konst: agreed_constant(v0, v1),
+            };
+        }
+    });
 }
 
 /// Count MR jobs and whether all MR operators have unknown dimensions.

@@ -538,7 +538,7 @@ fn check_instr_meta(
         return; // PL040 reported the range error
     };
     if let Some(expected) = vm_mnemonic(t, &instr.op) {
-        if meta.mnemonic != expected {
+        if *meta.mnemonic != *expected {
             diags.push(Diagnostic::new(
                 "PL041",
                 path,
@@ -549,7 +549,7 @@ fn check_instr_meta(
             ));
         }
         let metric = format!("vm.op.{expected}");
-        if meta.metric != metric {
+        if *meta.metric != *metric {
             diags.push(Diagnostic::new(
                 "PL041",
                 path,

@@ -4,8 +4,8 @@
 //! repeated deserialization" (§2.1). The pool holds variables up to a byte
 //! capacity (the CP memory budget); when a new entry does not fit,
 //! least-recently-used entries are *evicted* to simulated local disk. The
-//! executors hold real matrices ([`BufferPool<Matrix>`], the default);
-//! the discrete-event simulator holds only their byte sizes
+//! executors hold shared matrices (`BufferPool<Arc<Matrix>>`, the
+//! default); the discrete-event simulator holds only their byte sizes
 //! (`BufferPool<u64>`) and charges local-disk time for exactly these
 //! eviction/restore counters — the paper's observation that buffer-pool
 //! evictions are a source of cost-model suboptimality (§5, "Sources of
@@ -14,6 +14,17 @@
 //! Entries also track a *dirty* flag (in-memory state differs from HDFS),
 //! which drives both `write()` elision and AM migration (§4.1: "we write
 //! all dirty variables"), implemented once as [`BufferPool::migrate`].
+//!
+//! ## Shared matrices, per-name bytes
+//!
+//! A matrix entry is an `Arc<Matrix>`: binding a second name to the same
+//! value (`B = A`, a persistent read or write, an MR job's `tmp/` export)
+//! is a refcount bump, as SystemML's `cpvar` binds a second name to one
+//! matrix object. Nothing mutates a pooled matrix in place, so sharing
+//! keeps value semantics. The byte accounting stays *per name*: every
+//! entry counts its own `size_bytes`, shared or not, exactly as the deep
+//! copies did, so resident, evicted, restored and dirty bytes mean the
+//! same on real execution and in the simulator's pool over byte sizes.
 //!
 //! ## Slots
 //!
@@ -28,6 +39,7 @@
 //! but keeps the `SlotId` valid for later re-`put`s.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use reml_matrix::{Matrix, MatrixCharacteristics};
 
@@ -37,7 +49,8 @@ pub trait PoolValue: Clone {
     fn size_bytes(&self) -> u64;
 }
 
-impl PoolValue for Matrix {
+/// A shared matrix: its own bytes, counted once per name that holds it.
+impl PoolValue for Arc<Matrix> {
     fn size_bytes(&self) -> u64 {
         Matrix::size_bytes(self)
     }
@@ -107,7 +120,7 @@ struct Slot<V> {
 
 /// A capacity-bounded pool of named variables.
 #[derive(Debug, Clone)]
-pub struct BufferPool<V = Matrix> {
+pub struct BufferPool<V = Arc<Matrix>> {
     capacity_bytes: u64,
     slots: Vec<Slot<V>>,
     index: HashMap<String, u32>,
@@ -289,9 +302,9 @@ impl<V: PoolValue> BufferPool<V> {
         self.slots[slot.index()].entry.as_ref().map(|e| &e.data)
     }
 
-    /// Fetch by slot, restoring if evicted; clones the value (value
-    /// semantics). Prefer `touch_slot` + `peek_slot` where a
-    /// reference suffices.
+    /// Fetch by slot, restoring if evicted; clones the value (for a
+    /// shared matrix, a refcount bump). Prefer `touch_slot` + `peek_slot`
+    /// where a reference suffices.
     pub fn get_slot(&mut self, slot: SlotId) -> Option<V> {
         if !self.touch_slot(slot) {
             return None;
@@ -343,7 +356,8 @@ impl<V: PoolValue> BufferPool<V> {
     }
 
     /// Fetch a variable, restoring it from local disk if evicted. Returns
-    /// a clone of the value (callers treat matrices as immutable values).
+    /// a clone of the value: a shared handle for a matrix, which callers
+    /// treat as an immutable value.
     pub fn get(&mut self, name: &str) -> Option<V> {
         let slot = self.slot_of(name)?;
         self.get_slot(slot)
@@ -432,13 +446,14 @@ impl<V: PoolValue> BufferPool<V> {
     }
 }
 
-impl BufferPool<Matrix> {
-    /// Characteristics of all live matrix variables by name (the input
-    /// to dynamic recompilation).
-    pub fn live_characteristics(&self) -> HashMap<String, MatrixCharacteristics> {
-        self.entries()
-            .map(|(s, e)| (s.name.clone(), e.data.characteristics()))
-            .collect()
+impl BufferPool<Arc<Matrix>> {
+    /// Actual characteristics (non-zeros included) of the matrix a live
+    /// variable holds, resident or evicted; `None` for a name the pool
+    /// does not hold. The input to dynamic recompilation, asked for one
+    /// name at a time: a dense matrix's non-zeros cost a scan of its
+    /// cells, so a recompile pays only for the variables it reads.
+    pub fn characteristics(&self, name: &str) -> Option<MatrixCharacteristics> {
+        self.peek(name).map(|m| m.characteristics())
     }
 }
 
@@ -446,9 +461,9 @@ impl BufferPool<Matrix> {
 mod tests {
     use super::*;
 
-    fn m_kb(kb: usize) -> Matrix {
+    fn m_kb(kb: usize) -> Arc<Matrix> {
         // kb kilobytes dense: kb * 128 cells.
-        Matrix::constant(kb * 128, 1, 1.0)
+        Arc::new(Matrix::constant(kb * 128, 1, 1.0))
     }
 
     #[test]

@@ -17,6 +17,7 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use reml_matrix::{Matrix, MatrixCharacteristics};
 
@@ -99,15 +100,19 @@ impl From<reml_matrix::MatrixError> for ExecError {
 }
 
 /// Hook invoked before executing a generic block marked
-/// `requires_recompile`: given the source block id and the *actual*
-/// characteristics of all live matrix variables, return replacement
-/// instructions (dynamic recompilation, §4) or `None` to keep the plan.
+/// `requires_recompile`: given the source block id and a lookup of the
+/// *actual* characteristics of a live matrix variable by name (`None` for
+/// a scalar or an unbound name), return replacement instructions (dynamic
+/// recompilation, §4) or `None` to keep the plan. A lookup costs what the
+/// variable's characteristics cost — a dense matrix's non-zeros are a scan
+/// of its cells — so a hook asks only for the variables it reads, and a
+/// hook that asks for nothing costs nothing.
 pub trait RecompileHook {
     /// Produce a replacement instruction list for the block, or None.
     fn recompile(
         &mut self,
         source: reml_lang::BlockId,
-        live_vars: &HashMap<String, MatrixCharacteristics>,
+        live_var: &dyn Fn(&str) -> Option<MatrixCharacteristics>,
     ) -> Option<Vec<Instruction>>;
 }
 
@@ -118,7 +123,7 @@ impl RecompileHook for NoRecompile {
     fn recompile(
         &mut self,
         _source: reml_lang::BlockId,
-        _live_vars: &HashMap<String, MatrixCharacteristics>,
+        _live_var: &dyn Fn(&str) -> Option<MatrixCharacteristics>,
     ) -> Option<Vec<Instruction>> {
         None
     }
@@ -153,7 +158,7 @@ pub(crate) fn for_trip_count(from: f64, to: f64) -> Result<usize, ExecError> {
 
 /// The CP executor: buffer pool + scalar variables + HDFS store.
 pub struct Executor {
-    /// Matrix variables.
+    /// Matrix variables as shared handles.
     pub pool: BufferPool,
     /// Scalar variables.
     pub scalars: HashMap<String, ScalarValue>,
@@ -290,7 +295,8 @@ impl Executor {
             } => {
                 let plan;
                 let instructions = if *requires_recompile {
-                    match hook.recompile(*source, &self.pool.live_characteristics()) {
+                    let pool = &self.pool;
+                    match hook.recompile(*source, &|name| pool.characteristics(name)) {
                         Some(new_plan) => {
                             self.stats.recompilations += 1;
                             plan = new_plan;
@@ -427,7 +433,7 @@ impl Executor {
         touched.dedup();
         let actual_bytes = touched
             .iter()
-            .filter_map(|name| self.pool.peek(name).map(Matrix::size_bytes))
+            .filter_map(|name| self.pool.peek(name).map(|m| m.size_bytes()))
             .sum();
         MemObservation {
             opcode: cp.opcode.mnemonic(),
@@ -488,7 +494,7 @@ impl OperandStore for NameStore<'_> {
         }
     }
 
-    fn peek(&self, arg: &Operand) -> Result<Cow<'_, Matrix>, ExecError> {
+    fn peek(&self, arg: &Operand) -> Result<Cow<'_, Arc<Matrix>>, ExecError> {
         match arg {
             Operand::Var(name) => match self.exec.pool.peek(name) {
                 Some(m) => Ok(Cow::Borrowed(m)),
@@ -501,7 +507,7 @@ impl OperandStore for NameStore<'_> {
         }
     }
 
-    fn bind_matrix(&mut self, out: &str, m: Matrix, dirty: bool) {
+    fn bind_matrix(&mut self, out: &str, m: Arc<Matrix>, dirty: bool) {
         self.exec.scalars.remove(out);
         self.exec.pool.put_with_dirty(out, m, dirty);
     }
@@ -524,14 +530,14 @@ impl OperandStore for NameStore<'_> {
         }
     }
 
-    fn hdfs_read(&mut self, path: &str) -> Result<Matrix, ExecError> {
+    fn hdfs_read(&mut self, path: &str) -> Result<Arc<Matrix>, ExecError> {
         self.exec
             .hdfs
             .read(path)
             .ok_or_else(|| ExecError::MissingInput(path.to_string()))
     }
 
-    fn hdfs_write(&mut self, path: &str, m: Matrix) {
+    fn hdfs_write(&mut self, path: &str, m: Arc<Matrix>) {
         self.exec.hdfs.write(path, m);
     }
 
@@ -681,8 +687,8 @@ mod tests {
     #[test]
     fn mmchain_equals_two_step() {
         let mut e = exec();
-        e.pool.put("X", Matrix::constant(4, 3, 2.0));
-        e.pool.put("v", Matrix::constant(3, 1, 1.0));
+        e.pool.put("X", Arc::new(Matrix::constant(4, 3, 2.0)));
+        e.pool.put("v", Arc::new(Matrix::constant(3, 1, 1.0)));
         e.execute(&cp(
             OpCode::MmChain,
             vec![Operand::var("X"), Operand::var("v")],
@@ -722,8 +728,8 @@ mod tests {
     #[test]
     fn one_by_one_matrix_degrades_to_scalar_in_mm() {
         let mut e = exec();
-        e.pool.put("v", Matrix::constant(3, 1, 2.0));
-        e.pool.put("s", Matrix::constant(1, 1, 10.0));
+        e.pool.put("v", Arc::new(Matrix::constant(3, 1, 2.0)));
+        e.pool.put("s", Arc::new(Matrix::constant(1, 1, 10.0)));
         e.execute(&cp(
             OpCode::BinaryMM(BinaryOp::Mul),
             vec![Operand::var("v"), Operand::var("s")],
@@ -738,9 +744,9 @@ mod tests {
         let mut e = exec();
         e.pool.put(
             "P",
-            Matrix::Dense(
+            Arc::new(Matrix::Dense(
                 reml_matrix::DenseMatrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]).unwrap(),
-            ),
+            )),
         );
         // P[, 1:2]
         e.execute(&cp(
@@ -818,7 +824,7 @@ mod tests {
             fn recompile(
                 &mut self,
                 _source: reml_lang::BlockId,
-                _live: &HashMap<String, MatrixCharacteristics>,
+                _live: &dyn Fn(&str) -> Option<MatrixCharacteristics>,
             ) -> Option<Vec<Instruction>> {
                 Some(vec![Instruction::Cp(CpInstruction {
                     opcode: OpCode::Assign,
@@ -848,8 +854,8 @@ mod tests {
     fn mr_job_executes_and_exports() {
         use crate::instructions::{MrLocation, MrOperator};
         let mut e = exec();
-        e.pool.put("X", Matrix::constant(4, 2, 1.0));
-        e.pool.put("v", Matrix::constant(2, 1, 3.0));
+        e.pool.put("X", Arc::new(Matrix::constant(4, 2, 1.0)));
+        e.pool.put("v", Arc::new(Matrix::constant(2, 1, 3.0)));
         let job = MrJobInstruction {
             hdfs_inputs: vec![("X".into(), MatrixCharacteristics::dense(4, 2))],
             broadcast_inputs: vec![("v".into(), MatrixCharacteristics::dense(2, 1))],
@@ -892,7 +898,7 @@ mod tests {
     #[test]
     fn rmvar_cleans_up() {
         let mut e = exec();
-        e.pool.put("a", Matrix::constant(1, 1, 1.0));
+        e.pool.put("a", Arc::new(Matrix::constant(1, 1, 1.0)));
         e.scalars.insert("b".into(), ScalarValue::Num(2.0));
         e.execute(&cp(
             OpCode::RmVar,

@@ -4,8 +4,15 @@
 //! and exported intermediates (buffer-pool evictions to HDFS, migration
 //! state) land here. Byte counters feed both verification and the
 //! simulator's IO-time modeling.
+//!
+//! Files are shared matrices (`Arc<Matrix>`), as buffer-pool entries are:
+//! a read hands out a handle to the stored value and a write stores the
+//! handle it is given, so moving a matrix between the pool and the store
+//! copies no cells. The byte counters still charge every read and write
+//! the file's full size — the IO the modelled transfer would do.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use reml_matrix::Matrix;
 
@@ -25,7 +32,7 @@ pub struct HdfsStats {
 /// A named in-process dataset store simulating HDFS.
 #[derive(Debug, Clone, Default)]
 pub struct HdfsStore {
-    files: BTreeMap<String, Matrix>,
+    files: BTreeMap<String, Arc<Matrix>>,
     stats: HdfsStats,
 }
 
@@ -37,19 +44,19 @@ impl HdfsStore {
 
     /// Stage a dataset (no IO accounted — models pre-existing input).
     pub fn stage(&mut self, path: impl Into<String>, data: Matrix) {
-        self.files.insert(path.into(), data);
+        self.files.insert(path.into(), Arc::new(data));
     }
 
-    /// Read a dataset, accounting for the bytes moved.
-    pub fn read(&mut self, path: &str) -> Option<Matrix> {
-        let m = self.files.get(path)?.clone();
+    /// Read a dataset as a shared handle, accounting for the bytes moved.
+    pub fn read(&mut self, path: &str) -> Option<Arc<Matrix>> {
+        let m = Arc::clone(self.files.get(path)?);
         self.stats.bytes_read += m.size_bytes();
         self.stats.reads += 1;
         Some(m)
     }
 
-    /// Write a dataset, accounting for the bytes moved.
-    pub fn write(&mut self, path: impl Into<String>, data: Matrix) {
+    /// Write a dataset (store the handle), accounting for the bytes moved.
+    pub fn write(&mut self, path: impl Into<String>, data: Arc<Matrix>) {
         self.stats.bytes_written += data.size_bytes();
         self.stats.writes += 1;
         self.files.insert(path.into(), data);
@@ -62,11 +69,11 @@ impl HdfsStore {
 
     /// Peek at a dataset without IO accounting (verification helper).
     pub fn peek(&self, path: &str) -> Option<&Matrix> {
-        self.files.get(path)
+        self.files.get(path).map(Arc::as_ref)
     }
 
     /// Remove a dataset.
-    pub fn remove(&mut self, path: &str) -> Option<Matrix> {
+    pub fn remove(&mut self, path: &str) -> Option<Arc<Matrix>> {
         self.files.remove(path)
     }
 
@@ -93,11 +100,12 @@ mod tests {
         assert_eq!(h.stats().bytes_read, 0);
 
         let r = h.read("X").unwrap();
-        assert_eq!(r, m);
+        assert_eq!(*r, m);
         assert_eq!(h.stats().bytes_read, 800);
         assert_eq!(h.stats().reads, 1);
 
-        h.write("out", m);
+        h.write("out", Arc::clone(&r));
+        assert!(Arc::ptr_eq(&h.read("out").unwrap(), &r));
         assert_eq!(h.stats().bytes_written, 800);
         assert!(h.exists("out"));
     }

@@ -15,7 +15,7 @@ pub const TEMP_PREFIX: &str = "_mVar";
 /// The same vocabulary serves both execution (the executor dispatches on
 /// it) and costing (the cost model derives FLOP counts and IO sizes from
 /// the opcode plus operand characteristics).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum OpCode {
     /// Read a persistent dataset from HDFS into a variable.
     PersistentRead {
@@ -106,41 +106,53 @@ impl OpCode {
         )
     }
 
-    /// Short opcode mnemonic for EXPLAIN-style plan rendering.
+    /// Short opcode mnemonic for EXPLAIN-style plan rendering (its
+    /// `Display` form).
     pub fn mnemonic(&self) -> String {
-        match self {
-            OpCode::PersistentRead { .. } => "pread".into(),
-            OpCode::PersistentWrite { .. } => "pwrite".into(),
-            OpCode::DataGenConst => "datagen-const".into(),
-            OpCode::DataGenSeq => "datagen-seq".into(),
-            OpCode::DataGenRand => "datagen-rand".into(),
-            OpCode::MatMult => "ba+*".into(),
-            OpCode::MatMultTransLeft => "tmm".into(),
-            OpCode::Tsmm => "tsmm".into(),
-            OpCode::MmChain => "mmchain".into(),
-            OpCode::Solve => "solve".into(),
-            OpCode::Transpose => "r'".into(),
-            OpCode::Diag => "rdiag".into(),
-            OpCode::BinaryMM(op) => format!("map{}", op.token()),
-            OpCode::BinaryMS(op) | OpCode::BinarySM(op) => format!("s{}", op.token()),
-            OpCode::BinarySS(op) => format!("ss{}", op.token()),
-            OpCode::UnaryM(op) => format!("u{}", op.token()),
-            OpCode::UnaryS(op) => format!("us{}", op.token()),
-            OpCode::Agg(op) => format!("ua{}", op.token()),
-            OpCode::TableSeq => "ctable".into(),
-            OpCode::RightIndex => "rix".into(),
-            OpCode::LeftIndex => "lix".into(),
-            OpCode::Append => "append".into(),
-            OpCode::AppendR => "rappend".into(),
-            OpCode::NRow => "nrow".into(),
-            OpCode::NCol => "ncol".into(),
-            OpCode::CastScalar => "castdts".into(),
-            OpCode::CastMatrix => "castdtm".into(),
-            OpCode::Assign => "assignvar".into(),
-            OpCode::Concat => "concat".into(),
-            OpCode::Print => "print".into(),
-            OpCode::RmVar => "rmvar".into(),
-        }
+        self.to_string()
+    }
+}
+
+/// The opcode mnemonic, written without an intermediate `String`.
+impl std::fmt::Display for OpCode {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // An elementwise or aggregate opcode is its kernel op's token
+        // behind a prefix; every other opcode is a fixed word.
+        let (prefix, token) = match self {
+            OpCode::PersistentRead { .. } => ("", "pread"),
+            OpCode::PersistentWrite { .. } => ("", "pwrite"),
+            OpCode::DataGenConst => ("", "datagen-const"),
+            OpCode::DataGenSeq => ("", "datagen-seq"),
+            OpCode::DataGenRand => ("", "datagen-rand"),
+            OpCode::MatMult => ("", "ba+*"),
+            OpCode::MatMultTransLeft => ("", "tmm"),
+            OpCode::Tsmm => ("", "tsmm"),
+            OpCode::MmChain => ("", "mmchain"),
+            OpCode::Solve => ("", "solve"),
+            OpCode::Transpose => ("", "r'"),
+            OpCode::Diag => ("", "rdiag"),
+            OpCode::BinaryMM(op) => ("map", op.token()),
+            OpCode::BinaryMS(op) | OpCode::BinarySM(op) => ("s", op.token()),
+            OpCode::BinarySS(op) => ("ss", op.token()),
+            OpCode::UnaryM(op) => ("u", op.token()),
+            OpCode::UnaryS(op) => ("us", op.token()),
+            OpCode::Agg(op) => ("ua", op.token()),
+            OpCode::TableSeq => ("", "ctable"),
+            OpCode::RightIndex => ("", "rix"),
+            OpCode::LeftIndex => ("", "lix"),
+            OpCode::Append => ("", "append"),
+            OpCode::AppendR => ("", "rappend"),
+            OpCode::NRow => ("", "nrow"),
+            OpCode::NCol => ("", "ncol"),
+            OpCode::CastScalar => ("", "castdts"),
+            OpCode::CastMatrix => ("", "castdtm"),
+            OpCode::Assign => ("", "assignvar"),
+            OpCode::Concat => ("", "concat"),
+            OpCode::Print => ("", "print"),
+            OpCode::RmVar => ("", "rmvar"),
+        };
+        f.write_str(prefix)?;
+        f.write_str(token)
     }
 }
 

@@ -10,9 +10,10 @@
 //!   in memory up to the CP memory budget; overflow evicts to (simulated)
 //!   local disk, and the eviction/restore accounting is what makes small
 //!   CP heaps measurably slower than the analytic cost model predicts —
-//!   the paper's named source of suboptimality. The executors pool real
-//!   matrices; `reml-sim` runs the same pool over byte sizes. §4.1 AM
-//!   migration is one pool operation, [`BufferPool::migrate`].
+//!   the paper's named source of suboptimality. The executors pool shared
+//!   matrices (`Arc<Matrix>`, so a variable copy is a refcount bump) and
+//!   count bytes per name; `reml-sim` runs the same pool over byte sizes.
+//!   §4.1 AM migration is one pool operation, [`BufferPool::migrate`].
 //! * [`hdfs`] — an in-process stand-in for HDFS: named persistent datasets
 //!   plus exported intermediates, with byte accounting.
 //! * `ops` — the CP op-semantics table: one `eval_op` stating what every
@@ -32,13 +33,15 @@
 //!
 //! Dynamic recompilation hooks: generic blocks carry `requires_recompile`;
 //! both executors call a [`executor::RecompileHook`] before running such a
-//! block, enabling the §4 runtime adaptation loop.
+//! block, enabling the §4 runtime adaptation loop. The hook asks for the
+//! actual sizes of the live variables it reads, by name.
 
 #![forbid(unsafe_code)]
 
 pub mod bufferpool;
 pub mod executor;
 pub mod flops;
+pub mod hash;
 pub mod hdfs;
 pub mod instructions;
 mod ops;

@@ -6,8 +6,12 @@
 //! ([`Arg`](crate::vm::Arg), symbol id); the reference tree walker
 //! implements it over names ([`Operand`](crate::value::Operand), `str`).
 //! Both read matrix operands by reference (`touch` for the buffer pool's
-//! LRU/restore accounting, then `peek`), so operand order, restore
-//! accounting, error order and values are the same by construction.
+//! LRU/restore accounting, then `peek`) and share them by handle: a
+//! matrix is an `Arc<Matrix>`, so `assignvar`, `pread` and `pwrite` bind
+//! a second name (or an HDFS path) to the same value with a refcount
+//! bump, and kernels read `&Matrix` and return a fresh result. Operand
+//! order, restore accounting, error order and values are the same in
+//! both walkers by construction.
 //! Monomorphisation gives each walker its own copy of the table, so the
 //! VM's hot loop pays nothing for the sharing.
 //!
@@ -18,6 +22,7 @@
 //! (fused chains, MR jobs) before reaching the table.
 
 use std::borrow::Cow;
+use std::sync::Arc;
 
 use reml_matrix::{BinaryOp, Matrix, MatrixCharacteristics, MatrixError};
 
@@ -39,11 +44,12 @@ pub(crate) trait OperandStore {
     /// Phase 1 of a matrix-operand fetch: bump the LRU clock / restore an
     /// evicted matrix, and verify the operand is bound at all.
     fn touch(&mut self, arg: &Self::Arg) -> Result<(), ExecError>;
-    /// Phase 2: read the operand by reference (no clone), materializing a
-    /// 1×1 for a scalar in matrix position.
-    fn peek(&self, arg: &Self::Arg) -> Result<Cow<'_, Matrix>, ExecError>;
+    /// Phase 2: read the operand's shared handle by reference (no
+    /// clone; `into_owned` shares it), materializing a 1×1 for a scalar
+    /// in matrix position.
+    fn peek(&self, arg: &Self::Arg) -> Result<Cow<'_, Arc<Matrix>>, ExecError>;
     /// Bind a matrix, dropping any scalar of the same name.
-    fn bind_matrix(&mut self, out: &Self::Out, m: Matrix, dirty: bool);
+    fn bind_matrix(&mut self, out: &Self::Out, m: Arc<Matrix>, dirty: bool);
     /// Bind a scalar, dropping any matrix of the same name.
     fn bind_scalar(&mut self, out: &Self::Out, v: ScalarValue);
     /// Drop whatever a variable operand is bound to.
@@ -51,9 +57,9 @@ pub(crate) trait OperandStore {
     /// Mark a variable operand's matrix as matching its HDFS copy.
     fn mark_clean(&mut self, arg: &Self::Arg);
     /// Read the dataset at an HDFS path.
-    fn hdfs_read(&mut self, path: &str) -> Result<Matrix, ExecError>;
+    fn hdfs_read(&mut self, path: &str) -> Result<Arc<Matrix>, ExecError>;
     /// Write a dataset to an HDFS path.
-    fn hdfs_write(&mut self, path: &str, m: Matrix);
+    fn hdfs_write(&mut self, path: &str, m: Arc<Matrix>);
     /// Capture one printed line.
     fn print(&mut self, line: String);
     /// `(pool-resident bytes, limit)` when an OOM limit is configured.
@@ -93,6 +99,12 @@ pub(crate) trait OperandStore {
 
     /// Bind a computed (dirty) matrix, subject to the OOM limit.
     fn put_matrix(&mut self, out: Option<&Self::Out>, m: Matrix) -> Result<(), ExecError> {
+        self.put_shared(out, Arc::new(m))
+    }
+
+    /// Bind a (dirty) shared matrix, subject to the OOM limit. The limit
+    /// counts its bytes for this name too, as it did for a deep copy.
+    fn put_shared(&mut self, out: Option<&Self::Out>, m: Arc<Matrix>) -> Result<(), ExecError> {
         if let Some(out) = out {
             self.reserve(Some(m.size_bytes()))?;
             self.bind_matrix(out, m, true);
@@ -113,11 +125,11 @@ pub(crate) trait OperandStore {
 pub(crate) fn scalar_as_matrix(
     v: &ScalarValue,
     what: impl FnOnce() -> String,
-) -> Result<Cow<'static, Matrix>, ExecError> {
+) -> Result<Cow<'static, Arc<Matrix>>, ExecError> {
     let f = v
         .as_f64()
         .ok_or_else(|| ExecError::TypeError(format!("{} not numeric", what())))?;
-    Ok(Cow::Owned(Matrix::constant(1, 1, f)))
+    Ok(Cow::Owned(Arc::new(Matrix::constant(1, 1, f))))
 }
 
 /// Elementwise matrix ∘ matrix; a 1×1 side degrades to a scalar op per
@@ -165,7 +177,13 @@ fn with_matrix<S: OperandStore, T>(
     f: impl FnOnce(&Matrix) -> T,
 ) -> Result<T, ExecError> {
     store.touch(arg)?;
-    Ok(f(&*store.peek(arg)?))
+    Ok(f(&**store.peek(arg)?))
+}
+
+/// Touch one matrix operand and share its handle.
+fn shared_matrix<S: OperandStore>(store: &mut S, arg: &S::Arg) -> Result<Arc<Matrix>, ExecError> {
+    store.touch(arg)?;
+    Ok(store.peek(arg)?.into_owned())
 }
 
 /// Touch two matrix operands in positional order, then apply the kernel
@@ -240,7 +258,7 @@ pub(crate) fn eval_op<S: OperandStore>(
             Ok(())
         }
         OpCode::PersistentWrite { path } => {
-            let m = with_matrix(store, &args[0], Matrix::clone)?;
+            let m = shared_matrix(store, &args[0])?;
             store.hdfs_write(path, m);
             store.mark_clean(&args[0]);
             Ok(())
@@ -424,8 +442,8 @@ pub(crate) fn eval_op<S: OperandStore>(
                 Ok(())
             }
             None => {
-                let m = with_matrix(store, &args[0], Matrix::clone)?;
-                store.put_matrix(out, m)
+                let m = shared_matrix(store, &args[0])?;
+                store.put_shared(out, m)
             }
         },
         OpCode::Concat => {

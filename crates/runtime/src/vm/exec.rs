@@ -8,7 +8,11 @@
 //! costs are gone:
 //!
 //! * operand fetch is `touch_slot` + `peek_slot` — an array index and an
-//!   LRU bump instead of a name hash per operand;
+//!   LRU bump instead of a name hash per operand; matrices are shared
+//!   `Arc<Matrix>` handles, so `assignvar`, `pread`, `pwrite`, an MR job's
+//!   `tmp/` exports and [`VmExecutor::migrate`] copy no cells;
+//! * a block marked for recompilation hands the hook a per-name size
+//!   lookup, so a hook pays only for the live sizes it asks for;
 //! * scalars live in a dense frame indexed by symbol id;
 //! * mnemonics, metric names, and observation metadata are precomputed at
 //!   lowering, so the hot loop allocates no strings;
@@ -23,6 +27,7 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use reml_matrix::{DenseMatrix, Matrix};
 
@@ -77,7 +82,7 @@ fn timed<T>(observe: bool, f: impl FnOnce() -> T) -> (T, u64, bool) {
 /// [`migrate`](VmExecutor::migrate); construct it with a CP budget and
 /// staged HDFS inputs.
 pub struct VmExecutor {
-    /// Matrix variables (slot-addressed).
+    /// Matrix variables as shared handles (slot-addressed).
     pub pool: BufferPool,
     /// The HDFS stand-in.
     pub hdfs: HdfsStore,
@@ -188,7 +193,7 @@ impl VmExecutor {
     pub fn migrate(&mut self, new_capacity_bytes: u64) -> MigrationReport {
         let hdfs = &mut self.hdfs;
         self.pool.migrate(new_capacity_bytes, |name, m| {
-            hdfs.write(format!("am_state/{name}"), m.clone())
+            hdfs.write(format!("am_state/{name}"), Arc::clone(m))
         })
     }
 
@@ -227,7 +232,9 @@ impl VmExecutor {
                 requires_recompile,
             } => {
                 if *requires_recompile {
-                    if let Some(plan) = hook.recompile(*source, &self.pool.live_characteristics()) {
+                    let pool = &self.pool;
+                    if let Some(plan) = hook.recompile(*source, &|name| pool.characteristics(name))
+                    {
                         self.stats.recompilations += 1;
                         let frag = lower_fragment(t.symbols, &plan, self.fuse_fragments);
                         self.rebind(&frag.symbols, t.symbols.len());
@@ -361,7 +368,7 @@ impl VmExecutor {
         let actual_bytes: u64 = meta
             .touched
             .iter()
-            .filter_map(|&s| self.pool.peek_slot(self.slot(s)).map(Matrix::size_bytes))
+            .filter_map(|&s| self.pool.peek_slot(self.slot(s)).map(|m| m.size_bytes()))
             .sum();
         MemObservation {
             opcode: opcode.to_string(),
@@ -383,11 +390,7 @@ impl VmExecutor {
             if !self.pool.touch_slot(self.slot(sym)) {
                 return Err(ExecError::UnknownVariable(t.symbols.name(sym).to_string()));
             }
-            let m = self
-                .pool
-                .peek_slot(self.slot(sym))
-                .expect("just touched")
-                .clone();
+            let m = Arc::clone(self.pool.peek_slot(self.slot(sym)).expect("just touched"));
             self.hdfs.write(format!("tmp/{}", t.symbols.name(sym)), m);
             self.pool.mark_clean_slot(self.slot(sym));
         }
@@ -441,7 +444,7 @@ impl OperandStore for SlotStore<'_> {
         Ok(())
     }
 
-    fn peek(&self, arg: &Arg) -> Result<Cow<'_, Matrix>, ExecError> {
+    fn peek(&self, arg: &Arg) -> Result<Cow<'_, Arc<Matrix>>, ExecError> {
         match *arg {
             Arg::Slot(s) => {
                 if let Some(m) = self.vm.pool.peek_slot(self.vm.slot(s)) {
@@ -458,7 +461,7 @@ impl OperandStore for SlotStore<'_> {
         }
     }
 
-    fn bind_matrix(&mut self, out: &u32, m: Matrix, dirty: bool) {
+    fn bind_matrix(&mut self, out: &u32, m: Arc<Matrix>, dirty: bool) {
         self.vm.frame[*out as usize] = None;
         self.vm
             .pool
@@ -483,14 +486,14 @@ impl OperandStore for SlotStore<'_> {
         }
     }
 
-    fn hdfs_read(&mut self, path: &str) -> Result<Matrix, ExecError> {
+    fn hdfs_read(&mut self, path: &str) -> Result<Arc<Matrix>, ExecError> {
         self.vm
             .hdfs
             .read(path)
             .ok_or_else(|| ExecError::MissingInput(path.to_string()))
     }
 
-    fn hdfs_write(&mut self, path: &str, m: Matrix) {
+    fn hdfs_write(&mut self, path: &str, m: Arc<Matrix>) {
         self.vm.hdfs.write(path, m);
     }
 
@@ -571,30 +574,30 @@ impl SlotStore<'_> {
         fast = fast
             && steps.iter().flat_map(|step| &step.mats).all(|m| match m {
                 FusedMatIn::Slot(s) => matches!(
-                    self.vm.pool.peek_slot(self.vm.slot(*s)),
+                    self.vm.pool.peek_slot(self.vm.slot(*s)).map(Arc::as_ref),
                     Some(Matrix::Dense(d)) if d.rows() == spec.rows && d.cols() == spec.cols
                 ),
                 _ => true,
             });
         let result = if fast {
-            self.vm.fused_fast(spec, &steps)?
+            Arc::new(self.vm.fused_fast(spec, &steps)?)
         } else {
             self.fused_stepwise(&steps)?
         };
-        self.put_matrix(out.as_ref(), result)
+        self.put_shared(out.as_ref(), result)
     }
 
     /// Fallback: execute the chain step by step with the unfused operator
     /// semantics, holding intermediates as locals.
-    fn fused_stepwise(&self, steps: &[ResolvedStep]) -> Result<Matrix, ExecError> {
-        let mut flow: Option<Matrix> = None;
+    fn fused_stepwise(&self, steps: &[ResolvedStep]) -> Result<Arc<Matrix>, ExecError> {
+        let mut flow: Option<Arc<Matrix>> = None;
         for step in steps {
-            let input = |i: usize| -> Result<Cow<'_, Matrix>, ExecError> {
+            let input = |i: usize| -> Result<Cow<'_, Arc<Matrix>>, ExecError> {
                 match step.mats[i] {
                     FusedMatIn::Flow => {
                         Ok(Cow::Borrowed(flow.as_ref().expect("flow set after step 0")))
                     }
-                    FusedMatIn::Lit(f) => Ok(Cow::Owned(Matrix::constant(1, 1, f))),
+                    FusedMatIn::Lit(f) => Ok(Cow::Owned(Arc::new(Matrix::constant(1, 1, f)))),
                     FusedMatIn::Slot(s) => self.peek(&Arg::Slot(s)),
                 }
             };
@@ -608,7 +611,7 @@ impl SlotStore<'_> {
                 }
                 FusedOpKind::Unary(op) => input(0)?.unary(op),
             };
-            flow = Some(result);
+            flow = Some(Arc::new(result));
         }
         Ok(flow.expect("chains have >= 2 steps"))
     }
@@ -620,7 +623,7 @@ impl VmExecutor {
         let (rows, cols) = (spec.rows, spec.cols);
         let n = rows * cols;
         let ext = |s: u32| -> &[f64] {
-            match self.pool.peek_slot(self.slot(s)) {
+            match self.pool.peek_slot(self.slot(s)).map(Arc::as_ref) {
                 Some(Matrix::Dense(d)) => d.data(),
                 _ => unreachable!("gated dense"),
             }

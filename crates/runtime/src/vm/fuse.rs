@@ -16,8 +16,9 @@
 //! from the use count: removing a variable that was never materialized is
 //! a no-op.
 
-use std::collections::HashMap;
+use std::ops::Range;
 
+use crate::hash::FxHashMap;
 use crate::instructions::{CpInstruction, Instruction, OpCode, TEMP_PREFIX};
 use crate::value::Operand;
 
@@ -27,7 +28,7 @@ pub(crate) enum Group {
     /// Lower instruction `i` as-is.
     Single(usize),
     /// Lower this run of consecutive indices as one fused instruction.
-    Chain(Vec<usize>),
+    Chain(Range<usize>),
 }
 
 /// Operand positions holding matrices, per fusible opcode.
@@ -74,7 +75,7 @@ fn as_cp(instr: &Instruction) -> Option<&CpInstruction> {
 /// is a single-shape temporary consumed *only* by `next`'s matrix
 /// positions (a scalar-position or later reference in the same list shows
 /// up as an extra use and vetoes the link).
-fn links(prev: &CpInstruction, next: &CpInstruction, use_counts: &HashMap<&str, usize>) -> bool {
+fn links(prev: &CpInstruction, next: &CpInstruction, use_counts: &FxHashMap<&str, usize>) -> bool {
     let Some(out) = prev.output.as_deref() else {
         return false;
     };
@@ -89,30 +90,32 @@ fn links(prev: &CpInstruction, next: &CpInstruction, use_counts: &HashMap<&str, 
 }
 
 /// Plan fusion over one straight-line instruction list.
-pub(crate) fn plan_fusion(instrs: &[Instruction], use_counts: &HashMap<&str, usize>) -> Vec<Group> {
-    let mut groups = Vec::new();
+pub(crate) fn plan_fusion(
+    instrs: &[Instruction],
+    use_counts: &FxHashMap<&str, usize>,
+) -> Vec<Group> {
+    let mut groups = Vec::with_capacity(instrs.len());
     let mut i = 0;
     while i < instrs.len() {
-        let mut chain = vec![i];
+        let mut end = i + 1;
         if let Some(cp) = as_cp(&instrs[i]) {
             if let Some(shape) = fusible_shape(cp) {
                 let mut prev = cp;
-                while let Some(next) = instrs.get(i + chain.len()).and_then(as_cp) {
+                while let Some(next) = instrs.get(end).and_then(as_cp) {
                     if fusible_shape(next) != Some(shape) || !links(prev, next, use_counts) {
                         break;
                     }
-                    chain.push(i + chain.len());
+                    end += 1;
                     prev = next;
                 }
             }
         }
-        if chain.len() >= 2 {
-            i += chain.len();
-            groups.push(Group::Chain(chain));
+        groups.push(if end - i >= 2 {
+            Group::Chain(i..end)
         } else {
-            groups.push(Group::Single(i));
-            i += 1;
-        }
+            Group::Single(i)
+        });
+        i = end;
     }
     groups
 }
@@ -120,15 +123,15 @@ pub(crate) fn plan_fusion(instrs: &[Instruction], use_counts: &HashMap<&str, usi
 /// Count every read of each variable within one straight-line
 /// instruction list: CP operands (excluding `rmvar`, which is a no-op on
 /// absent variables) and MR-job inputs/outputs. Writes do not count.
-pub(crate) fn use_counts_for(instrs: &[Instruction]) -> HashMap<&str, usize> {
-    let mut counts = HashMap::new();
+pub(crate) fn use_counts_for(instrs: &[Instruction]) -> FxHashMap<&str, usize> {
+    let mut counts = FxHashMap::with_capacity_and_hasher(2 * instrs.len(), Default::default());
     for instr in instrs {
         count_instruction(instr, &mut counts);
     }
     counts
 }
 
-fn count_instruction<'a>(instr: &'a Instruction, counts: &mut HashMap<&'a str, usize>) {
+fn count_instruction<'a>(instr: &'a Instruction, counts: &mut FxHashMap<&'a str, usize>) {
     match instr {
         Instruction::Cp(cp) => {
             if cp.opcode == OpCode::RmVar {
@@ -158,7 +161,7 @@ fn count_instruction<'a>(instr: &'a Instruction, counts: &mut HashMap<&'a str, u
     }
 }
 
-fn bump<'a>(counts: &mut HashMap<&'a str, usize>, name: &'a str) {
+fn bump<'a>(counts: &mut FxHashMap<&'a str, usize>, name: &'a str) {
     *counts.entry(name).or_insert(0) += 1;
 }
 
@@ -196,10 +199,7 @@ mod tests {
     fn single_use_temp_chains() {
         let instrs = vec![mm("X", "Y", "_mVar1", 4, 4), un("_mVar1", "Z", 4, 4)];
         let counts = use_counts_for(&instrs);
-        assert_eq!(
-            plan_fusion(&instrs, &counts),
-            vec![Group::Chain(vec![0, 1])]
-        );
+        assert_eq!(plan_fusion(&instrs, &counts), vec![Group::Chain(0..2)]);
     }
 
     #[test]
@@ -244,9 +244,6 @@ mod tests {
             un("_mVar2", "out", 8, 2),
         ];
         let counts = use_counts_for(&instrs);
-        assert_eq!(
-            plan_fusion(&instrs, &counts),
-            vec![Group::Chain(vec![0, 1, 2])]
-        );
+        assert_eq!(plan_fusion(&instrs, &counts), vec![Group::Chain(0..3)]);
     }
 }

@@ -10,6 +10,9 @@
 //! private `fuse` module) and lower each chain to a single
 //! [`VmOp::Fused`] instruction.
 
+use std::sync::Arc;
+
+use crate::hash::FxHashMap;
 use crate::instructions::{CpInstruction, Instruction, MrOperator, OpCode};
 use crate::program::{Predicate, RtBlock, RuntimeProgram};
 use crate::value::Operand;
@@ -35,15 +38,22 @@ impl Default for VmLowerOptions {
 
 /// Lower a runtime program into flat bytecode.
 pub fn lower_program(program: &RuntimeProgram, options: VmLowerOptions) -> VmProgram {
-    let mut lw = Lowerer {
-        symbols: SymbolTable::default(),
-        consts: Vec::new(),
-        metas: Vec::new(),
-        fused: Vec::new(),
-        mr_jobs: Vec::new(),
-        fuse: options.fuse,
-        stats: VmLowerStats::default(),
-    };
+    let mut lw = Lowerer::new(SymbolTable::default(), options.fuse);
+    // One meta per instruction at most (an MR job adds one per operator).
+    let mut instructions = 0;
+    program.walk(&mut |b| {
+        if let RtBlock::Generic {
+            instructions: code, ..
+        } = b
+        {
+            instructions += code.len();
+        }
+        instructions += b
+            .predicates()
+            .map(|(_, p)| p.instructions.len())
+            .sum::<usize>();
+    });
+    lw.metas.reserve(instructions);
     let blocks = lw.lower_blocks(&program.blocks);
     reml_trace::count("vm.fusion.groups", lw.stats.fused_groups as u64);
     reml_trace::count(
@@ -106,15 +116,7 @@ pub fn lower_fragment(
     plan: &[Instruction],
     fuse_enabled: bool,
 ) -> VmFragment {
-    let mut lw = Lowerer {
-        symbols: base_symbols.extend_clone(),
-        consts: Vec::new(),
-        metas: Vec::new(),
-        fused: Vec::new(),
-        mr_jobs: Vec::new(),
-        fuse: fuse_enabled,
-        stats: VmLowerStats::default(),
-    };
+    let mut lw = Lowerer::new(base_symbols.extend_clone(), fuse_enabled);
     let code = lw.lower_code(plan, fuse_enabled);
     lw.symbols.seal();
     let fragment = VmFragment {
@@ -137,9 +139,52 @@ struct Lowerer {
     mr_jobs: Vec<VmMrJob>,
     fuse: bool,
     stats: VmLowerStats,
+    /// `(mnemonic, metric)` per opcode seen so far, shared by the metas.
+    op_names: FxHashMap<OpCode, Names>,
+    /// The same for fused chains and MR jobs, by mnemonic.
+    other_names: FxHashMap<String, Names>,
+}
+
+/// An instruction's shared `(mnemonic, metric)` names.
+type Names = (Arc<str>, Arc<str>);
+
+/// The names of a mnemonic.
+fn names_of(mnemonic: &str) -> Names {
+    (Arc::from(mnemonic), Arc::from(format!("vm.op.{mnemonic}")))
 }
 
 impl Lowerer {
+    fn new(symbols: SymbolTable, fuse: bool) -> Self {
+        Lowerer {
+            symbols,
+            consts: Vec::new(),
+            metas: Vec::new(),
+            fused: Vec::new(),
+            mr_jobs: Vec::new(),
+            fuse,
+            stats: VmLowerStats::default(),
+            op_names: FxHashMap::default(),
+            other_names: FxHashMap::default(),
+        }
+    }
+
+    /// The names of an opcode; each opcode formats them once per lowering.
+    fn op_names(&mut self, op: &OpCode) -> Names {
+        if let Some(names) = self.op_names.get(op) {
+            return names.clone();
+        }
+        let names = names_of(&op.mnemonic());
+        self.op_names.insert(op.clone(), names.clone());
+        names
+    }
+
+    /// The names of a fused chain's or an MR job's mnemonic.
+    fn other_names(&mut self, mnemonic: String) -> Names {
+        self.other_names
+            .entry(mnemonic)
+            .or_insert_with_key(|m| names_of(m))
+            .clone()
+    }
     fn lower_blocks(&mut self, blocks: &[RtBlock]) -> Vec<VmBlock> {
         blocks.iter().map(|b| self.lower_block(b)).collect()
     }
@@ -207,9 +252,9 @@ impl Lowerer {
             match group {
                 Group::Single(i) => code.push(self.lower_instruction(&instrs[i])),
                 Group::Chain(idxs) => {
-                    let cps: Vec<&CpInstruction> = idxs
+                    let cps: Vec<&CpInstruction> = instrs[idxs]
                         .iter()
-                        .map(|&i| match &instrs[i] {
+                        .map(|instr| match instr {
                             Instruction::Cp(cp) => cp,
                             Instruction::MrJob(_) => unreachable!("chains are CP-only"),
                         })
@@ -254,9 +299,10 @@ impl Lowerer {
                     .collect();
                 self.mr_jobs.push(VmMrJob { ops, outputs });
                 let job_idx = (self.mr_jobs.len() - 1) as u32;
+                let (mnemonic, metric) = self.other_names("mr_job".into());
                 let meta = self.push_meta(InstrMeta {
-                    mnemonic: "mr_job".into(),
-                    metric: "vm.op.mr_job".into(),
+                    mnemonic,
+                    metric,
                     cp_count: 0,
                     observe: None,
                 });
@@ -273,7 +319,8 @@ impl Lowerer {
     fn lower_cp(&mut self, cp: &CpInstruction) -> VmInstr {
         let args: Box<[Arg]> = cp.operands.iter().map(|o| self.lower_arg(o)).collect();
         let out = cp.output.as_deref().map(|n| self.symbols.intern(n));
-        let meta = self.push_meta(self.cp_meta(cp));
+        let meta = self.cp_meta(cp, &args, out);
+        let meta = self.push_meta(meta);
         VmInstr {
             op: VmOp::Cp(cp.opcode.clone()),
             args,
@@ -289,9 +336,10 @@ impl Lowerer {
     fn lower_mr_op(&mut self, op: &MrOperator) -> VmInstr {
         let args: Box<[Arg]> = op.operands.iter().map(|o| self.lower_arg(o)).collect();
         let out = op.output.as_deref().map(|n| self.symbols.intern(n));
+        let (mnemonic, metric) = self.op_names(&op.opcode);
         let meta = self.push_meta(InstrMeta {
-            mnemonic: op.opcode.mnemonic(),
-            metric: format!("vm.op.{}", op.opcode.mnemonic()),
+            mnemonic,
+            metric,
             cp_count: 0,
             observe: None,
         });
@@ -305,35 +353,20 @@ impl Lowerer {
 
     /// Observation metadata precomputed: sum of operand and output size
     /// estimates (None-propagating) plus the sorted distinct
-    /// touched-variable set.
-    fn cp_meta(&self, cp: &CpInstruction) -> InstrMeta {
-        let mnemonic = cp.opcode.mnemonic();
+    /// touched-variable set, read off the lowered operands and output.
+    fn cp_meta(&mut self, cp: &CpInstruction, args: &[Arg], out: Option<u32>) -> InstrMeta {
+        let (mnemonic, metric) = self.op_names(&cp.opcode);
         InstrMeta {
-            metric: format!("vm.op.{mnemonic}"),
+            metric,
             mnemonic,
             cp_count: 1,
             observe: Some(ObserveMeta {
                 predicted_bytes: cp.predicted_bytes(),
                 bound_bytes: cp.bound_bytes,
-                touched: self.touched_symbols(cp),
+                touched: touched_symbols(args, out),
                 predicted_flops: cp_flops(cp),
             }),
         }
-    }
-
-    /// Distinct sorted symbol ids of operand variables and the output.
-    /// Requires all names already interned.
-    fn touched_symbols(&self, cp: &CpInstruction) -> Box<[u32]> {
-        let mut touched: Vec<u32> = cp
-            .operands
-            .iter()
-            .filter_map(Operand::as_var)
-            .chain(cp.output.as_deref())
-            .filter_map(|name| self.symbols.lookup(name))
-            .collect();
-        touched.sort_unstable();
-        touched.dedup();
-        touched.into_boxed_slice()
     }
 
     fn lower_chain(&mut self, cps: &[&CpInstruction]) -> VmInstr {
@@ -380,14 +413,14 @@ impl Lowerer {
         let out = self.symbols.intern(out_name);
 
         let mnemonics: Vec<String> = cps.iter().map(|cp| cp.opcode.mnemonic()).collect();
-        let mnemonic = format!("fused({})", mnemonics.join(","));
+        let (mnemonic, metric) = self.other_names(format!("fused({})", mnemonics.join(",")));
 
         self.fused.push(FusedSpec { steps, rows, cols });
         let spec = (self.fused.len() - 1) as u32;
         self.stats.fused_groups += 1;
         self.stats.fused_ops_eliminated += cps.len() - 1;
         let meta = self.push_meta(InstrMeta {
-            metric: format!("vm.op.{mnemonic}"),
+            metric,
             mnemonic,
             cp_count: cps.len() as u64,
             observe: None,
@@ -399,6 +432,19 @@ impl Lowerer {
             meta,
         }
     }
+}
+
+/// Distinct sorted symbol ids of the variable operands and the output.
+fn touched_symbols(args: &[Arg], out: Option<u32>) -> Box<[u32]> {
+    let mut touched = Vec::with_capacity(args.len() + 1);
+    touched.extend(args.iter().filter_map(|arg| match *arg {
+        Arg::Slot(s) => Some(s),
+        Arg::Const(_) => None,
+    }));
+    touched.extend(out);
+    touched.sort_unstable();
+    touched.dedup();
+    touched.into_boxed_slice()
 }
 
 pub(crate) fn cp_flops(cp: &CpInstruction) -> Option<f64> {

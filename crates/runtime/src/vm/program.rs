@@ -8,11 +8,12 @@
 //! compile-time characteristics, memory bounds) lives in a separate
 //! [`InstrMeta`] table referenced by index.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
 use reml_lang::BlockId;
 use reml_matrix::{BinaryOp, UnaryOp};
 
+use crate::hash::FxHashMap;
 use crate::instructions::OpCode;
 use crate::value::ScalarValue;
 
@@ -21,8 +22,9 @@ use crate::value::ScalarValue;
 /// preresolved buffer-pool slot table.
 #[derive(Debug, Clone, Default)]
 pub struct SymbolTable {
-    names: Vec<String>,
-    index: HashMap<String, u32>,
+    /// Names by symbol id; the index shares each name's allocation.
+    names: Vec<Arc<str>>,
+    index: FxHashMap<Arc<str>, u32>,
     sealed: bool,
 }
 
@@ -42,8 +44,9 @@ impl SymbolTable {
             "intern of new name {name:?} on a sealed symbol table"
         );
         let i = self.names.len() as u32;
-        self.names.push(name.to_string());
-        self.index.insert(name.to_string(), i);
+        let name: Arc<str> = name.into();
+        self.names.push(Arc::clone(&name));
+        self.index.insert(name, i);
         i
     }
 
@@ -67,11 +70,6 @@ impl SymbolTable {
             index: self.index.clone(),
             sealed: false,
         }
-    }
-
-    /// Look up a name without interning.
-    pub fn lookup(&self, name: &str) -> Option<u32> {
-        self.index.get(name).copied()
     }
 
     /// The name of a symbol id.
@@ -140,10 +138,11 @@ pub struct VmInstr {
 #[derive(Debug, Clone)]
 pub struct InstrMeta {
     /// Opcode mnemonic; fused chains use the stable composite form
-    /// `fused(m1,m2,...)`, the name of their `vm.op.*` histogram.
-    pub mnemonic: String,
-    /// Precomputed histogram name `vm.op.<mnemonic>`.
-    pub metric: String,
+    /// `fused(m1,m2,...)`, the name of their `vm.op.*` histogram. Shared
+    /// by every instruction of a program with the same mnemonic.
+    pub mnemonic: Arc<str>,
+    /// Precomputed histogram name `vm.op.<mnemonic>`, shared likewise.
+    pub metric: Arc<str>,
     /// CP-instruction count (1, or a fused chain's length) so
     /// `ExecStats::cp_instructions` matches the tree walker exactly.
     pub cp_count: u64,
@@ -347,8 +346,7 @@ mod tests {
         assert_eq!(t.intern("X"), a);
         assert_ne!(a, b);
         assert_eq!(t.name(a), "X");
-        assert_eq!(t.lookup("y"), Some(b));
-        assert_eq!(t.lookup("z"), None);
+        assert_eq!(t.name(b), "y");
         assert_eq!(t.len(), 2);
     }
 

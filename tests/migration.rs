@@ -124,10 +124,9 @@ fn migration_to_smaller_container_still_correct() {
 #[test]
 fn migration_report_accounts_dirty_bytes() {
     let mut exec = VmExecutor::new(1 << 20, HdfsStore::new());
-    exec.pool
-        .put_with_dirty("clean", reml::matrix::Matrix::constant(10, 10, 1.0), false);
-    exec.pool
-        .put("dirty", reml::matrix::Matrix::constant(20, 10, 2.0));
+    let matrix = |rows, v| std::sync::Arc::new(reml::matrix::Matrix::constant(rows, 10, v));
+    exec.pool.put_with_dirty("clean", matrix(10, 1.0), false);
+    exec.pool.put("dirty", matrix(20, 2.0));
     let report = exec.migrate(2 << 20);
     assert_eq!(report.variables, 2);
     assert_eq!(report.dirty_exported, 1);

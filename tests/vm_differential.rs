@@ -101,7 +101,7 @@ fn observe(
     printed: &[String],
     scalars: BTreeMap<String, ScalarBits>,
     pool_vars: Vec<String>,
-    peek: impl Fn(&str) -> Option<reml::matrix::Matrix>,
+    peek: impl Fn(&str) -> Option<std::sync::Arc<reml::matrix::Matrix>>,
     hdfs: &HdfsStore,
     stats: &reml::runtime::ExecStats,
     observations: Vec<MemObservation>,
