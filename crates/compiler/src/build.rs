@@ -227,7 +227,9 @@ impl<'a> BlockBuilder<'a> {
             let id = self.bindings[name];
             let hop = self.dag.hop(id);
             let (vtype, mc) = (hop.vtype, hop.mc);
-            self.node(HopOp::TWrite(name.to_string()), &[id], vtype, mc);
+            // `bind` entered every assigned name: the write shares its key.
+            let (key, _) = env.get_key_value(name).expect("assigned names are bound");
+            self.node(HopOp::TWrite(key.clone()), &[id], vtype, mc);
         }
         Ok(BuiltDag {
             dag: self.dag,
@@ -358,7 +360,7 @@ impl<'a> BlockBuilder<'a> {
         if let Some(&id) = self.bindings.get(name) {
             return Ok(id);
         }
-        let info = env.get(name).ok_or_else(|| {
+        let (key, info) = env.get_key_value(name).ok_or_else(|| {
             CompileError::Internal(format!("unbound variable '{name}' (validator miss)"))
         })?;
         // Known scalar constants materialize as literals (constant
@@ -368,7 +370,7 @@ impl<'a> BlockBuilder<'a> {
             self.bindings.insert(name, id);
             return Ok(id);
         }
-        let id = self.node(HopOp::TRead(name.to_string()), &[], info.vtype, info.mc);
+        let id = self.node(HopOp::TRead(key.clone()), &[], info.vtype, info.mc);
         self.bindings.insert(name, id);
         Ok(id)
     }
@@ -454,7 +456,7 @@ impl<'a> BlockBuilder<'a> {
                 let path = self.resolve_string(&args[1], env)?;
                 let mc = self.dag.hop(v).mc;
                 let vtype = self.dag.hop(v).vtype;
-                self.node(HopOp::PWrite(path), &[v], vtype, mc);
+                self.node(HopOp::PWrite(path.into()), &[v], vtype, mc);
                 Ok(())
             }
             other => Err(CompileError::Unsupported(format!(
@@ -554,7 +556,7 @@ impl<'a> BlockBuilder<'a> {
                     .get(&path)
                     .copied()
                     .ok_or_else(|| CompileError::MissingInputMetadata(path.clone()))?;
-                Ok(self.node(HopOp::PRead(path), &[], VType::Matrix, mc))
+                Ok(self.node(HopOp::PRead(path.into()), &[], VType::Matrix, mc))
             }
             "matrix" => {
                 let value = self.build_expr(&args[0], env)?;
@@ -1323,7 +1325,7 @@ mod tests {
             .hops
             .iter()
             .filter_map(|h| match &h.op {
-                HopOp::TWrite(n) => Some(n.clone()),
+                HopOp::TWrite(n) => Some(n.to_string()),
                 _ => None,
             })
             .collect();

@@ -7,6 +7,7 @@
 //! elimination through a structural hash map.
 
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use reml_runtime::hash::{FxHashMap, FxHasher};
 
@@ -32,14 +33,15 @@ pub enum VType {
 /// memory estimates and physical operators.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HopOp {
-    /// Transient read of a live variable.
-    TRead(String),
+    /// Transient read of a live variable: the name is the environment's
+    /// own key, shared with every instruction that lowering emits for it.
+    TRead(Arc<str>),
     /// Transient write to a live variable (block output).
-    TWrite(String),
+    TWrite(Arc<str>),
     /// Persistent read from HDFS.
-    PRead(String),
+    PRead(Arc<str>),
     /// Persistent write to HDFS.
-    PWrite(String),
+    PWrite(Arc<str>),
     /// Scalar literal.
     LitNum(f64),
     /// String literal.
@@ -150,7 +152,8 @@ impl HopOp {
         let mut h = FxHasher::default();
         std::mem::discriminant(self).hash(&mut h);
         match self {
-            HopOp::TRead(s) | HopOp::PRead(s) | HopOp::LitStr(s) => s.hash(&mut h),
+            HopOp::TRead(s) | HopOp::PRead(s) => s.hash(&mut h),
+            HopOp::LitStr(s) => s.hash(&mut h),
             HopOp::LitNum(v) if !v.is_nan() => v.to_bits().hash(&mut h),
             _ => {}
         }
@@ -320,9 +323,10 @@ impl HopDag {
             .map(|(i, _)| HopId(i))
             .chain(extra_roots.iter().copied());
         let mut state = vec![0u8; self.hops.len()]; // 0 unvisited, 1 open, 2 done
-        let mut order: Vec<HopId> = Vec::new();
-        // Iterative DFS with explicit (node, next-child) frames.
-        let mut stack: Vec<(HopId, usize)> = Vec::new();
+        let mut order: Vec<HopId> = Vec::with_capacity(self.hops.len());
+        // Iterative DFS with explicit (node, next-child) frames; like
+        // `order`, it holds each hop at most once.
+        let mut stack: Vec<(HopId, usize)> = Vec::with_capacity(self.hops.len());
         for root in roots {
             if state[root.0] != 0 {
                 continue;

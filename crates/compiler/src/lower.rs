@@ -14,14 +14,15 @@
 //!   operators are packed into jobs; a CP instruction consuming a pending
 //!   MR output flushes the pending pack first, preserving execution order.
 
-use std::fmt::Write as _;
+use std::cell::{OnceCell, RefCell};
+use std::sync::Arc;
 
 use reml_matrix::{AggOp, MatrixCharacteristics};
 use reml_runtime::instructions::{CpInstruction, Instruction, OpCode, TEMP_PREFIX};
 use reml_runtime::value::{Operand, ScalarValue};
 
 use crate::config::CompileError;
-use crate::hop::{HopDag, HopId, HopOp, VType};
+use crate::hop::{Hop, HopDag, HopId, HopOp, VType};
 use crate::memest::size_mb;
 use crate::piggyback::{pack_jobs, MrOpKind, MrOpPlan};
 
@@ -44,13 +45,6 @@ pub struct LoweredDag {
     /// Finite operator memory estimates, MB (input to the memory-based
     /// grid generator).
     pub mem_estimates_mb: Vec<f64>,
-    /// Memory thresholds (MB) at which any lowering decision of this DAG
-    /// can flip: operator memory estimates (the CP/MR execution choice),
-    /// matrix sizes (fusion and broadcast-side selection), and sums of
-    /// broadcast candidates (piggybacking's job-packing constraint). Two
-    /// memory budgets with no threshold between them produce an identical
-    /// plan — the what-if session's cache keys on this property.
-    pub decision_estimates_mb: Vec<f64>,
 }
 
 impl LoweredDag {
@@ -68,28 +62,153 @@ pub fn lower_dag(
     dag: &HopDag,
     cp_budget_mb: f64,
     mr_budget_mb: f64,
-    extra_roots: &[(HopId, String)],
+    extra_roots: &[(HopId, Arc<str>)],
 ) -> Result<LoweredDag, CompileError> {
     Lowering {
         dag,
         cp_budget_mb,
         mr_budget_mb,
-        // Shared with the runtime: the VM's fusion pass recognizes
-        // single-use compiler temporaries by this prefix.
-        temp_prefix: TEMP_PREFIX,
+        consumers: OnceCell::new(),
     }
     .run(extra_roots)
+}
+
+/// A hop's finite, positive operator memory estimate, MB, when it is a
+/// matrix operator (the grid generator's input and a CP/MR threshold).
+fn mem_estimate_mb(hop: &Hop) -> Option<f64> {
+    (hop.mem_mb.is_finite() && hop.mem_mb > 0.0 && hop.op.is_matrix_op()).then_some(hop.mem_mb)
+}
+
+/// Memory thresholds (MB) at which any lowering decision of `dag` with
+/// the given extra `roots` can flip, independent of any particular budget:
+///
+/// * operator memory estimates (the CP/MR execution choice);
+/// * sizes of live matrices (transpose fusion and the broadcast-side
+///   checks of MR operator planning);
+/// * sums over broadcast candidates (the cumulative broadcast-memory
+///   constraint of [`pack_jobs`]). Each MR operator broadcasts at most
+///   one of its matrix inputs, so candidate sums range over subsets of
+///   the distinct matrix inputs of MR-capable operators; for large
+///   candidate counts this falls back to contiguous-run sums, which
+///   covers the packer's consecutive-pending-run accumulation.
+///
+/// Two memory budgets with no threshold between them lower the DAG to an
+/// identical plan — the what-if session's cache keys on this property.
+/// Nothing here reads a budget, so a session derives the thresholds once
+/// per DAG rather than on every lowering.
+pub fn decision_thresholds(dag: &HopDag, roots: &[HopId]) -> Vec<f64> {
+    let live = dag.live_hops(roots);
+    let mut out: Vec<f64> = live
+        .iter()
+        .filter_map(|&id| mem_estimate_mb(dag.hop(id)))
+        .collect();
+    let mut candidates: Vec<f64> = Vec::new();
+    let mut seen_inputs = vec![false; dag.len()];
+    for &id in &live {
+        let hop = dag.hop(id);
+        if hop.vtype == VType::Matrix {
+            let s = size_mb(&hop.mc);
+            if s.is_finite() && s > 0.0 {
+                out.push(s);
+            }
+        }
+        if is_mr_capable(&hop.op) {
+            for &input in &hop.inputs {
+                if dag.hop(input).vtype == VType::Matrix && !seen_inputs[input.0] {
+                    seen_inputs[input.0] = true;
+                    // Broadcast sizes are capped like `broadcasts_full`.
+                    let s = size_mb(&dag.hop(input).mc).min(1e9);
+                    if s.is_finite() && s > 0.0 {
+                        candidates.push(s);
+                    }
+                }
+            }
+        }
+    }
+    if candidates.len() <= 12 {
+        // All subset sums of two or more candidates (singletons are
+        // already covered by the size thresholds above), in mask
+        // order. A mask's sum is the sum of its lower bits plus its
+        // highest candidate: the additions of summing its candidates
+        // in index order, each done once.
+        let mut sums = vec![0.0f64; 1 << candidates.len()];
+        out.reserve(sums.len());
+        for mask in 1..sums.len() {
+            let high = mask.ilog2() as usize;
+            sums[mask] = sums[mask ^ (1 << high)] + candidates[high];
+            if mask.count_ones() >= 2 {
+                out.push(sums[mask]);
+            }
+        }
+    } else {
+        for i in 0..candidates.len() {
+            let mut sum = candidates[i];
+            for c in &candidates[i + 1..] {
+                sum += c;
+                out.push(sum);
+            }
+        }
+    }
+    out
+}
+
+/// Whether an operator may run as an MR operator (matrix operators only).
+fn is_mr_capable(op: &HopOp) -> bool {
+    matches!(
+        op,
+        HopOp::MatMult
+            | HopOp::MmChain
+            | HopOp::BinaryMM(_)
+            | HopOp::BinaryMS(_)
+            | HopOp::BinarySM(_)
+            | HopOp::UnaryM(_)
+            | HopOp::Agg(_)
+            | HopOp::Transpose
+            | HopOp::TableSeq
+            | HopOp::RightIndex
+            | HopOp::LeftIndex
+            | HopOp::Append
+            | HopOp::RBind
+            | HopOp::Diag
+            | HopOp::DataGenConst
+            | HopOp::DataGenSeq
+            | HopOp::DataGenRand
+    ) && op.is_matrix_op()
+}
+
+thread_local! {
+    /// `_mVar{id}` for every hop id a lowering on this thread has named,
+    /// indexed by id. Every lowering names hop `id`'s value the same, so
+    /// one table serves them all: a name is formatted once per thread,
+    /// and each instruction that references it holds a shared handle.
+    static TEMP_NAMES: RefCell<Vec<Arc<str>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The name of hop `id`'s value when it is a block-local temporary:
+/// `_mVar{id}`. The prefix is shared with the runtime: the VM's fusion
+/// pass recognizes single-use compiler temporaries by it.
+fn temp_name(id: HopId) -> Arc<str> {
+    TEMP_NAMES.with(|names| {
+        let mut names = names.borrow_mut();
+        while names.len() <= id.0 {
+            let name = format!("{TEMP_PREFIX}{}", names.len());
+            names.push(name.into());
+        }
+        names[id.0].clone()
+    })
 }
 
 struct Lowering<'a> {
     dag: &'a HopDag,
     cp_budget_mb: f64,
     mr_budget_mb: f64,
-    temp_prefix: &'static str,
+    /// Consumer lists over live hops, indexed by `HopId`: built at the
+    /// first flush and the same for every later one.
+    consumers: OnceCell<Vec<Vec<HopId>>>,
 }
 
 impl<'a> Lowering<'a> {
-    fn run(&self, extra_roots: &[(HopId, String)]) -> Result<LoweredDag, CompileError> {
+    fn run(&self, extra_roots: &[(HopId, Arc<str>)]) -> Result<LoweredDag, CompileError> {
         let root_ids: Vec<HopId> = extra_roots.iter().map(|(id, _)| *id).collect();
         let live = self.dag.live_hops(&root_ids);
 
@@ -109,10 +228,7 @@ impl<'a> Lowering<'a> {
         let mut requires_recompile = false;
         let mut mem_estimates = Vec::new();
         for &id in &live {
-            let hop = self.dag.hop(id);
-            if hop.mem_mb.is_finite() && hop.mem_mb > 0.0 && hop.op.is_matrix_op() {
-                mem_estimates.push(hop.mem_mb);
-            }
+            mem_estimates.extend(mem_estimate_mb(self.dag.hop(id)));
             let e = self.decide_exec(id);
             if self.is_unknown_matrix_op(id) {
                 requires_recompile = true;
@@ -197,7 +313,9 @@ impl<'a> Lowering<'a> {
                     let input = hop.inputs[0];
                     self.flush_if_pending(&[input], &mut pending, &mut out, &live, &external);
                     out.push(Instruction::Cp(CpInstruction {
-                        opcode: OpCode::PersistentWrite { path: path.clone() },
+                        opcode: OpCode::PersistentWrite {
+                            path: path.to_string(),
+                        },
                         operands: vec![self.operand_of(input)],
                         output: None,
                         operand_mcs: vec![self.dag.hop(input).mc],
@@ -207,7 +325,9 @@ impl<'a> Lowering<'a> {
                 }
                 HopOp::PRead(path) => {
                     out.push(Instruction::Cp(CpInstruction {
-                        opcode: OpCode::PersistentRead { path: path.clone() },
+                        opcode: OpCode::PersistentRead {
+                            path: path.to_string(),
+                        },
                         operands: vec![],
                         output: Some(path.clone()),
                         operand_mcs: vec![],
@@ -248,74 +368,8 @@ impl<'a> Lowering<'a> {
         Ok(LoweredDag {
             instructions: out,
             requires_recompile,
-            decision_estimates_mb: self.decision_estimates(&live, &mem_estimates),
             mem_estimates_mb: mem_estimates,
         })
-    }
-
-    /// All memory values the lowering of this DAG compares against a
-    /// budget, independent of any particular budget:
-    ///
-    /// * operator memory estimates ([`Lowering::decide_exec`]);
-    /// * sizes of live matrices (transpose fusion and the `small()`
-    ///   broadcast-side checks of [`Lowering::plan_mr`]);
-    /// * sums over broadcast candidates (the cumulative broadcast-memory
-    ///   constraint of [`pack_jobs`]). Each MR operator broadcasts at most
-    ///   one of its matrix inputs, so candidate sums range over subsets of
-    ///   the distinct matrix inputs of MR-capable operators; for large
-    ///   candidate counts this falls back to contiguous-run sums, which
-    ///   covers the packer's consecutive-pending-run accumulation.
-    fn decision_estimates(&self, live: &[HopId], mem_estimates: &[f64]) -> Vec<f64> {
-        let mut out: Vec<f64> = Vec::with_capacity(mem_estimates.len() + live.len());
-        out.extend_from_slice(mem_estimates);
-        let mut candidates: Vec<f64> = Vec::new();
-        let mut seen_inputs = vec![false; self.dag.len()];
-        for &id in live {
-            let hop = self.dag.hop(id);
-            if hop.vtype == VType::Matrix {
-                let s = size_mb(&hop.mc);
-                if s.is_finite() && s > 0.0 {
-                    out.push(s);
-                }
-            }
-            if hop.op.is_matrix_op() && self.is_mr_capable(&hop.op) {
-                for &input in &hop.inputs {
-                    if self.dag.hop(input).vtype == VType::Matrix && !seen_inputs[input.0] {
-                        seen_inputs[input.0] = true;
-                        // Broadcast sizes are capped like `broadcasts_full`.
-                        let s = size_mb(&self.dag.hop(input).mc).min(1e9);
-                        if s.is_finite() && s > 0.0 {
-                            candidates.push(s);
-                        }
-                    }
-                }
-            }
-        }
-        if candidates.len() <= 12 {
-            // All subset sums of two or more candidates (singletons are
-            // already covered by the size thresholds above), in mask
-            // order. A mask's sum is the sum of its lower bits plus its
-            // highest candidate: the additions of summing its candidates
-            // in index order, each done once.
-            let mut sums = vec![0.0f64; 1 << candidates.len()];
-            out.reserve(sums.len());
-            for mask in 1..sums.len() {
-                let high = mask.ilog2() as usize;
-                sums[mask] = sums[mask ^ (1 << high)] + candidates[high];
-                if mask.count_ones() >= 2 {
-                    out.push(sums[mask]);
-                }
-            }
-        } else {
-            for i in 0..candidates.len() {
-                let mut sum = candidates[i];
-                for c in &candidates[i + 1..] {
-                    sum += c;
-                    out.push(sum);
-                }
-            }
-        }
-        out
     }
 
     fn is_unknown_matrix_op(&self, id: HopId) -> bool {
@@ -328,7 +382,7 @@ impl<'a> Lowering<'a> {
     /// regardless; pure-scalar operators are always CP.
     fn decide_exec(&self, id: HopId) -> ExecType {
         let hop = self.dag.hop(id);
-        if !self.is_mr_capable(&hop.op) {
+        if !is_mr_capable(&hop.op) {
             return ExecType::Cp;
         }
         if hop.mem_mb <= self.cp_budget_mb {
@@ -336,29 +390,6 @@ impl<'a> Lowering<'a> {
         } else {
             ExecType::Mr
         }
-    }
-
-    fn is_mr_capable(&self, op: &HopOp) -> bool {
-        matches!(
-            op,
-            HopOp::MatMult
-                | HopOp::MmChain
-                | HopOp::BinaryMM(_)
-                | HopOp::BinaryMS(_)
-                | HopOp::BinarySM(_)
-                | HopOp::UnaryM(_)
-                | HopOp::Agg(_)
-                | HopOp::Transpose
-                | HopOp::TableSeq
-                | HopOp::RightIndex
-                | HopOp::LeftIndex
-                | HopOp::Append
-                | HopOp::RBind
-                | HopOp::Diag
-                | HopOp::DataGenConst
-                | HopOp::DataGenSeq
-                | HopOp::DataGenRand
-        ) && matches!(op, o if o.is_matrix_op())
     }
 
     /// Whether the chosen physical operator for a `MatMult(Transpose(X), B)`
@@ -376,31 +407,22 @@ impl<'a> Lowering<'a> {
             || size_mb(&self.dag.hop(r).mc) <= self.cp_budget_mb
     }
 
-    fn temp_name(&self, id: HopId) -> String {
-        let mut name = String::with_capacity(self.temp_prefix.len() + 4);
-        name.push_str(self.temp_prefix);
-        write!(name, "{}", id.0).expect("writing to a String cannot fail");
-        name
-    }
-
     /// Operand for a hop's value.
     fn operand_of(&self, id: HopId) -> Operand {
         match &self.dag.hop(id).op {
             HopOp::LitNum(v) => Operand::Lit(ScalarValue::Num(*v)),
             HopOp::LitStr(s) => Operand::Lit(ScalarValue::Str(s.clone())),
             HopOp::LitBool(b) => Operand::Lit(ScalarValue::Bool(*b)),
-            HopOp::TRead(name) => Operand::Var(name.clone()),
-            HopOp::PRead(path) => Operand::Var(path.clone()),
-            _ => Operand::Var(self.temp_name(id)),
+            HopOp::TRead(name) | HopOp::PRead(name) => Operand::Var(name.clone()),
+            _ => Operand::Var(temp_name(id)),
         }
     }
 
     /// Variable name a hop's value lives under (for MR dataflow).
-    fn var_name_of(&self, id: HopId) -> String {
+    fn var_name_of(&self, id: HopId) -> Arc<str> {
         match &self.dag.hop(id).op {
-            HopOp::TRead(name) => name.clone(),
-            HopOp::PRead(path) => path.clone(),
-            _ => self.temp_name(id),
+            HopOp::TRead(name) | HopOp::PRead(name) => name.clone(),
+            _ => temp_name(id),
         }
     }
 
@@ -433,7 +455,7 @@ impl<'a> Lowering<'a> {
         let output = if matches!(hop.op, HopOp::Print | HopOp::PWrite(_)) {
             None
         } else {
-            Some(self.temp_name(id))
+            Some(temp_name(id))
         };
         Instruction::Cp(CpInstruction {
             opcode,
@@ -574,12 +596,12 @@ impl<'a> Lowering<'a> {
             other => unreachable!("non-MR op planned for MR: {other:?}"),
         }
 
-        let streamed: Vec<(HopId, String, MatrixCharacteristics)> = op_inputs
+        let streamed: Vec<(HopId, Arc<str>, MatrixCharacteristics)> = op_inputs
             .iter()
             .filter(|i| matrix_inputs.contains(i) && !broadcasts.contains(i))
             .map(|i| (*i, self.var_name_of(*i), self.dag.hop(*i).mc))
             .collect();
-        let broadcasts_full: Vec<(HopId, String, MatrixCharacteristics, f64)> = broadcasts
+        let broadcasts_full: Vec<(HopId, Arc<str>, MatrixCharacteristics, f64)> = broadcasts
             .iter()
             .map(|i| {
                 let mc = self.dag.hop(*i).mc;
@@ -592,7 +614,7 @@ impl<'a> Lowering<'a> {
             operands: op_inputs.iter().map(|i| self.operand_of(*i)).collect(),
             operand_mcs: op_inputs.iter().map(|i| self.dag.hop(*i).mc).collect(),
             opcode,
-            output: self.temp_name(id),
+            output: temp_name(id),
             output_mc: hop.mc,
             broadcasts: broadcasts_full,
             streamed,
@@ -626,13 +648,16 @@ impl<'a> Lowering<'a> {
         }
         let _s = reml_trace::span!("compile.piggyback", pending = pending.len());
         // Consumer lists over live hops, which decide the jobs' outputs.
-        let mut consumers = vec![Vec::new(); self.dag.len()];
-        for &id in live {
-            for &input in &self.dag.hop(id).inputs {
-                consumers[input.0].push(id);
+        let consumers = self.consumers.get_or_init(|| {
+            let mut consumers = vec![Vec::new(); self.dag.len()];
+            for &id in live {
+                for &input in &self.dag.hop(id).inputs {
+                    consumers[input.0].push(id);
+                }
             }
-        }
-        let jobs = pack_jobs(pending, self.mr_budget_mb, &consumers, external);
+            consumers
+        });
+        let jobs = pack_jobs(pending, self.mr_budget_mb, consumers, external);
         reml_trace::event!("compile.piggyback_packed", jobs = jobs.len());
         out.extend(jobs.into_iter().map(Instruction::MrJob));
         pending.clear();
@@ -796,7 +821,7 @@ mod tests {
             })
             .expect("MR job");
         assert_eq!(job.broadcast_inputs.len(), 1);
-        assert_eq!(job.broadcast_inputs[0].0, "hdfs:Y");
+        assert_eq!(&*job.broadcast_inputs[0].0, "hdfs:Y");
     }
 
     #[test]

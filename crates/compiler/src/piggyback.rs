@@ -12,6 +12,7 @@
 //! which keeps dependencies forward.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use reml_matrix::MatrixCharacteristics;
 use reml_runtime::instructions::{MrJobInstruction, MrLocation, MrOperator, OpCode};
@@ -47,13 +48,13 @@ pub struct MrOpPlan {
     /// Operand characteristics.
     pub operand_mcs: Vec<MatrixCharacteristics>,
     /// Output variable name.
-    pub output: String,
+    pub output: Arc<str>,
     /// Output characteristics.
     pub output_mc: MatrixCharacteristics,
     /// Hop inputs that are broadcast into task memory (with sizes).
-    pub broadcasts: Vec<(HopId, String, MatrixCharacteristics, f64)>,
+    pub broadcasts: Vec<(HopId, Arc<str>, MatrixCharacteristics, f64)>,
     /// Hop inputs streamed from HDFS / the job dataflow (not broadcast).
-    pub streamed: Vec<(HopId, String, MatrixCharacteristics)>,
+    pub streamed: Vec<(HopId, Arc<str>, MatrixCharacteristics)>,
     /// Data shuffled by this operator (map→reduce), if any.
     pub shuffle: Vec<MatrixCharacteristics>,
 }
@@ -97,8 +98,8 @@ struct JobBuilder {
     produced_reduce: Vec<HopId>,
     members: Vec<HopId>,
     broadcast_mb: f64,
-    broadcast_inputs: BTreeMap<String, MatrixCharacteristics>,
-    hdfs_inputs: BTreeMap<String, MatrixCharacteristics>,
+    broadcast_inputs: BTreeMap<Arc<str>, MatrixCharacteristics>,
+    hdfs_inputs: BTreeMap<Arc<str>, MatrixCharacteristics>,
     shuffle: Vec<MatrixCharacteristics>,
     mr_budget_mb: f64,
 }
@@ -280,22 +281,15 @@ mod tests {
                 .chain(broadcasts.iter().map(|(_, n, _)| Operand::var(*n)))
                 .collect(),
             operand_mcs: vec![],
-            output: output.to_string(),
+            output: output.into(),
             output_mc: MatrixCharacteristics::dense(10, 10),
             broadcasts: broadcasts
                 .into_iter()
-                .map(|(h, n, mb)| {
-                    (
-                        HopId(h),
-                        n.to_string(),
-                        MatrixCharacteristics::dense(10, 1),
-                        mb,
-                    )
-                })
+                .map(|(h, n, mb)| (HopId(h), n.into(), MatrixCharacteristics::dense(10, 1), mb))
                 .collect(),
             streamed: streamed
                 .into_iter()
-                .map(|(h, n, mc)| (HopId(h), n.to_string(), mc))
+                .map(|(h, n, mc)| (HopId(h), n.into(), mc))
                 .collect(),
             shuffle,
         }
@@ -334,7 +328,7 @@ mod tests {
         assert_eq!(jobs[0].mappers.len(), 2);
         // y1 consumed only inside; y2 is the sole output.
         assert_eq!(jobs[0].outputs.len(), 1);
-        assert_eq!(jobs[0].outputs[0].0, "y2");
+        assert_eq!(&*jobs[0].outputs[0].0, "y2");
         // X read once from HDFS.
         assert_eq!(jobs[0].hdfs_inputs.len(), 1);
     }
@@ -367,8 +361,8 @@ mod tests {
         assert_eq!(jobs.len(), 2);
         // r crosses the job boundary: it is an output of job 1 and an
         // input of job 2.
-        assert_eq!(jobs[0].outputs[0].0, "r");
-        assert!(jobs[1].hdfs_inputs.iter().any(|(n, _)| n == "r"));
+        assert_eq!(&*jobs[0].outputs[0].0, "r");
+        assert!(jobs[1].hdfs_inputs.iter().any(|(n, _)| &**n == "r"));
     }
 
     #[test]

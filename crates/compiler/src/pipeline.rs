@@ -5,6 +5,7 @@
 //! loop (§4) use.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use reml_lang::ast::{BinOp, Expr};
 use reml_lang::blocks::{
@@ -22,7 +23,7 @@ use crate::build::{
 use crate::config::{CompileConfig, CompileError, CompileStats};
 use crate::hop::{CseHit, HopDag, HopId, VType};
 use crate::inline::inline_functions;
-use crate::lower::lower_dag;
+use crate::lower::{decision_thresholds, lower_dag};
 use crate::memest::estimate_dag;
 use crate::rewrites::{apply_rewrites_logged, RewriteRecord, RewriteStats};
 
@@ -93,10 +94,6 @@ pub struct BlockSummary {
     pub all_mr_unknown: bool,
     /// Finite operator memory estimates, MB (memory-based grid fodder).
     pub mem_estimates_mb: Vec<f64>,
-    /// Memory thresholds (MB) at which this block's plan can change —
-    /// see [`crate::lower::LoweredDag::decision_estimates_mb`]. The
-    /// what-if session derives its cache fingerprints from these.
-    pub decision_estimates_mb: Vec<f64>,
 }
 
 /// Everything the rewrite engine claimed about one generic block:
@@ -155,11 +152,6 @@ pub struct CompiledProgram {
     /// statement-block id). Resource-independent; enables per-block
     /// what-if recompilation without re-walking the program.
     pub entry_envs: BTreeMap<usize, Env>,
-    /// Decision thresholds of predicate lowerings (if/while/for
-    /// conditions), which are not covered by the per-block summaries but
-    /// still budget-sensitive; whole-program cache fingerprints must
-    /// include them.
-    pub predicate_decision_estimates_mb: Vec<f64>,
     /// Structured self-report of every rewrite, fold, CSE merge, and
     /// branch removal the compiler performed (empty for single-block
     /// recompiles, which do not record).
@@ -239,7 +231,6 @@ pub(crate) fn compile_memo(
         stats: walker.stats,
         summaries: walker.summaries,
         entry_envs: walker.entry_envs,
-        predicate_decision_estimates_mb: walker.predicate_estimates,
         rewrite_audit: walker.audit,
     })
 }
@@ -340,6 +331,22 @@ pub(crate) struct WalkMemo {
     predicates: HashMap<(usize, PredSlot), (HopDag, HopId)>,
 }
 
+impl WalkMemo {
+    /// The memoized walk's decision thresholds (see
+    /// [`decision_thresholds`]): each generic block's, keyed by block id,
+    /// and each predicate's, in no particular order. They are a function
+    /// of the memoized DAGs alone, so no lowering computes them.
+    pub(crate) fn thresholds(&self) -> (BTreeMap<usize, Vec<f64>>, Vec<f64>) {
+        let blocks = (self.generic.iter())
+            .map(|(&id, built)| (id, decision_thresholds(&built.dag, &[])))
+            .collect();
+        let predicates = (self.predicates.values())
+            .flat_map(|(dag, root)| decision_thresholds(dag, &[*root]))
+            .collect();
+        (blocks, predicates)
+    }
+}
+
 /// Which predicate of a control-flow block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum PredSlot {
@@ -401,7 +408,6 @@ struct Walker<'a, 'm> {
     stats: CompileStats,
     summaries: Vec<BlockSummary>,
     entry_envs: BTreeMap<usize, Env>,
-    predicate_estimates: Vec<f64>,
     audit: RewriteAudit,
     /// Record entry envs (disabled for single-block recompiles).
     record: bool,
@@ -415,7 +421,6 @@ impl<'a, 'm> Walker<'a, 'm> {
             stats: CompileStats::default(),
             summaries: Vec::new(),
             entry_envs: BTreeMap::new(),
-            predicate_estimates: Vec::new(),
             audit: RewriteAudit::default(),
             record,
         }
@@ -751,7 +756,6 @@ impl<'a, 'm> Walker<'a, 'm> {
             requires_recompile: lowered.requires_recompile,
             all_mr_unknown,
             mem_estimates_mb: lowered.mem_estimates_mb,
-            decision_estimates_mb: lowered.decision_estimates_mb,
         });
         Ok(RtBlock::Generic {
             source: id,
@@ -786,10 +790,8 @@ impl<'a, 'm> Walker<'a, 'm> {
             dag,
             self.config.cp_budget_mb(),
             self.config.mr_budget_mb(block.0),
-            &[(root, result_var.clone())],
+            &[(root, Arc::from(result_var.as_str()))],
         )?;
-        self.predicate_estimates
-            .extend(lowered.decision_estimates_mb);
         if let (Some(memo), Some(fresh)) = (self.filling(), fresh) {
             memo.predicates.insert(key, fresh);
         }

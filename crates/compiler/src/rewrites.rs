@@ -528,7 +528,7 @@ mod tests {
         dag.add(HopOp::TWrite("o".into()), vec![t2], VType::Matrix, mc);
         let (stats, log) = apply_rewrites_logged(&mut dag);
         assert_eq!(stats.double_transposes, 1);
-        assert!(matches!(&dag.hop(t2).op, HopOp::TRead(n) if n == "X"));
+        assert!(matches!(&dag.hop(t2).op, HopOp::TRead(n) if &**n == "X"));
         assert_eq!(log[0].rule, RewriteRule::DoubleTranspose);
         assert_eq!(log[0].root, t2);
         // The inner transpose is dead now.
@@ -567,7 +567,7 @@ mod tests {
         dag.add(HopOp::TWrite("o".into()), vec![m], VType::Matrix, mc);
         let (stats, log) = apply_rewrites_logged(&mut dag);
         assert_eq!(stats.identity_elims, 1);
-        assert!(matches!(&dag.hop(m).op, HopOp::TRead(n) if n == "X"));
+        assert!(matches!(&dag.hop(m).op, HopOp::TRead(n) if &**n == "X"));
         assert_eq!(log[0].rule, RewriteRule::IdentityElim);
     }
 

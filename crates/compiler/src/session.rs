@@ -10,9 +10,9 @@
 //! Every lowering decision the compiler makes under a memory budget —
 //! the CP/MR execution choice, physical-operator selection, fusion,
 //! broadcast-side selection, and piggybacking's job packing — flips only
-//! at a finite set of memory thresholds collected per block during the
-//! probe compilation (see
-//! [`crate::lower::LoweredDag::decision_estimates_mb`]). Two budgets
+//! at a finite set of memory thresholds, a function of each block's HOP
+//! DAG alone (see [`crate::lower::decision_thresholds`]), which the
+//! session derives from its probe compile's DAGs. Two budgets
 //! with no threshold between them therefore produce bit-identical plans,
 //! so a fingerprint is simply the index of the budget's interval in the
 //! sorted threshold list. Grid enumeration over tens of heap sizes
@@ -102,7 +102,8 @@ pub struct WhatIfSession<'a> {
     /// The probe walk's budget-independent half (empty unless caching):
     /// every later compile only re-lowers it.
     memo: WalkMemo,
-    /// Sorted, deduplicated decision thresholds per generic block.
+    /// Sorted, deduplicated decision thresholds per generic block (empty
+    /// unless caching: only cache keys read them).
     block_thresholds: BTreeMap<usize, Vec<f64>>,
     /// Union of all block thresholds plus predicate-lowering thresholds.
     program_thresholds: Vec<f64>,
@@ -116,8 +117,9 @@ pub struct WhatIfSession<'a> {
 }
 
 impl<'a> WhatIfSession<'a> {
-    /// Open a session: compile the probe plan at minimal resources and
-    /// derive the decision thresholds from its block summaries. `scope`
+    /// Open a session: compile the probe plan at minimal resources and,
+    /// when caching, derive the decision thresholds from the DAGs its walk
+    /// memoized. `scope`
     /// restricts every compilation to the top-level blocks from the
     /// given index onward, starting from the given environment (the §4.2
     /// re-optimization scope).
@@ -143,18 +145,13 @@ impl<'a> WhatIfSession<'a> {
             },
         )?;
 
-        let mut block_thresholds: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
-        for s in &probe.summaries {
-            block_thresholds
-                .entry(s.block_id)
-                .or_default()
-                .extend_from_slice(&s.decision_estimates_mb);
-        }
+        // The memo holds every block and predicate DAG the probe lowered.
+        let (mut block_thresholds, predicate_thresholds) = memo.thresholds();
         let mut program_thresholds: Vec<f64> = block_thresholds
             .values()
             .flatten()
             .copied()
-            .chain(probe.predicate_decision_estimates_mb.iter().copied())
+            .chain(predicate_thresholds)
             .collect();
         for th in block_thresholds.values_mut() {
             sort_dedup(th);
@@ -207,6 +204,19 @@ impl<'a> WhatIfSession<'a> {
     /// The base compile configuration (cluster, params, inputs).
     pub fn base(&self) -> &CompileConfig {
         &self.base
+    }
+
+    /// The sorted budget thresholds (MB) whole-program plan keys are
+    /// fingerprinted over: every block's and predicate's decision
+    /// thresholds plus any added program threshold. Empty without caching.
+    pub fn program_thresholds(&self) -> &[f64] {
+        &self.program_thresholds
+    }
+
+    /// The sorted decision thresholds (MB) of one generic block, when
+    /// caching and the probe compile reached the block.
+    pub fn block_thresholds(&self, block_id: usize) -> Option<&[f64]> {
+        self.block_thresholds.get(&block_id).map(Vec::as_slice)
     }
 
     /// The recorded entry environment of a generic block, if the probe
@@ -365,9 +375,11 @@ impl<'a> WhatIfSession<'a> {
         mr_heap_mb: u64,
     ) -> Result<Arc<CompiledBlock>, CompileError> {
         let t0 = Instant::now();
-        let key = self.block_key(block_id, cp_heap_mb, mr_heap_mb);
-        if self.caching {
-            let hit = self.blocks.lock().get(&key).cloned();
+        let key = self
+            .caching
+            .then(|| self.block_key(block_id, cp_heap_mb, mr_heap_mb));
+        if let Some(key) = &key {
+            let hit = self.blocks.lock().get(key).cloned();
             self.cache_us
                 .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
             if let Some(hit) = hit {
@@ -406,7 +418,7 @@ impl<'a> WhatIfSession<'a> {
             instructions,
             summary,
         });
-        if self.caching {
+        if let Some(key) = key {
             let t1 = Instant::now();
             self.blocks.lock().insert(key, block.clone());
             self.cache_us

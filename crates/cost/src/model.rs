@@ -297,12 +297,11 @@ impl CostModel {
                 return c;
             }
             OpCode::PersistentWrite { path: _ } => {
-                let operand_state = cp
-                    .operands
-                    .first()
-                    .and_then(Operand::as_var)
-                    .map(|v| states.get(v))
-                    .unwrap_or(VarState::InMemoryDirty);
+                let var = match cp.operands.first() {
+                    Some(Operand::Var(var)) => Some(var),
+                    _ => None,
+                };
+                let operand_state = var.map_or(VarState::InMemoryDirty, |v| states.get(v));
                 // Clean variables (MR outputs / unmodified reads) need no
                 // write; dirty in-memory variables are exported.
                 if operand_state == VarState::InMemoryDirty {
@@ -313,7 +312,7 @@ impl CostModel {
                         .unwrap_or(0) as f64
                         / MBF;
                     c.io_s += mb / self.cluster.hdfs_write_mbs;
-                    if let Some(var) = cp.operands.first().and_then(Operand::as_var) {
+                    if let Some(var) = var {
                         states.set(var, VarState::InMemoryClean);
                     }
                 }
@@ -523,7 +522,7 @@ mod tests {
             opcode,
             operands: ops,
             operand_mcs: mcs,
-            output: output.map(|(n, _)| n.to_string()),
+            output: output.map(|(n, _)| n.into()),
             output_mc: output
                 .map(|(_, mc)| mc)
                 .unwrap_or_else(MatrixCharacteristics::scalar),
@@ -716,7 +715,7 @@ mod tests {
         };
         // Case 1: v dirty in memory -> export charged.
         let mut s1 = VarStates::new();
-        s1.set("v", VarState::InMemoryDirty);
+        s1.set(&"v".into(), VarState::InMemoryDirty);
         let c1 = m.cost_instructions(&[Instruction::MrJob(job.clone())], 1_000_000, 2048, &mut s1);
         // Case 2: v already on HDFS.
         let mut s2 = VarStates::new();
@@ -874,7 +873,7 @@ mod tests {
         };
         // Manually give predicate var.
         let mut states = VarStates::new();
-        states.set("c", VarState::InMemoryClean);
+        states.set(&"c".into(), VarState::InMemoryClean);
         let mut total = CostBreakdown::default();
         total.add(&m.cost_block(&loop_block, 1_000_000, &|_| 512, &mut states));
         // IO should be the one-time 8 GB read (~51 s), not 5x.

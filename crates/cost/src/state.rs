@@ -1,6 +1,8 @@
 //! Live-variable state tracking for the plan scan.
 
-use std::collections::HashMap;
+use std::sync::Arc;
+
+use reml_runtime::hash::FxHashMap;
 
 /// Where a variable's current value lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,10 +40,14 @@ impl VarState {
 /// [`VarStates::enforce_budget`] check compared while more than one
 /// variable was resident. A scan whose peak fits its budget evicted
 /// nothing, and so runs identically under every budget ≥ that peak.
+///
+/// Names are the instructions' own shared handles: entering a name
+/// clones its `Arc`, never its text, so a clone of the map (the scan
+/// forks one per arm of an `if`) copies two tables and bumps refcounts.
 #[derive(Debug, Clone, Default)]
 pub struct VarStates {
-    states: HashMap<String, VarState>,
-    resident: Vec<(String, u64)>,
+    states: FxHashMap<Arc<str>, VarState>,
+    resident: Vec<(Arc<str>, u64)>,
     peak: u64,
 }
 
@@ -56,23 +62,28 @@ impl VarStates {
         self.states.get(name).copied().unwrap_or(VarState::OnHdfs)
     }
 
-    /// Set a variable's state.
-    pub fn set(&mut self, name: &str, state: VarState) {
-        self.states.insert(name.to_string(), state);
+    /// Set a variable's state, in place when the variable is known.
+    pub fn set(&mut self, name: &Arc<str>, state: VarState) {
+        match self.states.get_mut(&**name) {
+            Some(slot) => *slot = state,
+            None => {
+                self.states.insert(name.clone(), state);
+            }
+        }
         if state == VarState::OnHdfs {
             self.drop_resident(name);
         }
     }
 
     /// Note that a variable now occupies `bytes` of CP memory.
-    pub fn note_resident(&mut self, name: &str, bytes: u64) {
+    pub fn note_resident(&mut self, name: &Arc<str>, bytes: u64) {
         self.drop_resident(name);
-        self.resident.push((name.to_string(), bytes));
+        self.resident.push((name.clone(), bytes));
     }
 
     /// Remove a variable from the resident set.
     pub fn drop_resident(&mut self, name: &str) {
-        self.resident.retain(|(n, _)| n != name);
+        self.resident.retain(|(n, _)| **n != *name);
     }
 
     /// Total tracked resident bytes, saturating at `u64::MAX` (an operand
@@ -143,10 +154,10 @@ mod tests {
     #[test]
     fn resident_tracking_and_eviction() {
         let mut s = VarStates::new();
-        s.set("x", VarState::InMemoryClean);
-        s.note_resident("x", 600);
-        s.set("y", VarState::InMemoryDirty);
-        s.note_resident("y", 600);
+        s.set(&"x".into(), VarState::InMemoryClean);
+        s.note_resident(&"x".into(), 600);
+        s.set(&"y".into(), VarState::InMemoryDirty);
+        s.note_resident(&"y".into(), 600);
         assert_eq!(s.resident_bytes(), 1200);
         // Budget 1000: evict the oldest (x), keep the newest (y).
         let evicted = s.enforce_budget(1000);
@@ -161,15 +172,15 @@ mod tests {
     #[test]
     fn peak_ignores_checks_with_at_most_one_resident() {
         let mut s = VarStates::new();
-        s.note_resident("x", 900);
+        s.note_resident(&"x".into(), 900);
         assert_eq!(s.enforce_budget(100), 0);
         assert_eq!(s.peak(), 0, "a lone resident is never compared");
-        s.note_resident("y", 300);
+        s.note_resident(&"y".into(), 300);
         assert_eq!(s.enforce_budget(10_000), 0);
         assert_eq!(s.peak(), 1200);
         // Evicting x leaves y alone: later checks do not move the peak.
         assert_eq!(s.enforce_budget(1000), 900);
-        s.note_resident("y", 5000);
+        s.note_resident(&"y".into(), 5000);
         s.enforce_budget(0);
         assert_eq!(s.peak(), 1200);
     }
@@ -177,12 +188,12 @@ mod tests {
     #[test]
     fn branch_merge_keeps_the_larger_arms_peak() {
         let mut entry = VarStates::new();
-        entry.note_resident("x", 100);
+        entry.note_resident(&"x".into(), 100);
         let mut small = entry.clone();
-        small.note_resident("s", 50);
+        small.note_resident(&"s".into(), 50);
         small.enforce_budget(u64::MAX);
         let mut big = entry.clone();
-        big.note_resident("b", 700);
+        big.note_resident(&"b".into(), 700);
         big.enforce_budget(u64::MAX);
         assert_eq!((small.peak(), big.peak()), (150, 800));
         // Whichever arm the scan keeps, it keeps the larger peak.
@@ -196,21 +207,36 @@ mod tests {
     }
 
     #[test]
+    fn clones_share_their_keys() {
+        let x: Arc<str> = "x".into();
+        let mut s = VarStates::new();
+        s.set(&x, VarState::InMemoryDirty);
+        s.note_resident(&x, 100);
+        // Setting a known name updates its entry in place.
+        s.set(&"x".into(), VarState::InMemoryClean);
+        let fork = s.clone();
+        let (key, _) = fork.states.get_key_value("x").unwrap();
+        assert!(Arc::ptr_eq(key, &x));
+        assert!(Arc::ptr_eq(&fork.resident[0].0, &x));
+        assert_eq!(fork.get("x"), VarState::InMemoryClean);
+    }
+
+    #[test]
     fn on_hdfs_set_drops_residency() {
         let mut s = VarStates::new();
-        s.set("x", VarState::InMemoryDirty);
-        s.note_resident("x", 100);
-        s.set("x", VarState::OnHdfs);
+        s.set(&"x".into(), VarState::InMemoryDirty);
+        s.note_resident(&"x".into(), 100);
+        s.set(&"x".into(), VarState::OnHdfs);
         assert_eq!(s.resident_bytes(), 0);
     }
 
     #[test]
     fn transitions() {
         let mut s = VarStates::new();
-        s.set("x", VarState::InMemoryDirty);
+        s.set(&"x".into(), VarState::InMemoryDirty);
         assert!(!s.get("x").needs_read());
         assert!(s.get("x").needs_export());
-        s.set("x", VarState::InMemoryClean);
+        s.set(&"x".into(), VarState::InMemoryClean);
         assert!(!s.get("x").needs_export());
         assert!(!s.get("x").needs_read());
     }

@@ -61,7 +61,7 @@ pub fn lint_cp_budget(
 
 fn operand_names(op: &MrOperator) -> impl Iterator<Item = &str> {
     op.operands.iter().filter_map(|o| match o {
-        Operand::Var(v) => Some(v.as_str()),
+        Operand::Var(v) => Some(&**v),
         Operand::Lit(_) => None,
     })
 }
@@ -103,7 +103,7 @@ pub fn lint_mr_job(job: &MrJobInstruction, mr_budget_mb: f64, path: &str) -> Vec
     // PL012: a broadcast must be materialized before the job starts — it
     // cannot be produced by an operator inside the same job.
     for (name, _) in &job.broadcast_inputs {
-        if op_outputs.contains(name.as_str()) {
+        if op_outputs.contains(&**name) {
             diags.push(Diagnostic::new(
                 "PL012",
                 path.to_string(),
@@ -142,7 +142,7 @@ pub fn lint_mr_job(job: &MrJobInstruction, mr_budget_mb: f64, path: &str) -> Vec
         ));
     }
     for (name, _) in &job.outputs {
-        if !op_outputs.contains(name.as_str()) {
+        if !op_outputs.contains(&**name) {
             diags.push(Diagnostic::new(
                 "PL014",
                 path.to_string(),
@@ -216,7 +216,7 @@ pub fn lint_mr_job(job: &MrJobInstruction, mr_budget_mb: f64, path: &str) -> Vec
         }
     }
     for (name, _) in &job.hdfs_inputs {
-        if op_outputs.contains(name.as_str()) {
+        if op_outputs.contains(&**name) {
             diags.push(Diagnostic::new(
                 "PL015",
                 path.to_string(),

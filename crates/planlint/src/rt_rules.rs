@@ -66,7 +66,10 @@ fn check_predicates(block: &RtBlock, diags: &mut Vec<Diagnostic>) {
         }
         let binds = pred.instructions.iter().any(|i| match i {
             Instruction::Cp(cp) => cp.output.as_deref() == Some(pred.result_var.as_str()),
-            Instruction::MrJob(job) => job.outputs.iter().any(|(name, _)| *name == pred.result_var),
+            Instruction::MrJob(job) => job
+                .outputs
+                .iter()
+                .any(|(name, _)| **name == *pred.result_var),
         });
         if !binds {
             diags.push(Diagnostic::new(
@@ -159,7 +162,7 @@ fn check_block_live_sets(
                 for op in job.mappers.iter().chain(&job.reducers) {
                     for o in &op.operands {
                         if let Operand::Var(name) = o {
-                            if !written.contains(name.as_str())
+                            if !written.contains(&**name)
                                 && job
                                     .hdfs_inputs
                                     .iter()
@@ -344,7 +347,7 @@ fn check_instr_defs(
             if matches!(cp.opcode, OpCode::RmVar) {
                 for o in &cp.operands {
                     if let Operand::Var(name) = o {
-                        defined.remove(name);
+                        defined.remove(&**name);
                     }
                 }
                 return;
@@ -355,7 +358,7 @@ fn check_instr_defs(
                 }
             }
             if let Some(out) = &cp.output {
-                defined.insert(out.clone());
+                defined.insert(out.to_string());
             }
         }
         Instruction::MrJob(job) => {
@@ -366,7 +369,7 @@ fn check_instr_defs(
             for op in job.mappers.iter().chain(&job.reducers) {
                 for o in &op.operands {
                     if let Operand::Var(name) = o {
-                        if !in_job.contains(name.as_str()) {
+                        if !in_job.contains(&**name) {
                             require(name, defined, diags);
                         }
                     }
@@ -377,7 +380,7 @@ fn check_instr_defs(
             }
             for op in job.mappers.iter().chain(&job.reducers) {
                 if let Some(out) = &op.output {
-                    defined.insert(out.clone());
+                    defined.insert(out.to_string());
                 }
             }
         }

@@ -1187,23 +1187,23 @@ fn source_use_counts(instrs: &[Instruction]) -> HashMap<&str, usize> {
                 }
                 for op in &cp.operands {
                     if let Operand::Var(name) = op {
-                        *counts.entry(name.as_str()).or_insert(0) += 1;
+                        *counts.entry(&**name).or_insert(0) += 1;
                     }
                 }
             }
             Instruction::MrJob(job) => {
                 for (name, _) in job.hdfs_inputs.iter().chain(&job.broadcast_inputs) {
-                    *counts.entry(name.as_str()).or_insert(0) += 1;
+                    *counts.entry(&**name).or_insert(0) += 1;
                 }
                 for mr in job.mappers.iter().chain(&job.reducers) {
                     for op in &mr.operands {
                         if let Operand::Var(name) = op {
-                            *counts.entry(name.as_str()).or_insert(0) += 1;
+                            *counts.entry(&**name).or_insert(0) += 1;
                         }
                     }
                 }
                 for (name, _) in &job.outputs {
-                    *counts.entry(name.as_str()).or_insert(0) += 1;
+                    *counts.entry(&**name).or_insert(0) += 1;
                 }
             }
         }
@@ -1307,7 +1307,7 @@ fn match_code(
 
 fn arg_matches(t: &Pools, arg: &Arg, operand: &Operand) -> bool {
     match (arg, operand) {
-        (Arg::Slot(s), Operand::Var(name)) => t.sym_name(*s) == Some(name.as_str()),
+        (Arg::Slot(s), Operand::Var(name)) => t.sym_name(*s) == Some(&**name),
         (Arg::Const(c), Operand::Lit(v)) => t.consts.get(*c as usize) == Some(v),
         _ => false,
     }
@@ -1431,7 +1431,7 @@ fn match_mr_job(
         ));
     } else {
         for (k, ((name, _), sym)) in src.outputs.iter().zip(&vm.outputs).enumerate() {
-            if t.sym_name(*sym) != Some(name.as_str()) {
+            if t.sym_name(*sym) != Some(&**name) {
                 diags.push(Diagnostic::new(
                     "PL046",
                     path,
@@ -1691,9 +1691,7 @@ fn check_chain_fidelity(
                     *arg == FusedArg::Flow
                 } else {
                     match (arg, operand) {
-                        (FusedArg::Slot(s), Operand::Var(name)) => {
-                            t.sym_name(*s) == Some(name.as_str())
-                        }
+                        (FusedArg::Slot(s), Operand::Var(name)) => t.sym_name(*s) == Some(&**name),
                         (FusedArg::Const(c), Operand::Lit(v)) => {
                             t.consts.get(*c as usize) == Some(v)
                         }

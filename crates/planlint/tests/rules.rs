@@ -53,7 +53,7 @@ fn broken_plan_yields_expected_diagnostics() {
     let instructions = vec![Instruction::Cp(CpInstruction {
         opcode: OpCode::MatMult,
         operands: vec![Operand::var("X"), Operand::var("Y")],
-        output: Some(format!("_mVar{}", mm.0)),
+        output: Some(format!("_mVar{}", mm.0).into()),
         operand_mcs: vec![dag.hop(x).mc, dag.hop(y).mc],
         output_mc: mm_mc,
         bound_bytes: None,

@@ -458,7 +458,7 @@ impl Executor {
             let m = self
                 .pool
                 .get(name)
-                .ok_or_else(|| ExecError::UnknownVariable(name.clone()))?;
+                .ok_or_else(|| ExecError::UnknownVariable(name.to_string()))?;
             self.hdfs.write(format!("tmp/{name}"), m);
             self.pool.mark_clean(name);
         }
@@ -478,7 +478,7 @@ impl OperandStore for NameStore<'_> {
 
     fn held_scalar(&self, arg: &Operand) -> Option<ScalarValue> {
         match arg {
-            Operand::Var(name) => self.exec.scalars.get(name).cloned(),
+            Operand::Var(name) => self.exec.scalars.get(&**name).cloned(),
             Operand::Lit(v) => Some(v.clone()),
         }
     }
@@ -487,10 +487,10 @@ impl OperandStore for NameStore<'_> {
         let Operand::Var(name) = arg else {
             return Ok(());
         };
-        if self.exec.pool.touch(name).is_some() || self.exec.scalars.contains_key(name) {
+        if self.exec.pool.touch(name).is_some() || self.exec.scalars.contains_key(&**name) {
             Ok(())
         } else {
-            Err(ExecError::UnknownVariable(name.clone()))
+            Err(ExecError::UnknownVariable(name.to_string()))
         }
     }
 
@@ -498,9 +498,9 @@ impl OperandStore for NameStore<'_> {
         match arg {
             Operand::Var(name) => match self.exec.pool.peek(name) {
                 Some(m) => Ok(Cow::Borrowed(m)),
-                None => match self.exec.scalars.get(name) {
+                None => match self.exec.scalars.get(&**name) {
                     Some(v) => scalar_as_matrix(v, || format!("'{name}'")),
-                    None => Err(ExecError::UnknownVariable(name.clone())),
+                    None => Err(ExecError::UnknownVariable(name.to_string())),
                 },
             },
             Operand::Lit(v) => scalar_as_matrix(v, || "literal".into()),
@@ -520,7 +520,7 @@ impl OperandStore for NameStore<'_> {
     fn unbind(&mut self, arg: &Operand) {
         if let Operand::Var(name) = arg {
             self.exec.pool.remove(name);
-            self.exec.scalars.remove(name);
+            self.exec.scalars.remove(&**name);
         }
     }
 
@@ -561,7 +561,7 @@ mod tests {
         Instruction::Cp(CpInstruction {
             opcode,
             operands,
-            output: output.map(str::to_string),
+            output: output.map(Into::into),
             operand_mcs: vec![],
             output_mc: MatrixCharacteristics::unknown(),
             bound_bytes: None,

@@ -1,5 +1,7 @@
 //! Executable instructions: CP (in-memory) and MR-job instructions.
 
+use std::sync::Arc;
+
 use reml_matrix::{AggOp, BinaryOp, MatrixCharacteristics, UnaryOp};
 
 use crate::value::Operand;
@@ -111,6 +113,46 @@ impl OpCode {
     pub fn mnemonic(&self) -> String {
         self.to_string()
     }
+
+    /// The variant's name without its payload, as `Debug` begins it
+    /// (`MatMult`, `BinaryMM`, `PersistentRead`): the simulator's
+    /// causal-node and OOM-event label.
+    pub fn variant_name(&self) -> &'static str {
+        match self {
+            OpCode::PersistentRead { .. } => "PersistentRead",
+            OpCode::PersistentWrite { .. } => "PersistentWrite",
+            OpCode::DataGenConst => "DataGenConst",
+            OpCode::DataGenSeq => "DataGenSeq",
+            OpCode::DataGenRand => "DataGenRand",
+            OpCode::MatMult => "MatMult",
+            OpCode::MatMultTransLeft => "MatMultTransLeft",
+            OpCode::Tsmm => "Tsmm",
+            OpCode::MmChain => "MmChain",
+            OpCode::Solve => "Solve",
+            OpCode::Transpose => "Transpose",
+            OpCode::Diag => "Diag",
+            OpCode::BinaryMM(_) => "BinaryMM",
+            OpCode::BinaryMS(_) => "BinaryMS",
+            OpCode::BinarySM(_) => "BinarySM",
+            OpCode::BinarySS(_) => "BinarySS",
+            OpCode::UnaryM(_) => "UnaryM",
+            OpCode::UnaryS(_) => "UnaryS",
+            OpCode::Agg(_) => "Agg",
+            OpCode::TableSeq => "TableSeq",
+            OpCode::RightIndex => "RightIndex",
+            OpCode::LeftIndex => "LeftIndex",
+            OpCode::Append => "Append",
+            OpCode::AppendR => "AppendR",
+            OpCode::NRow => "NRow",
+            OpCode::NCol => "NCol",
+            OpCode::CastScalar => "CastScalar",
+            OpCode::CastMatrix => "CastMatrix",
+            OpCode::Assign => "Assign",
+            OpCode::Concat => "Concat",
+            OpCode::Print => "Print",
+            OpCode::RmVar => "RmVar",
+        }
+    }
 }
 
 /// The opcode mnemonic, written without an intermediate `String`.
@@ -164,7 +206,7 @@ pub struct CpInstruction {
     /// Operands in positional order.
     pub operands: Vec<Operand>,
     /// Output variable (None for sinks like `print`/`pwrite`).
-    pub output: Option<String>,
+    pub output: Option<Arc<str>>,
     /// Compile-time characteristics per operand (scalar operands use
     /// [`MatrixCharacteristics::scalar`]).
     pub operand_mcs: Vec<MatrixCharacteristics>,
@@ -198,7 +240,7 @@ impl CpInstruction {
             .operands
             .iter()
             .map(|o| match o {
-                Operand::Var(v) => v.clone(),
+                Operand::Var(v) => v.to_string(),
                 Operand::Lit(l) => l.render(),
             })
             .collect();
@@ -228,7 +270,7 @@ pub struct MrOperator {
     /// Operands.
     pub operands: Vec<Operand>,
     /// Output variable (job-local intermediate or job output).
-    pub output: Option<String>,
+    pub output: Option<Arc<str>>,
     /// Compile-time operand characteristics.
     pub operand_mcs: Vec<MatrixCharacteristics>,
     /// Compile-time output characteristics.
@@ -245,15 +287,15 @@ pub struct MrOperator {
 pub struct MrJobInstruction {
     /// Variables read from HDFS by the map phase (with their compile-time
     /// characteristics).
-    pub hdfs_inputs: Vec<(String, MatrixCharacteristics)>,
+    pub hdfs_inputs: Vec<(Arc<str>, MatrixCharacteristics)>,
     /// Variables broadcast to every map task via distributed cache.
-    pub broadcast_inputs: Vec<(String, MatrixCharacteristics)>,
+    pub broadcast_inputs: Vec<(Arc<str>, MatrixCharacteristics)>,
     /// Operators in the map phase, in execution order.
     pub mappers: Vec<MrOperator>,
     /// Operators in the reduce phase, in execution order.
     pub reducers: Vec<MrOperator>,
     /// Variables written to HDFS as job outputs.
-    pub outputs: Vec<(String, MatrixCharacteristics)>,
+    pub outputs: Vec<(Arc<str>, MatrixCharacteristics)>,
     /// Characteristics of data shuffled from map to reduce (empty for
     /// map-only jobs).
     pub shuffle: Vec<MatrixCharacteristics>,
@@ -394,6 +436,89 @@ mod tests {
             shuffle: vec![mc(10, 10)],
         };
         assert!(job.has_reduce());
+    }
+
+    #[test]
+    fn variant_names_are_the_debug_tags() {
+        // One of every variant: the match below fails to compile when a
+        // variant is added without a case here.
+        let all = [
+            OpCode::PersistentRead { path: "p".into() },
+            OpCode::PersistentWrite { path: "p".into() },
+            OpCode::DataGenConst,
+            OpCode::DataGenSeq,
+            OpCode::DataGenRand,
+            OpCode::MatMult,
+            OpCode::MatMultTransLeft,
+            OpCode::Tsmm,
+            OpCode::MmChain,
+            OpCode::Solve,
+            OpCode::Transpose,
+            OpCode::Diag,
+            OpCode::BinaryMM(BinaryOp::Mul),
+            OpCode::BinaryMS(BinaryOp::Add),
+            OpCode::BinarySM(BinaryOp::Sub),
+            OpCode::BinarySS(BinaryOp::Div),
+            OpCode::UnaryM(UnaryOp::Exp),
+            OpCode::UnaryS(UnaryOp::Abs),
+            OpCode::Agg(AggOp::Sum),
+            OpCode::TableSeq,
+            OpCode::RightIndex,
+            OpCode::LeftIndex,
+            OpCode::Append,
+            OpCode::AppendR,
+            OpCode::NRow,
+            OpCode::NCol,
+            OpCode::CastScalar,
+            OpCode::CastMatrix,
+            OpCode::Assign,
+            OpCode::Concat,
+            OpCode::Print,
+            OpCode::RmVar,
+        ];
+        let mut seen = std::collections::HashSet::new();
+        for op in &all {
+            match op {
+                OpCode::PersistentRead { .. }
+                | OpCode::PersistentWrite { .. }
+                | OpCode::DataGenConst
+                | OpCode::DataGenSeq
+                | OpCode::DataGenRand
+                | OpCode::MatMult
+                | OpCode::MatMultTransLeft
+                | OpCode::Tsmm
+                | OpCode::MmChain
+                | OpCode::Solve
+                | OpCode::Transpose
+                | OpCode::Diag
+                | OpCode::BinaryMM(_)
+                | OpCode::BinaryMS(_)
+                | OpCode::BinarySM(_)
+                | OpCode::BinarySS(_)
+                | OpCode::UnaryM(_)
+                | OpCode::UnaryS(_)
+                | OpCode::Agg(_)
+                | OpCode::TableSeq
+                | OpCode::RightIndex
+                | OpCode::LeftIndex
+                | OpCode::Append
+                | OpCode::AppendR
+                | OpCode::NRow
+                | OpCode::NCol
+                | OpCode::CastScalar
+                | OpCode::CastMatrix
+                | OpCode::Assign
+                | OpCode::Concat
+                | OpCode::Print
+                | OpCode::RmVar => {}
+            }
+            // The tag the simulator derived from `Debug` before.
+            let debug = format!("{op:?}");
+            let tag = debug.split([' ', '{', '(']).next().unwrap();
+            assert_eq!(op.variant_name(), tag);
+            seen.insert(std::mem::discriminant(op));
+        }
+        assert_eq!(seen.len(), all.len(), "one of each variant");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Scalar values and instruction operands.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A scalar runtime value (DML scalars are doubles, booleans, or strings).
 #[derive(Debug, Clone, PartialEq)]
@@ -57,15 +58,17 @@ impl fmt::Display for ScalarValue {
 /// An instruction operand: a variable reference or an inline literal.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Operand {
-    /// Reference to a live variable by name.
-    Var(String),
+    /// Reference to a live variable by name, shared with every other
+    /// holder of the name (the compiler's environment, instruction
+    /// outputs, the cost model's state map).
+    Var(Arc<str>),
     /// Inline scalar literal.
     Lit(ScalarValue),
 }
 
 impl Operand {
     /// Convenience constructor for a variable operand.
-    pub fn var(name: impl Into<String>) -> Self {
+    pub fn var(name: impl Into<Arc<str>>) -> Self {
         Operand::Var(name.into())
     }
 

@@ -123,6 +123,8 @@ impl SimState<'_> {
         } else {
             self.resources.mr_heap = target.mr_heap.clone();
         }
+        self.cfg.cp_heap_mb = self.resources.cp_heap_mb;
+        self.cfg.mr_heap.clone_from(&self.resources.mr_heap);
     }
 
     /// Buffer-pool capacity of the current CP budget.

@@ -233,6 +233,7 @@ impl Simulator {
             facts: sim.facts.clone(),
             reopt: sim.reopt,
             resources: sim.resources.clone(),
+            cfg: self.config_for(base, &sim.resources, Some(sim.facts.table_cols)),
             cost_model: CostModel::with_slot_availability(
                 self.cluster.clone(),
                 sim.slot_availability,
@@ -335,6 +336,10 @@ struct SimState<'a> {
     facts: SimFacts,
     reopt: bool,
     resources: ResourceConfig,
+    /// The compile configuration of `resources`: the base's params and
+    /// inputs with the actual `table()` width. Rebuilt only when the
+    /// resources change ([`SimState::apply_target`]).
+    cfg: CompileConfig,
     cost_model: CostModel,
     env: Env,
     var_states: VarStates,
@@ -352,11 +357,6 @@ struct SimState<'a> {
 const PREDICATE_COST_S: f64 = 1e-4;
 
 impl<'a> SimState<'a> {
-    fn current_cfg(&self) -> CompileConfig {
-        self.sim
-            .config_for(self.base, &self.resources, Some(self.facts.table_cols))
-    }
-
     /// Advance the global trace recorder's virtual clock (when one is
     /// installed on sim time) to the current simulated timestamp, so span
     /// begin/end records carry meaningful — and reproducible — times.
@@ -407,7 +407,7 @@ impl<'a> SimState<'a> {
                     else_blocks,
                 } => {
                     self.charge_predicate();
-                    let konst = fold_predicate_with_env(&self.current_cfg(), pred, &self.env)?;
+                    let konst = fold_predicate_with_env(&self.cfg, pred, &self.env)?;
                     match konst.and_then(|v| v.as_bool()) {
                         Some(true) => self.sim_blocks(then_blocks)?,
                         Some(false) => self.sim_blocks(else_blocks)?,
@@ -417,7 +417,7 @@ impl<'a> SimState<'a> {
                             // the then branch's definitions into the
                             // environment so later compiles see them.
                             let mut then_env = self.env.clone();
-                            propagate_blocks_env(&self.current_cfg(), then_blocks, &mut then_env)?;
+                            propagate_blocks_env(&self.cfg, then_blocks, &mut then_env)?;
                             self.sim_blocks(else_blocks)?;
                             self.env =
                                 reml_compiler::build::merge_env_branches(&then_env, &self.env);
@@ -478,7 +478,7 @@ impl<'a> SimState<'a> {
         // Dynamic recompilation: compile with actual sizes.
         let mut probe_env = self.env.clone();
         let (mut instructions, ..) =
-            compile_block_with_env(self.analyzed, &self.current_cfg(), id, &mut probe_env)?;
+            compile_block_with_env(self.analyzed, &self.cfg, id, &mut probe_env)?;
         self.outcome.recompilations += 1;
         self.outcome.causal.mark_recompile("recompile");
 
@@ -487,23 +487,25 @@ impl<'a> SimState<'a> {
         // at this block before.
         let has_mr = instructions.iter().any(Instruction::is_mr);
         reml_trace::event!("sim.recompile", block = id.0, has_mr = has_mr);
-        let resources = self.resources.clone();
+        let mut resources_changed = false;
         if self.reopt && has_mr && self.marked.contains(&id.0) && !self.adapted.contains(&id.0) {
+            let before = self.resources.clone();
             self.adapted.insert(id.0);
             self.adapt(id)?;
+            resources_changed = self.resources != before;
         }
 
         // Execute — recompiled first if adaptation changed the resources;
         // otherwise the compile above is the one a second would repeat.
         let env_snapshot = oom_watermark.map(|_| self.env.clone());
-        if self.resources == resources {
-            self.env = probe_env;
-        } else {
+        if resources_changed {
             (instructions, ..) =
-                compile_block_with_env(self.analyzed, &self.current_cfg(), id, &mut self.env)?;
+                compile_block_with_env(self.analyzed, &self.cfg, id, &mut self.env)?;
+        } else {
+            self.env = probe_env;
         }
         let mr_heap = self.resources.mr_heap.for_block(id.0);
-        let mut temps: Vec<String> = Vec::new();
+        let mut temps = Vec::new();
         let attempt_start = self.outcome.causal.now();
         if let Some((op, needed_mb, budget_mb)) =
             self.run_instructions(&instructions, mr_heap, oom_watermark, &mut temps)
@@ -518,14 +520,14 @@ impl<'a> SimState<'a> {
                 now,
                 TraceEvent::Oom {
                     block: id.0,
-                    op,
+                    op: op.to_string(),
                     needed_mb,
                     budget_mb,
                     wasted_s: now - attempt_start,
                 },
             );
             self.env = env_snapshot.expect("snapshot exists when watermark armed");
-            let mut forced = self.current_cfg();
+            let mut forced = self.cfg.clone();
             forced.cp_heap_mb = self.sim.cluster.min_heap_mb();
             let (instructions, ..) =
                 compile_block_with_env(self.analyzed, &forced, id, &mut self.env)?;

@@ -3,6 +3,9 @@
 //! eviction and restore time, and the task-OOM watermark check that can
 //! cut a block attempt short.
 
+use std::borrow::Cow;
+use std::sync::Arc;
+
 use rand::Rng;
 
 use reml_matrix::MatrixCharacteristics;
@@ -23,8 +26,8 @@ impl SimState<'_> {
         instructions: &[Instruction],
         mr_heap_mb: u64,
         watermark: Option<f64>,
-        temps: &mut Vec<String>,
-    ) -> Option<(String, u64, u64)> {
+        temps: &mut Vec<Arc<str>>,
+    ) -> Option<(&'static str, u64, u64)> {
         for instr in instructions {
             if let Some(oom) = watermark.and_then(|frac| self.cp_oom_check(instr, frac)) {
                 return Some(oom);
@@ -41,9 +44,9 @@ impl SimState<'_> {
     /// OOM watermark check: a CP instruction whose actual-size footprint
     /// (operands + output) exceeds `frac` of the CP budget fails.
     /// Returns `(opcode, needed_mb, budget_mb)` when it fires.
-    fn cp_oom_check(&self, instr: &Instruction, frac: f64) -> Option<(String, u64, u64)> {
+    fn cp_oom_check(&self, instr: &Instruction, frac: f64) -> Option<(&'static str, u64, u64)> {
         let patched = patch_unknowns(instr, &self.facts);
-        let Instruction::Cp(cp) = &patched else {
+        let Instruction::Cp(cp) = &*patched else {
             return None;
         };
         // Reads/writes stream block-wise; only computational operators
@@ -67,7 +70,7 @@ impl SimState<'_> {
             .cluster
             .budget_mb_for_heap(self.resources.cp_heap_mb);
         if needed_mb as f64 > frac.clamp(0.0, 1.0) * budget_mb as f64 {
-            Some((opcode_tag(&cp.opcode), needed_mb, budget_mb))
+            Some((cp.opcode.variant_name(), needed_mb, budget_mb))
         } else {
             None
         }
@@ -76,7 +79,7 @@ impl SimState<'_> {
     fn time_instruction(&mut self, instr: &Instruction, mr_heap_mb: u64) {
         let patched = patch_unknowns(instr, &self.facts);
         let cost = self.cost_model.cost_instructions(
-            std::slice::from_ref(&patched),
+            std::slice::from_ref(&*patched),
             // The simulator models evictions itself via its buffer pool;
             // disable the cost model's partial eviction accounting here.
             u64::MAX / (2 * 1024 * 1024),
@@ -86,7 +89,7 @@ impl SimState<'_> {
         // Causal identity of this instruction's work: a distributed job
         // runs `width` tasks in parallel (serialized work = duration ×
         // width); CP work is serial.
-        let (kind, label, width) = match &patched {
+        let (kind, label, width) = match &*patched {
             Instruction::MrJob(job) => {
                 let input_mb = job
                     .hdfs_inputs
@@ -97,9 +100,9 @@ impl SimState<'_> {
                 let width = (self.sim.cluster.num_splits(input_mb) as u64)
                     .min(self.sim.cluster.total_slots(mr_heap_mb) as u64)
                     .max(1);
-                (CausalKind::MrJob, "mr.job".to_string(), width)
+                (CausalKind::MrJob, "mr.job", width)
             }
-            Instruction::Cp(cp) => (CausalKind::Cp, opcode_tag(&cp.opcode), 1),
+            Instruction::Cp(cp) => (CausalKind::Cp, cp.opcode.variant_name(), 1),
         };
         for (comp, bucket, secs) in [
             (Comp::Io, Bucket::Io, cost.io_s),
@@ -108,7 +111,7 @@ impl SimState<'_> {
         ] {
             self.outcome
                 .causal
-                .charge(comp, bucket, kind, &label, secs, width);
+                .charge(comp, bucket, kind, label, secs, width);
         }
         // Measured jitter on MR jobs.
         let (bucket, latency_s) = if cost.mr_jobs > 0 {
@@ -119,7 +122,7 @@ impl SimState<'_> {
         };
         self.outcome
             .causal
-            .charge(Comp::Latency, bucket, kind, &label, latency_s, 1);
+            .charge(Comp::Latency, bucket, kind, label, latency_s, 1);
         // Fault hook: faults scheduled on any of this instruction's job
         // indices fire now, in job order (a CP instruction has none).
         let first = self.outcome.mr_jobs;
@@ -128,7 +131,7 @@ impl SimState<'_> {
             self.apply_mr_fault(job_idx, fault_kind, &cost, width, mr_heap_mb);
         }
         // Buffer pool: evictions/restores the cost model ignores.
-        match &patched {
+        match &*patched {
             Instruction::Cp(cp) => self.charge_pool(cp),
             Instruction::MrJob(job) => {
                 for (name, _) in job.hdfs_inputs.iter().chain(&job.broadcast_inputs) {
@@ -194,19 +197,40 @@ impl SimState<'_> {
     }
 }
 
-/// Short opcode tag for causal-node labels and OOM events
-/// (`MatMult { .. }` → "MatMult").
-fn opcode_tag(op: &OpCode) -> String {
-    let s = format!("{op:?}");
-    s.split([' ', '{', '(']).next().unwrap_or("op").to_string()
+/// Whether a characteristic needs no patching: dims and nnz known.
+fn complete(mc: &MatrixCharacteristics) -> bool {
+    mc.dims_known() && mc.nnz.is_some()
+}
+
+/// Whether every characteristic an instruction carries is complete.
+fn all_complete(instr: &Instruction) -> bool {
+    match instr {
+        Instruction::Cp(cp) => cp.operand_mcs.iter().chain([&cp.output_mc]).all(complete),
+        Instruction::MrJob(job) => {
+            let ops = job.mappers.iter().chain(&job.reducers);
+            (job.hdfs_inputs
+                .iter()
+                .chain(&job.broadcast_inputs)
+                .chain(&job.outputs))
+            .all(|(_, mc)| complete(mc))
+                && job.shuffle.iter().all(complete)
+                && ops
+                    .flat_map(|op| op.operand_mcs.iter().chain([&op.output_mc]))
+                    .all(complete)
+        }
+    }
 }
 
 /// Replace unknown characteristics in an instruction with runtime-actual
 /// values: the only source of unknowns in the bundled programs is
-/// `table()`, whose width is `facts.table_cols`.
-fn patch_unknowns(instr: &Instruction, facts: &SimFacts) -> Instruction {
+/// `table()`, whose width is `facts.table_cols`. An instruction whose
+/// sizes are all known is borrowed as it is.
+fn patch_unknowns<'i>(instr: &'i Instruction, facts: &SimFacts) -> Cow<'i, Instruction> {
+    if all_complete(instr) {
+        return Cow::Borrowed(instr);
+    }
     let patch_mc = |mc: &MatrixCharacteristics, indicator: bool| -> MatrixCharacteristics {
-        if mc.dims_known() && mc.nnz.is_some() {
+        if complete(mc) {
             return *mc;
         }
         let rows = mc.rows.unwrap_or(facts.table_cols);
@@ -228,7 +252,7 @@ fn patch_unknowns(instr: &Instruction, facts: &SimFacts) -> Instruction {
             let indicator = matches!(cp.opcode, OpCode::TableSeq);
             cp.operand_mcs = cp.operand_mcs.iter().map(|m| patch_mc(m, false)).collect();
             cp.output_mc = patch_mc(&cp.output_mc, indicator);
-            Instruction::Cp(cp)
+            Cow::Owned(Instruction::Cp(cp))
         }
         Instruction::MrJob(job) => {
             let mut job = job.clone();
@@ -250,7 +274,7 @@ fn patch_unknowns(instr: &Instruction, facts: &SimFacts) -> Instruction {
             for mc in job.shuffle.iter_mut() {
                 *mc = patch_mc(mc, false);
             }
-            Instruction::MrJob(job)
+            Cow::Owned(Instruction::MrJob(job))
         }
     }
 }
@@ -277,7 +301,7 @@ mod tests {
             },
             bound_bytes: None,
         });
-        let Instruction::Cp(patched) = patch_unknowns(&instr, &facts) else {
+        let Instruction::Cp(patched) = patch_unknowns(&instr, &facts).into_owned() else {
             panic!()
         };
         assert_eq!(patched.output_mc.cols, Some(7));
@@ -297,10 +321,8 @@ mod tests {
             output_mc: mc.transpose(),
             bound_bytes: None,
         });
-        let Instruction::Cp(patched) = patch_unknowns(&instr, &facts) else {
-            panic!()
-        };
-        assert_eq!(patched.operand_mcs[0], mc);
-        assert_eq!(patched.output_mc, mc.transpose());
+        let patched = patch_unknowns(&instr, &facts);
+        assert!(matches!(patched, Cow::Borrowed(_)), "nothing to patch");
+        assert!(*patched == instr);
     }
 }

@@ -222,10 +222,10 @@ impl<'a> Analyzer<'a> {
             if let HopOp::TWrite(name) = &hop.op {
                 let bound = hops[i];
                 write_joins
-                    .entry(name.clone())
+                    .entry(name.to_string())
                     .and_modify(|b| *b = b.join(&bound))
                     .or_insert(bound);
-                env.insert(name.clone(), bound);
+                env.insert(name.to_string(), bound);
             }
         }
 

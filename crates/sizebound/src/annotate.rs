@@ -104,7 +104,7 @@ fn annotate_blocks(blocks: &mut [RtBlock], bounds: &ProgramBounds, config: &Comp
 fn touched_vars(cp: &CpInstruction) -> Vec<&str> {
     let mut names: Vec<&str> = cp.operands.iter().filter_map(|o| o.as_var()).collect();
     if let Some(out) = &cp.output {
-        names.push(out.as_str());
+        names.push(out);
     }
     names.sort_unstable();
     names.dedup();

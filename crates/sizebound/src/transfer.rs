@@ -38,17 +38,17 @@ pub fn transfer(
             .unwrap_or_else(SizeBound::top)
     };
     match &hop.op {
-        HopOp::TRead(name) => match env.get(name) {
+        HopOp::TRead(name) => match env.get(&**name) {
             Some(b) => *b,
             None => config
                 .inputs
-                .get(name)
+                .get(&**name)
                 .map(SizeBound::from_mc)
                 .unwrap_or_else(SizeBound::top),
         },
         HopOp::PRead(path) => config
             .inputs
-            .get(path)
+            .get(&**path)
             .map(SizeBound::from_mc)
             .unwrap_or_else(SizeBound::top),
         // Writes and sinks pass their value through.

@@ -449,7 +449,7 @@ fn cp_sized(
         opcode,
         operand_mcs: vec![mc; operands.len()],
         operands,
-        output: (!output.is_empty()).then(|| output.to_string()),
+        output: (!output.is_empty()).then(|| output.into()),
         output_mc: mc,
         bound_bytes: None,
     })

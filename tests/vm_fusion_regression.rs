@@ -21,7 +21,7 @@ fn mm(op: BinaryOp, a: &str, b: &str, out: &str) -> Instruction {
     Instruction::Cp(CpInstruction {
         opcode: OpCode::BinaryMM(op),
         operands: vec![Operand::var(a), Operand::var(b)],
-        output: Some(out.to_string()),
+        output: Some(out.into()),
         operand_mcs: vec![mc, mc],
         output_mc: mc,
         bound_bytes: None,
@@ -33,7 +33,7 @@ fn ms(op: BinaryOp, a: &str, lit: f64, out: &str) -> Instruction {
     Instruction::Cp(CpInstruction {
         opcode: OpCode::BinaryMS(op),
         operands: vec![Operand::var(a), Operand::num(lit)],
-        output: Some(out.to_string()),
+        output: Some(out.into()),
         operand_mcs: vec![mc, MatrixCharacteristics::scalar()],
         output_mc: mc,
         bound_bytes: None,
@@ -106,7 +106,7 @@ fn recycled_temps_in_branch_arms_fuse() {
         instructions: vec![Instruction::Cp(CpInstruction {
             opcode: OpCode::Assign,
             operands: vec![Operand::num(1.0)],
-            output: Some("__pred0".to_string()),
+            output: Some("__pred0".into()),
             operand_mcs: vec![MatrixCharacteristics::scalar()],
             output_mc: MatrixCharacteristics::scalar(),
             bound_bytes: None,

@@ -38,7 +38,7 @@ fn cp(opcode: OpCode, operands: Vec<Operand>, output: Option<&str>) -> Instructi
     Instruction::Cp(CpInstruction {
         opcode,
         operands,
-        output: output.map(str::to_string),
+        output: output.map(Into::into),
         operand_mcs: vec![],
         output_mc: MatrixCharacteristics::unknown(),
         bound_bytes: None,
